@@ -7,19 +7,17 @@ as multiplier-ideal data, verifying every step of the construction.
 """
 
 from .antinef import (ClosureTrace, NonIntegralInput, antinef_closure,
-                      antinef_closure_batched, is_antinef)
-from .blowup import (BlowupResult, ChainInfo, GenericConfiguration,
-                     LemmaGenReport, PreconditionViolated, PullbackMap,
-                     blow_up_free_point, generic_chain,
-                     iterated_configuration, verify_lemma_gen)
+                      is_antinef)
+from .blowup import (ChainInfo, GenericConfiguration, LemmaGenReport,
+                     PreconditionViolated, PullbackMap, verify_lemma_gen)
 from .canonical import (DiscrepancyReport, NonPositiveLambda, NotAntinef,
                         NotEffective, NotLogTerminal, discrepancies,
                         multiplier_divisor, relative_canonical)
-from .divisor import (Divisor, ModelMismatch, ceil, decompose, floor, meet)
+from .divisor import Divisor, ModelMismatch, decompose
 from .graphfile import (GraphDoc, GraphSyntaxError, format_divisor,
                         parse_graph, parse_graph_file, serialize_model)
 from .lattice import (NegDefResult, SingularLattice, check_negative_definite,
-                      dual_basis, intersect, numerical_pullback, pushforward)
+                      dual_basis, numerical_pullback)
 from .model import (ExcCurve, MalformedGraph, ResolutionModel, StrictCurve,
                     build_model)
 from .rationals import Rational, format_rational, parse_rational
@@ -31,20 +29,17 @@ from .realize import (CheckResult, DecompositionWitness,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupResult", "ChainInfo", "CheckResult", "ClosureTrace",
-    "DecompositionWitness", "DiscrepancyReport", "Divisor", "ExcCurve",
-    "GenericConfiguration", "GraphDoc", "GraphSyntaxError", "LemmaGenReport",
-    "MalformedGraph", "ModelMismatch", "NegDefResult", "NonIntegralInput",
-    "NonPositiveLambda", "NotAntinef", "NotEffective", "NotLogTerminal",
-    "PreconditionViolated", "PullbackMap", "Rational",
-    "RealizationCertificate", "ResolutionModel", "SingularLattice",
-    "StrictCurve", "VerificationReport", "antinef_closure",
-    "antinef_closure_batched", "blow_up_free_point", "build_ample_negative",
-    "build_model", "ceil", "check_negative_definite", "choose_epsilon",
-    "choose_mu", "decompose", "discrepancies", "dual_basis", "floor",
-    "format_divisor", "format_rational", "generic_chain", "intersect",
-    "is_antinef", "iterated_configuration", "meet", "multiplier_divisor",
-    "numerical_pullback", "parse_graph", "parse_graph_file",
-    "parse_rational", "pushforward", "realize", "relative_canonical",
-    "serialize_model", "verify_certificate", "verify_lemma_gen",
+    "ChainInfo", "CheckResult", "ClosureTrace", "DecompositionWitness",
+    "DiscrepancyReport", "Divisor", "ExcCurve", "GenericConfiguration",
+    "GraphDoc", "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
+    "ModelMismatch", "NegDefResult", "NonIntegralInput", "NonPositiveLambda",
+    "NotAntinef", "NotEffective", "NotLogTerminal", "PreconditionViolated",
+    "PullbackMap", "Rational", "RealizationCertificate", "ResolutionModel",
+    "SingularLattice", "StrictCurve", "VerificationReport", "antinef_closure",
+    "build_ample_negative", "build_model", "check_negative_definite",
+    "choose_epsilon", "choose_mu", "decompose", "discrepancies", "dual_basis",
+    "format_divisor", "format_rational", "is_antinef", "multiplier_divisor",
+    "numerical_pullback", "parse_graph", "parse_graph_file", "parse_rational",
+    "realize", "relative_canonical", "serialize_model", "verify_certificate",
+    "verify_lemma_gen",
 ]

@@ -28,13 +28,12 @@ class ClosureTrace:
 
     ``steps`` lists (curve index, value of D.E_i at that step); each
     recorded value is > 0.  ``initial_s`` is the total coefficient mass
-    added, i.e. the sum of the coefficients of final - input; with unit
+    added, i.e. the sum of the coefficients of closure - input; with unit
     steps it equals the number of steps.
     """
 
     steps: tuple
     initial_s: int
-    final: Divisor
 
 
 def is_antinef(d: Divisor) -> bool:
@@ -75,34 +74,5 @@ def antinef_closure(d: Divisor, select=None, step_bound=None):
             prods[k] += v
 
     final = Divisor(model, tuple(exc), d.strict)
-    return final, ClosureTrace(tuple(steps), len(steps), final)
+    return final, ClosureTrace(tuple(steps), len(steps))
 
-
-def antinef_closure_batched(d: Divisor):
-    """Fast path: add ceil(D.E_i / -E_i.E_i) copies of E_i per step.
-
-    Produces the identical final divisor as the unit-step algorithm (this
-    is tested); the trace records one entry per batch, with ``initial_s``
-    still equal to the total coefficient mass added.
-    """
-    if not d.is_integral():
-        raise NonIntegralInput("non-integral input")
-
-    exc = list(d.exc)
-    prods = list(d.products())
-    model = d.model
-    steps = []
-    added = 0
-    while True:
-        i = next((k for k, p in enumerate(prods) if p > 0), None)
-        if i is None:
-            break
-        count = -(-prods[i] // -model.matrix[i][i])  # ceil division
-        steps.append((i, prods[i]))
-        exc[i] += count
-        added += int(count)
-        for k, v in model.sparse_rows[i]:
-            prods[k] += count * v
-
-    final = Divisor(model, tuple(exc), d.strict)
-    return final, ClosureTrace(tuple(steps), added, final)

@@ -1,4 +1,4 @@
-"""Combinatorial blowups at free points and generic chains.
+"""Configurations of generic blowup chains at free points.
 
 A free point of an exceptional curve lies on that curve alone: off every
 other exceptional curve and off every strict curve.  Blowing one up is a
@@ -7,13 +7,14 @@ curve, whose self-intersection drops by one.  "Generic" chains iterate
 this, each new center on the most recent chain curve only, so no
 randomness or coordinates are involved.
 
-GenericConfiguration builds a whole family of chains (the e_i points with
-n_i blowups each used by the realization pipeline) in one pass, together
-with the composite pullback, the relative canonical divisor of the
-composition, and closed-form dual-basis vectors.  The one-pass build is
-equality-tested against the step-by-step route.
+GenericConfiguration.build constructs a whole family of chains (the e_i
+points with n_i blowups each used by the realization pipeline) in one
+pass, together with the composite pullback, the relative canonical
+divisor of the composition, and closed-form sums of dual-basis vectors.
+The test suite keeps the step-by-step route (one blowup at a time,
+composing pullbacks) in tests/oracles.py and checks the one-pass build
+against it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -55,116 +56,6 @@ class PullbackMap:
                         out[k] += c * v
         return Divisor(self.target, tuple(out), d.strict)
 
-    def then(self, other: "PullbackMap") -> "PullbackMap":
-        """Composite map: first self, then other."""
-        cols = []
-        for col in self.columns:
-            out = [0] * other.target.u
-            for m, v in enumerate(col):
-                if v:
-                    for k, w in enumerate(other.columns[m]):
-                        if w:
-                            out[k] += v * w
-            cols.append(tuple(out))
-        return PullbackMap(self.source, other.target, tuple(cols))
-
-    @staticmethod
-    def identity(model: ResolutionModel) -> "PullbackMap":
-        cols = tuple(tuple(int(i == j) for i in range(model.u))
-                     for j in range(model.u))
-        return PullbackMap(model, model, cols)
-
-
-@dataclass(frozen=True)
-class BlowupResult:
-    new_model: ResolutionModel
-    sigma_pullback: PullbackMap
-    K_sigma: Divisor            # relative canonical divisor of the map
-    base_curve: int             # index of the curve carrying the center(s)
-    chain_curves: tuple         # indices of the new curves, in creation order
-
-
-def _next_point_tag(model: ResolutionModel, base_label: str) -> int:
-    used = [c.chain[1] for c in model.curves
-            if c.chain is not None and c.chain[0] == base_label]
-    return max(used, default=0) + 1
-
-
-def blow_up_free_point(model: ResolutionModel, i: int,
-                       point_tag=None) -> BlowupResult:
-    """Blow up one free point of curve i.
-
-    The new curve C has self-intersection -1 and meets only (the strict
-    transform of) curve i, whose self-intersection drops by one.  The
-    pullback sends E_i to E_i' + C and fixes every other curve; the
-    relative canonical divisor of the blowup is C.
-    """
-    old = model.curves[i]
-    if old.chain is not None:
-        base_label, point, step = old.chain
-        chain = (base_label, point, step + 1)
-    else:
-        point = point_tag if point_tag is not None else _next_point_tag(model, old.label)
-        chain = (old.label, point, 1)
-    new_label = "%s(%d,%d)" % (chain[0], chain[1], chain[2])
-
-    u = model.u
-    mat = [list(row) + [0] for row in model.matrix]
-    mat.append([0] * (u + 1))
-    mat[i][i] -= 1
-    mat[i][u] = mat[u][i] = 1
-    mat[u][u] = -1
-
-    curves = []
-    for j, c in enumerate(model.curves):
-        curves.append(ExcCurve(label=c.label, genus=c.genus,
-                               self_int=mat[j][j], row=tuple(mat[j]),
-                               chain=c.chain))
-    curves.append(ExcCurve(label=new_label, genus=0, self_int=-1,
-                           row=tuple(mat[u]), chain=chain))
-    strict = tuple(StrictCurve(label=s.label, incidence=s.incidence + (0,))
-                   for s in model.strict_curves)
-    new_model = ResolutionModel(curves, strict, parent=(model, i))
-
-    cols = []
-    for j in range(u):
-        col = [int(j == k) for k in range(u + 1)]
-        if j == i:
-            col[u] = 1
-        cols.append(tuple(col))
-    pullback = PullbackMap(model, new_model, tuple(cols))
-    k_sigma = Divisor.curve(new_model, u)
-    return BlowupResult(new_model, pullback, k_sigma,
-                        base_curve=i, chain_curves=(u,))
-
-
-def generic_chain(model: ResolutionModel, i: int, n: int,
-                  point_tag=None) -> BlowupResult:
-    """Compose n free-point blowups, each centered on the newest curve.
-
-    n = 0 returns the identity result.  The relative canonical divisor of
-    the composite has coefficient k along the k-th chain curve.
-    """
-    if n < 0:
-        raise ValueError("chain length must be >= 0")
-    if n == 0:
-        return BlowupResult(model, PullbackMap.identity(model),
-                            Divisor.zero(model), base_curve=i, chain_curves=())
-
-    step = blow_up_free_point(model, i, point_tag=point_tag)
-    pullback = step.sigma_pullback
-    k_total = step.K_sigma
-    current = step.new_model
-    chain = list(step.chain_curves)
-    for _ in range(n - 1):
-        step = blow_up_free_point(current, chain[-1])
-        pullback = pullback.then(step.sigma_pullback)
-        k_total = step.sigma_pullback.apply(k_total) + step.K_sigma
-        current = step.new_model
-        chain.extend(step.chain_curves)
-    return BlowupResult(current, pullback, k_total,
-                        base_curve=i, chain_curves=tuple(chain))
-
 
 # ---------------------------------------------------------------------------
 # whole configurations of chains
@@ -182,8 +73,8 @@ class GenericConfiguration:
     """All chains of a realization step: e[i] chains of length n[i] per curve.
 
     Carries the blown model, the composite pullback, the relative
-    canonical divisor of the composition, and cheap closed-form access to
-    the dual basis of the blown model:
+    canonical divisor of the composition, and closed-form weighted sums of
+    the dual basis of the blown model, built from
 
         dual(E(l))       = g* dual(E_l)
         dual(E(i,j,k))   = g* dual(E_i) + sum_m min(m, k) E(i,j,m)
@@ -191,15 +82,12 @@ class GenericConfiguration:
     which avoids re-solving the (possibly large) intersection form.
     """
 
-    def __init__(self, base_model, model, chains, e, n, pullback, K_sigma):
+    def __init__(self, base_model, model, chains, pullback, K_sigma):
         self.base_model = base_model
         self.model = model
         self.chains = tuple(chains)
-        self.e = tuple(e)
-        self.n = tuple(n)
         self.pullback = pullback
         self.K_sigma = K_sigma
-        self._pulled_duals = {}
 
     @classmethod
     def build(cls, base_model: ResolutionModel, e, n) -> "GenericConfiguration":
@@ -207,6 +95,8 @@ class GenericConfiguration:
         u = base_model.u
         if len(e) != u or len(n) != u:
             raise ValueError("e and n must have one entry per curve")
+        if any(v < 0 for v in e) or any(v < 0 for v in n):
+            raise ValueError("chain counts and lengths must be >= 0")
         chains = []
         cursor = u
         for i in range(u):
@@ -269,56 +159,14 @@ class GenericConfiguration:
                 k_exc[info.start + m - 1] = Fraction(m)
         k_sigma = Divisor(model, tuple(k_exc),
                           (_ZERO,) * len(model.strict_curves))
-        return cls(base_model, model, chains, e, n, pullback, k_sigma)
+        return cls(base_model, model, chains, pullback, k_sigma)
 
     # -- index helpers ---------------------------------------------------
 
     def chains_over(self, i: int):
         return [info for info in self.chains if info.base == i]
 
-    def chain_of(self, idx: int):
-        """The ChainInfo containing blown-model curve idx, or None."""
-        for info in self.chains:
-            if info.start <= idx < info.start + info.length:
-                return info
-        return None
-
     # -- closed-form dual basis -------------------------------------------
-
-    def _pulled_dual(self, l: int) -> Divisor:
-        if l not in self._pulled_duals:
-            self._pulled_duals[l] = self.pullback.apply(
-                dual_basis(self.base_model)[l])
-        return self._pulled_duals[l]
-
-    def dual_vector(self, idx: int) -> Divisor:
-        """Dual-basis divisor of the blown model for curve idx."""
-        if idx < self.base_model.u:
-            return self._pulled_dual(idx)
-        info = self.chain_of(idx)
-        k = idx - info.start + 1
-        vec = list(self._pulled_dual(info.base).exc)
-        for m in range(1, info.length + 1):
-            vec[info.start + m - 1] += min(m, k)
-        return Divisor(self.model, tuple(vec),
-                       (_ZERO,) * len(self.model.strict_curves))
-
-    def sum_duals(self) -> Divisor:
-        """Sum of all dual-basis divisors of the blown model."""
-        base_weights = [Fraction(1)] * self.base_model.u
-        for info in self.chains:
-            base_weights[info.base] += info.length
-        combo = Divisor.zero(self.base_model)
-        for l, w in enumerate(base_weights):
-            combo = combo + dual_basis(self.base_model)[l].scale(w)
-        total = self.pullback.apply(combo)
-        vec = list(total.exc)
-        for info in self.chains:
-            L = info.length
-            for m in range(1, L + 1):
-                # sum_{k=1..L} min(m, k)
-                vec[info.start + m - 1] += Fraction(m * (m - 1) // 2 + (L - m + 1) * m)
-        return Divisor(self.model, tuple(vec), total.strict)
 
     def weighted_dual_sum(self, weights) -> Divisor:
         """Exact value of sum_E weights[E] * dual(E) over all curves."""
@@ -338,37 +186,13 @@ class GenericConfiguration:
             L = info.length
             t = [weights[info.start + m] for m in range(L)]
             # coefficient at chain position m is sum_k t_k * min(m, k)
-            prefix = _ZERO      # sum_{k<=m} k t_k
-            suffix = sum(t, _ZERO)
+            prefix = 0          # sum_{k<=m} k t_k; int while the weights are
+            suffix = sum(t)     # ints, a Fraction once one is a Fraction
             for m in range(1, L + 1):
                 prefix += m * t[m - 1]
                 suffix -= t[m - 1]
                 vec[info.start + m - 1] += prefix + m * suffix
         return Divisor(self.model, tuple(vec), total.strict)
-
-
-def iterated_configuration(base_model: ResolutionModel, e, n) -> GenericConfiguration:
-    """Build the same configuration chain by chain via generic_chain.
-
-    Used to cross-check GenericConfiguration.build; the realization
-    pipeline uses the one-pass builder.
-    """
-    current = base_model
-    pullback = PullbackMap.identity(base_model)
-    k_total = Divisor.zero(base_model)
-    chains = []
-    for i in range(base_model.u):
-        if e[i] > 0 and n[i] > 0:
-            for j in range(1, e[i] + 1):
-                start = current.u
-                step = generic_chain(current, i, n[i], point_tag=j)
-                pullback = pullback.then(step.sigma_pullback)
-                k_total = step.sigma_pullback.apply(k_total) + step.K_sigma
-                current = step.new_model
-                chains.append(ChainInfo(base=i, point=j, start=start,
-                                        length=n[i]))
-    return GenericConfiguration(base_model, current, chains, tuple(e),
-                                tuple(n), pullback, k_total)
 
 
 # ---------------------------------------------------------------------------
@@ -389,35 +213,38 @@ class LemmaGenReport:
         return self.duals_monotone and self.coeffs_monotone and self.equivalence_holds
 
 
-def verify_lemma_gen(chain: BlowupResult, d: Divisor) -> LemmaGenReport:
+def verify_lemma_gen(config: GenericConfiguration, d: Divisor) -> LemmaGenReport:
     """Check the chain monotonicity statements for one generic chain.
 
-    ``chain`` must come from generic_chain with n >= 1 and ``d`` must be
-    an integral antinef divisor on the chain model.  (In this
+    ``config`` must hold exactly one chain (of length n >= 1) and ``d``
+    must be an integral antinef divisor on its blown model.  The duals
+    come from a direct solve, not from the closed form.  (In this
     combinatorial setting the chain root automatically meets only the
     base curve, so the free-point hypothesis needs no further check.)
     """
-    if not chain.chain_curves:
-        raise PreconditionViolated("chain has no blown-up curves")
-    if d.model is not chain.new_model and d.model != chain.new_model:
+    if len(config.chains) != 1:
+        raise PreconditionViolated("configuration must hold exactly one chain")
+    if d.model is not config.model and d.model != config.model:
         raise PreconditionViolated("divisor does not live on the chain model")
     if not d.is_integral():
         raise PreconditionViolated("divisor must be integral")
     if not is_antinef(d):
         raise PreconditionViolated("divisor must be antinef")
 
-    duals = dual_basis(chain.new_model)
-    i = chain.base_curve
-    seq = [duals[i]] + [duals[k] for k in chain.chain_curves]
+    info = config.chains[0]
+    duals = dual_basis(config.model)
+    i = info.base
+    chain_curves = range(info.start, info.start + info.length)
+    seq = [duals[i]] + [duals[k] for k in chain_curves]
     duals_monotone = all(seq[t].less_equal(seq[t + 1]) for t in range(len(seq) - 1))
 
-    coeffs = (d.exc[i],) + tuple(d.exc[k] for k in chain.chain_curves)
+    coeffs = (d.exc[i],) + tuple(d.exc[k] for k in chain_curves)
     coeffs_monotone = all(coeffs[t] <= coeffs[t + 1]
                           for t in range(len(coeffs) - 1))
     strict_increase = coeffs[0] < coeffs[-1]
 
-    combo = Divisor.zero(chain.new_model)
-    for k in chain.chain_curves:
+    combo = Divisor.zero(config.model)
+    for k in chain_curves:
         combo = combo + duals[k].scale(-d.intersect(k))
     chain_duals_dominate = duals[i].less_equal(combo)
 

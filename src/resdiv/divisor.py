@@ -98,11 +98,6 @@ class Divisor:
         return Divisor(self.model, tuple(f * a for a in self.exc),
                        tuple(f * a for a in self.strict))
 
-    __mul__ = scale
-
-    def __rmul__(self, factor) -> "Divisor":
-        return self.scale(factor)
-
     # -- intersection products -------------------------------------------
 
     def intersect(self, i: int) -> Fraction:
@@ -175,10 +170,6 @@ class Divisor:
         """Drop all exceptional coefficients, keep the strict part."""
         return Divisor(self.model, (_ZERO,) * self.model.u, self.strict)
 
-    def exceptional_part(self) -> "Divisor":
-        return Divisor(self.model, self.exc,
-                       (_ZERO,) * len(self.model.strict_curves))
-
     def __repr__(self):
         terms = [
             "%s*%s" % (c, lbl)
@@ -187,18 +178,6 @@ class Divisor:
             if c
         ]
         return "Divisor(%s)" % (" + ".join(terms) if terms else "0")
-
-
-def meet(d1: Divisor, d2: Divisor) -> Divisor:
-    return d1.meet(d2)
-
-
-def floor(d: Divisor) -> Divisor:
-    return d.floor()
-
-
-def ceil(d: Divisor) -> Divisor:
-    return d.ceil()
 
 
 def decompose(d: Divisor):

@@ -76,8 +76,8 @@ def check_negative_definite(model: ResolutionModel) -> NegDefResult:
 def dual_basis(model: ResolutionModel):
     """The effective rational divisors E*_i with E*_i . E_j = -delta_ij.
 
-    Solved exactly by inverting the intersection matrix; results are
-    cached on the model.
+    Solved exactly by one elimination of the intersection matrix against
+    the negated identity; results are cached on the model.
     """
     if model._dual_basis is None:
         n = model.u
@@ -91,11 +91,6 @@ def dual_basis(model: ResolutionModel):
         model._dual_basis = tuple(
             Divisor(model, tuple(col), zeros) for col in cols)
     return model._dual_basis
-
-
-def intersect(d: Divisor, i: int) -> Fraction:
-    """Exact intersection product D.E_i."""
-    return d.intersect(i)
 
 
 def numerical_pullback(model: ResolutionModel, c: Divisor) -> Divisor:
@@ -116,7 +111,3 @@ def numerical_pullback(model: ResolutionModel, c: Divisor) -> Divisor:
         raise SingularLattice(str(exc_err)) from exc_err
     return Divisor(model, tuple(exc), c.strict)
 
-
-def pushforward(d: Divisor) -> Divisor:
-    """Drop exceptional coefficients; keep strict ones."""
-    return d.pushforward()

@@ -56,11 +56,3 @@ def solve(matrix, rhs):
     """Solve ``M x = b`` for a single right-hand side."""
     return solve_columns(matrix, [rhs])[0]
 
-
-def invert(matrix):
-    """Exact inverse, as a list of rows."""
-    n = len(matrix)
-    identity = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    cols = solve_columns(matrix, identity)
-    # solve_columns returns the inverse by columns; transpose to rows
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

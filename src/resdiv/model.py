@@ -41,16 +41,15 @@ class ResolutionModel:
     """Validated, immutable intersection data for a resolution.
 
     Equality is structural (labels, genera, intersection matrix, strict
-    incidences); blowup provenance is carried but not compared, so a model
-    round-tripped through the text format compares equal to the original.
+    incidences); the blowup-chain tags of the curves are carried but not
+    compared, so a model round-tripped through the text format compares
+    equal to the original.
     """
 
     def __init__(self, curves: Sequence[ExcCurve],
-                 strict_curves: Sequence[StrictCurve] = (),
-                 parent: Optional[tuple] = None):
+                 strict_curves: Sequence[StrictCurve] = ()):
         self.curves = tuple(curves)
         self.strict_curves = tuple(strict_curves)
-        self.parent = parent  # (parent model, index of blown-up curve) or None
         self.u = len(self.curves)
         self.matrix = tuple(c.row for c in self.curves)
         self._index = {c.label: i for i, c in enumerate(self.curves)}
@@ -152,8 +151,8 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
             raise MalformedGraph("meeting references unknown curve %r" % (b,))
         if a == b:
             raise MalformedGraph("curve %r cannot meet itself" % (a,))
-        if not isinstance(mult, int) or mult < 0:
-            raise MalformedGraph("meeting %r.%r: multiplicity must be a non-negative integer"
+        if not isinstance(mult, int) or mult <= 0:
+            raise MalformedGraph("meeting %r.%r: multiplicity must be a positive integer"
                                  % (a, b))
         key = frozenset((a, b))
         if key in seen and seen[key] != mult:

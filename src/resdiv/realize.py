@@ -174,13 +174,9 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     trusted).
     """
     prods = _validate_input(model, f0)
-    report = discrepancies(model)
-    if not report.log_terminal:
-        raise NotLogTerminal(report.offenders, report.b)
-
     epsilon = choose_epsilon(model, f0)
     a = f0.exc
-    b = report.b
+    b = discrepancies(model).b
     e = tuple(int(-p) for p in prods)
     n = tuple(int(math.floor((1 + b_i) / epsilon - (a_i + 1)))
               for a_i, b_i in zip(a, b))
@@ -194,7 +190,8 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     k_f = relative_canonical(model)
     k_h = k_g + config.pullback.apply(k_f)
 
-    a_div = build_ample_negative(config.model, dual_sum=config.sum_duals())
+    a_div = build_ample_negative(
+        config.model, dual_sum=config.weighted_dual_sum([1] * config.model.u))
     mu = choose_mu(config.model, f, k_g, k_h, epsilon, a_div)
 
     scaled = f + k_g + a_div.scale(mu)

@@ -43,6 +43,12 @@ def random_integral_divisor(model, rng, hi=10, strict01=True):
     return r.Divisor(model, exc, tuple(strict))
 
 
+def single_chain(model, i, n):
+    """The configuration of one generic chain of length n over curve i."""
+    e = [int(k == i) for k in range(model.u)]
+    return r.GenericConfiguration.build(model, e, [n * v for v in e])
+
+
 def random_antinef(model, rng, hi=10):
     closed, _ = r.antinef_closure(random_integral_divisor(model, rng, hi))
     return closed

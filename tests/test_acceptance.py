@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import resdiv as r
 from conftest import (CORPUS_NAMES, LOG_TERMINAL_NAMES, NON_LOG_TERMINAL,
-                      load_doc, random_integral_divisor)
+                      load_doc, random_integral_divisor, single_chain)
 from oracles import brute_closure_oracle
 
 
@@ -73,7 +73,7 @@ def test_criterion_3_closure_side_conditions():
         for _ in range(1000):
             d = random_integral_divisor(model, rng)
             closed, _ = r.antinef_closure(d)
-            if r.pushforward(closed) != r.pushforward(d):
+            if closed.pushforward() != d.pushforward():
                 failures += 1
             again, trace = r.antinef_closure(closed)
             if again != closed or trace.steps:
@@ -90,9 +90,9 @@ def test_criterion_4_chain_monotonicity_suite():
         model = load_doc(name).model
         for i in range(model.u):
             for n in (1, 2, 3):
-                chain = r.generic_chain(model, i, n)
+                chain = single_chain(model, i, n)
                 for _ in range(500):
-                    d0 = random_integral_divisor(chain.new_model, rng, hi=8)
+                    d0 = random_integral_divisor(chain.model, rng, hi=8)
                     d, _ = r.antinef_closure(d0)
                     report = r.verify_lemma_gen(chain, d)
                     cases += 1

@@ -115,17 +115,6 @@ def test_confluence_under_selection_rule(corpus_models):
             assert r.antinef_closure(d, select=pick_most_violating)[0] == base
 
 
-def test_batched_fast_path_matches_unit_steps(corpus_models):
-    rng = random.Random(13)
-    for model in corpus_models.values():
-        for _ in range(20):
-            d = random_integral_divisor(model, rng)
-            unit, unit_trace = r.antinef_closure(d)
-            fast, fast_trace = r.antinef_closure_batched(d)
-            assert fast == unit
-            assert fast_trace.initial_s == unit_trace.initial_s
-
-
 def _termination_bound(model, d):
     """Coefficient mass of the explicit dominating antinef divisor
     strict(D) + M * (sum of duals), for the least sufficient M."""

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import resdiv as r
-from conftest import random_integral_divisor
+from conftest import random_integral_divisor, single_chain
+from oracles import blow_up_free_point, generic_chain, iterated_configuration
 
 
 def a1():
@@ -18,7 +19,7 @@ def a2():
 # -- single blowup ------------------------------------------------------------
 
 def test_blowup_updates_matrix():
-    res = r.blow_up_free_point(a1(), 0)
+    res = blow_up_free_point(a1(), 0)
     m = res.new_model
     assert m.u == 2
     assert m.matrix == ((-3, 1), (1, -1))
@@ -28,7 +29,7 @@ def test_blowup_updates_matrix():
 
 def test_blowup_pullback_and_canonical():
     base = a1()
-    res = r.blow_up_free_point(base, 0)
+    res = blow_up_free_point(base, 0)
     pulled = res.sigma_pullback.apply(r.Divisor.curve(base, 0))
     assert pulled.exc == (Fraction(1), Fraction(1))
     # pullbacks stay orthogonal to the new curve
@@ -38,19 +39,19 @@ def test_blowup_pullback_and_canonical():
 
 def test_blowup_preserves_strict_incidence():
     base = r.build_model([("E1", 0, -2)], strict=[("C", {"E1": 1})])
-    res = r.blow_up_free_point(base, 0)
+    res = blow_up_free_point(base, 0)
     assert res.new_model.strict_curves[0].incidence == (1, 0)
 
 
 def test_blowup_keeps_negative_definite(corpus_models):
     for model in corpus_models.values():
-        res = r.blow_up_free_point(model, model.u - 1)
+        res = blow_up_free_point(model, model.u - 1)
         assert r.check_negative_definite(res.new_model)
 
 
 def test_pullback_preserves_intersection_products():
     base = a2()
-    res = r.blow_up_free_point(base, 0)
+    res = blow_up_free_point(base, 0)
     rng = random.Random(2)
     for _ in range(20):
         d1 = random_integral_divisor(base, rng)
@@ -65,36 +66,40 @@ def test_pullback_preserves_intersection_products():
 # -- generic chains -------------------------------------------------------------
 
 def test_chain_of_length_three():
-    res = r.generic_chain(a1(), 0, 3)
-    m = res.new_model
+    base = a1()
+    config = single_chain(base, 0, 3)
+    m = config.model
     assert m.u == 4
     assert [c.label for c in m.curves[1:]] == \
         ["E1(1,1)", "E1(1,2)", "E1(1,3)"]
     # base curve dropped once; middle chain curves are -2, the tip is -1
     assert [m.matrix[i][i] for i in range(4)] == [-3, -2, -2, -1]
-    assert res.K_sigma.exc == (Fraction(0), Fraction(1), Fraction(2),
-                               Fraction(3))
-    assert res.sigma_pullback.apply(r.Divisor.curve(a1(), 0)).exc == \
+    assert config.K_sigma.exc == (Fraction(0), Fraction(1), Fraction(2),
+                                  Fraction(3))
+    assert config.pullback.apply(r.Divisor.curve(base, 0)).exc == \
         (Fraction(1),) * 4
 
 
 def test_chain_of_length_zero_is_identity():
     base = a1()
-    res = r.generic_chain(base, 0, 0)
-    assert res.new_model is base
-    assert res.K_sigma.is_zero()
+    config = single_chain(base, 0, 0)
+    assert config.model == base
+    assert config.chains == ()
+    assert config.K_sigma.is_zero()
     d = r.Divisor.curve(base, 0)
-    assert res.sigma_pullback.apply(d) == d
+    assert config.pullback.apply(d) == d
 
 
 def test_negative_chain_length_rejected():
     with pytest.raises(ValueError):
-        r.generic_chain(a1(), 0, -1)
+        r.GenericConfiguration.build(a1(), [1], [-1])
+    with pytest.raises(ValueError):
+        r.GenericConfiguration.build(a1(), [-1], [1])
 
 
 def test_second_chain_gets_fresh_point_tag():
-    first = r.generic_chain(a1(), 0, 1)
-    second = r.blow_up_free_point(first.new_model, 0)
+    first = generic_chain(a1(), 0, 1)
+    second = blow_up_free_point(first.new_model, 0)
     assert second.new_model.curves[-1].label == "E1(2,1)"
 
 
@@ -106,7 +111,7 @@ def test_build_matches_iterated_route(log_terminal_models):
         e = [rng.randint(0, 2) for _ in range(model.u)]
         n = [rng.randint(1, 3) for _ in range(model.u)]
         fast = r.GenericConfiguration.build(model, e, n)
-        slow = r.iterated_configuration(model, e, n)
+        slow = iterated_configuration(model, e, n)
         assert fast.model == slow.model
         assert fast.pullback.columns == slow.pullback.columns
         assert fast.K_sigma.exc == slow.K_sigma.exc
@@ -118,7 +123,8 @@ def test_configuration_duals_match_direct_solve():
     config = r.GenericConfiguration.build(model, e=[2, 1], n=[2, 3])
     duals = r.dual_basis(config.model)
     for idx in range(config.model.u):
-        assert config.dual_vector(idx) == duals[idx]
+        unit = [int(k == idx) for k in range(config.model.u)]
+        assert config.weighted_dual_sum(unit) == duals[idx]
 
 
 def test_sum_and_weighted_duals_match_reference():
@@ -128,7 +134,6 @@ def test_sum_and_weighted_duals_match_reference():
     total = r.Divisor.zero(config.model)
     for v in duals:
         total = total + v
-    assert config.sum_duals() == total
 
     rng = random.Random(8)
     weights = [Fraction(rng.randint(-4, 4)) for _ in range(config.model.u)]
@@ -144,17 +149,22 @@ def test_chain_lookup_helpers():
     assert len(config.chains) == 2
     over0 = config.chains_over(0)
     assert len(over0) == 1 and over0[0].base == 0
-    info = config.chain_of(over0[0].start + 1)
-    assert info is over0[0]
-    assert config.chain_of(0) is None
+    curves = config.model.curves
+    assert curves[over0[0].start + 1].chain == ("E1", 1, 2)
+    assert curves[0].chain is None
+    duals = r.dual_basis(config.model)
+    for info in config.chains:
+        for idx in range(info.start, info.start + info.length):
+            unit = [int(k == idx) for k in range(config.model.u)]
+            assert config.weighted_dual_sum(unit) == duals[idx]
 
 
 # -- chain monotonicity report ---------------------------------------------------
 
 def test_lemma_report_on_pulled_back_divisor():
     base = a2()
-    chain = r.generic_chain(base, 0, 2)
-    d = chain.sigma_pullback.apply(
+    chain = single_chain(base, 0, 2)
+    d = chain.pullback.apply(
         r.Divisor.from_coeffs(base, exc=[2, 1]))
     report = r.verify_lemma_gen(chain, d)
     assert report.all_hold
@@ -166,9 +176,9 @@ def test_lemma_report_on_pulled_back_divisor():
 
 def test_lemma_report_with_strict_increase():
     base = a1()
-    chain = r.generic_chain(base, 0, 2)
-    d = chain.sigma_pullback.apply(r.Divisor.curve(base, 0)) + \
-        r.dual_basis(chain.new_model)[2].scale(2)
+    chain = single_chain(base, 0, 2)
+    d = chain.pullback.apply(r.Divisor.curve(base, 0)) + \
+        r.dual_basis(chain.model)[2].scale(2)
     assert d.is_integral() and r.is_antinef(d)
     report = r.verify_lemma_gen(chain, d)
     assert report.all_hold
@@ -179,10 +189,10 @@ def test_lemma_report_with_strict_increase():
 def test_lemma_report_on_random_antinef(log_terminal_models):
     rng = random.Random(12)
     for model in log_terminal_models.values():
-        chain = r.generic_chain(model, rng.randrange(model.u),
-                                rng.randint(1, 3))
+        chain = single_chain(model, rng.randrange(model.u),
+                             rng.randint(1, 3))
         for _ in range(10):
-            d0 = random_integral_divisor(chain.new_model, rng, hi=6)
+            d0 = random_integral_divisor(chain.model, rng, hi=6)
             d, _ = r.antinef_closure(d0)
             report = r.verify_lemma_gen(chain, d)
             assert report.all_hold
@@ -190,11 +200,14 @@ def test_lemma_report_on_random_antinef(log_terminal_models):
 
 def test_lemma_rejects_bad_inputs():
     base = a1()
-    chain = r.generic_chain(base, 0, 2)
+    chain = single_chain(base, 0, 2)
     with pytest.raises(r.PreconditionViolated):
-        r.verify_lemma_gen(chain, r.Divisor.curve(chain.new_model, 0))
+        r.verify_lemma_gen(chain, r.Divisor.curve(chain.model, 0))
     with pytest.raises(r.PreconditionViolated):
         r.verify_lemma_gen(chain, r.Divisor.zero(base))
-    empty = r.generic_chain(base, 0, 0)
+    empty = single_chain(base, 0, 0)
     with pytest.raises(r.PreconditionViolated):
-        r.verify_lemma_gen(empty, r.Divisor.zero(base))
+        r.verify_lemma_gen(empty, r.Divisor.zero(empty.model))
+    two = r.GenericConfiguration.build(base, [2], [1])
+    with pytest.raises(r.PreconditionViolated):
+        r.verify_lemma_gen(two, r.Divisor.zero(two.model))

@@ -1,11 +1,14 @@
+import importlib
 import subprocess
 import sys
 
 import pytest
 
 import resdiv as r
+import resdiv.cli
 from resdiv.cli import main, random_antinef_divisor
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, CORPUS_NAMES
+from oracles import generic_chain
 
 
 def run(capsys, *argv):
@@ -106,6 +109,28 @@ def test_blowup_outputs_new_model(capsys):
     r.parse_graph("curve E1 " + model_text)
 
 
+def test_blowup_negative_length_rejected(capsys):
+    code, out, err = run(capsys, "blowup", graph("a1"),
+                         "--curve", "E1", "--length", "-1")
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+def test_blowup_matches_step_by_step_route(capsys, corpus_models):
+    for name in CORPUS_NAMES:
+        model = corpus_models[name]
+        for i, label in enumerate(model.labels):
+            for length in (0, 1, 3):
+                code, out, _ = run(capsys, "blowup", graph(name),
+                                   "--curve", label, "--length", str(length))
+                oracle = generic_chain(model, i, length)
+                assert code == 0
+                assert out.endswith(r.serialize_model(oracle.new_model))
+                assert "relative_canonical_of_map = %s" % (
+                    r.format_divisor(oracle.K_sigma),) in out.splitlines()
+
+
 # -- realize ---------------------------------------------------------------------------
 
 def test_realize_a2(capsys, tmp_path):
@@ -162,6 +187,25 @@ def test_batch_deterministic_output(tmp_path, capsys):
     _, other, _ = run(capsys, "batch", str(corpus), "--samples", "2",
                       "--seed", "8")
     assert "total_failures = 0" in other
+
+
+def test_batch_verifies_each_case_once(tmp_path, capsys, monkeypatch):
+    corpus = _tiny_corpus(tmp_path)
+    realize_module = importlib.import_module("resdiv.realize")
+    original = realize_module.verify_certificate
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return original(cert)
+
+    monkeypatch.setattr(resdiv.cli, "verify_certificate", counted)
+    monkeypatch.setattr(realize_module, "verify_certificate", counted)
+    code, out, _ = run(capsys, "batch", str(corpus), "--samples", "2",
+                       "--seed", "0")
+    assert code == 0
+    assert "total_cases = 4" in out.splitlines()
+    assert len(calls) == 4
 
 
 def test_batch_corpus_env_override(tmp_path, capsys, monkeypatch):

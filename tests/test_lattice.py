@@ -47,6 +47,16 @@ def test_dangling_reference_rejected():
         r.build_model([("E1", 0, -2)], strict=[("C", {"E9": 1})])
 
 
+def test_zero_meeting_multiplicity_rejected():
+    # the graph-file parser and build_model apply the same rule
+    with pytest.raises(r.MalformedGraph):
+        r.build_model([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 0)])
+    with pytest.raises(r.GraphSyntaxError):
+        r.parse_graph("curve E1 genus=0 self=-2\n"
+                      "curve E2 genus=0 self=-2\n"
+                      "meet E1 E2 0\n")
+
+
 # -- check_negative_definite --------------------------------------------------
 
 def test_a2_negative_definite():
@@ -130,18 +140,18 @@ def test_dual_basis_duality_and_effectivity(corpus_models):
 
 def test_intersect_adjacent_curves():
     m = a2()
-    assert r.intersect(r.Divisor.curve(m, 0), 1) == 1
+    assert r.Divisor.curve(m, 0).intersect(1) == 1
 
 
 def test_intersect_zero_divisor():
     m = a2()
     z = r.Divisor.zero(m)
-    assert all(r.intersect(z, i) == 0 for i in range(m.u))
+    assert all(z.intersect(i) == 0 for i in range(m.u))
 
 
 def test_intersect_dual_with_own_curve():
     m = a2()
-    assert r.intersect(r.dual_basis(m)[0], 0) == -1
+    assert r.dual_basis(m)[0].intersect(0) == -1
 
 
 def test_intersect_is_bilinear(corpus_models):
@@ -196,13 +206,13 @@ def test_pullback_pushforward_roundtrip(corpus_models):
                             for _ in model.strict_curves))
         pulled = r.numerical_pullback(model, c)
         assert all(pulled.intersect(i) == 0 for i in range(model.u))
-        assert r.pushforward(pulled).strict == c.strict
+        assert pulled.pushforward().strict == c.strict
 
 
 def test_pushforward_drops_exceptional_part():
     m = r.build_model([("E1", 0, -2)], strict=[("C", {"E1": 1})])
     d = r.Divisor.from_coeffs(m, exc={"E1": 1}, strict={"C": 3})
-    pushed = r.pushforward(d)
+    pushed = d.pushforward()
     assert not any(pushed.exc)
     assert pushed.strict == (Fraction(3),)
-    assert r.pushforward(r.Divisor.curve(m, 0)).is_zero()
+    assert r.Divisor.curve(m, 0).pushforward().is_zero()

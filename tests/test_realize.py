@@ -52,7 +52,7 @@ def test_certificate_matches_multiplier_divisor():
     cert = r.realize(model, f0)
     direct = r.multiplier_divisor(cert.config.model, cert.G, cert.lam)
     assert direct == cert.F
-    assert r.pushforward(cert.F_prime).strict == f0.strict
+    assert cert.F_prime.pushforward().strict == f0.strict
 
 
 def test_zero_divisor_realizes_trivially():
@@ -152,7 +152,8 @@ def test_tampered_chain_length_detected():
     f = config.pullback.apply(cert.F0)
     k_g = config.K_sigma
     k_h = k_g + config.pullback.apply(r.relative_canonical(model))
-    a_div = r.build_ample_negative(config.model, dual_sum=config.sum_duals())
+    a_div = r.build_ample_negative(
+        config.model, dual_sum=config.weighted_dual_sum([1] * config.model.u))
     mu = r.choose_mu(config.model, f, k_g, k_h, cert.epsilon, a_div)
     scaled = f + k_g + a_div.scale(mu)
     n_factor = math.lcm(*[c.denominator for c in scaled.exc])
