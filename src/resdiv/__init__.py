@@ -16,8 +16,9 @@ from .canonical import (DiscrepancyReport, NonPositiveLambda, NotAntinef,
 from .divisor import Divisor, ModelMismatch, decompose
 from .graphfile import (GraphDoc, GraphSyntaxError, format_divisor,
                         parse_graph, parse_graph_file, serialize_model)
-from .lattice import (NegDefResult, SingularLattice, check_negative_definite,
-                      dual_basis, numerical_pullback)
+from .lattice import (NegDefResult, check_negative_definite, dual_basis,
+                      numerical_pullback)
+from .linalg import NotNegativeDefinite
 from .model import (ExcCurve, MalformedGraph, ResolutionModel, StrictCurve,
                     build_model)
 from .rationals import Rational, format_rational, parse_rational
@@ -33,12 +34,13 @@ __all__ = [
     "DiscrepancyReport", "Divisor", "ExcCurve", "GenericConfiguration",
     "GraphDoc", "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
     "ModelMismatch", "NegDefResult", "NonIntegralInput", "NonPositiveLambda",
-    "NotAntinef", "NotEffective", "NotLogTerminal", "PreconditionViolated",
-    "PullbackMap", "Rational", "RealizationCertificate", "ResolutionModel",
-    "SingularLattice", "StrictCurve", "VerificationReport", "antinef_closure",
-    "build_ample_negative", "build_model", "check_negative_definite",
-    "choose_epsilon", "choose_mu", "decompose", "discrepancies", "dual_basis",
-    "format_divisor", "format_rational", "is_antinef", "multiplier_divisor",
+    "NotAntinef", "NotEffective", "NotLogTerminal", "NotNegativeDefinite",
+    "PreconditionViolated", "PullbackMap", "Rational",
+    "RealizationCertificate", "ResolutionModel", "StrictCurve",
+    "VerificationReport", "antinef_closure", "build_ample_negative",
+    "build_model", "check_negative_definite", "choose_epsilon", "choose_mu",
+    "decompose", "discrepancies", "dual_basis", "format_divisor",
+    "format_rational", "is_antinef", "multiplier_divisor",
     "numerical_pullback", "parse_graph", "parse_graph_file", "parse_rational",
     "realize", "relative_canonical", "serialize_model", "verify_certificate",
     "verify_lemma_gen",

@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import linalg
 from .antinef import NonIntegralInput, antinef_closure
 from .divisor import Divisor
-from .lattice import SingularLattice
 from .model import ResolutionModel
 
 
@@ -52,10 +51,7 @@ def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
     """Solve the adjunction system for the discrepancy vector."""
     if model._discrepancies is None:
         rhs = [Fraction(2 * c.genus - 2 - c.self_int) for c in model.curves]
-        try:
-            b = linalg.solve(model.matrix, rhs)
-        except linalg.SingularMatrixError as exc:
-            raise SingularLattice(str(exc)) from exc
+        (b,) = linalg.solve_columns(model.matrix, [rhs])
         offenders = tuple(i for i, v in enumerate(b) if v <= -1)
         model._discrepancies = DiscrepancyReport(
             b=tuple(b), log_terminal=not offenders, offenders=offenders)

@@ -88,10 +88,6 @@ def cmd_check(args) -> int:
 def cmd_dual_basis(args) -> int:
     doc = _load(args.file)
     model = doc.model
-    result = check_negative_definite(model)
-    if not result:
-        print("error: intersection form is not negative definite", file=sys.stderr)
-        return 1
     rep = Report()
     rep.add("command", "dual-basis")
     rep.add("file", Path(args.file).name)
@@ -104,6 +100,9 @@ def cmd_dual_basis(args) -> int:
 def cmd_closure(args) -> int:
     doc = _load(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
+    if not check_negative_definite(doc.model):
+        print("error: intersection form is not negative definite", file=sys.stderr)
+        return 1
     closed, trace = antinef_closure(divisor)
     rep = Report()
     rep.add("command", "closure")

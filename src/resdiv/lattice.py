@@ -1,10 +1,12 @@
 """Exceptional intersection lattice: definiteness, dual basis, pullback.
 
 The intersection matrix of the exceptional curves of a resolution is
-negative definite; everything in this module rests on that.  Definiteness
-is treated as an input validation (with an explicit witness on failure)
-rather than assumed, since the inputs here are arbitrary combinatorial
-models.
+negative definite; everything in this module rests on that.  Every
+computation here goes through ``linalg.solve_columns``, the symmetric
+elimination with diagonal pivots, whose first pivot >= 0 proves that the
+form is not negative definite.  Definiteness is treated as an input
+validation (with an explicit witness on failure) rather than assumed,
+since the inputs here are arbitrary combinatorial models.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from typing import Optional
 from . import linalg
 from .divisor import Divisor
 from .model import ResolutionModel
-
-
-class SingularLattice(Exception):
-    """The intersection form is singular (cannot happen after the
-    definiteness check; kept as a defensive error)."""
 
 
 @dataclass(frozen=True)
@@ -41,35 +38,19 @@ class NegDefResult:
 def check_negative_definite(model: ResolutionModel) -> NegDefResult:
     """Decide negative definiteness of the exceptional intersection matrix.
 
-    Runs symmetric Gaussian elimination without pivot search: for a
-    negative definite matrix every pivot is negative.  The first pivot
-    d >= 0 yields a witness v (supported on the leading block) with
-    v.M.v = d >= 0.
+    The first pivot d >= 0 of the symmetric elimination, at index k, yields
+    the witness v = (w, 1, 0, ..., 0) with M[:k,:k] w = -M[:k,k], for which
+    v.M.v = d >= 0; the leading block M[:k,:k] is negative definite.
     """
-    n = model.u
-    work = [[Fraction(v) for v in row] for row in model.matrix]
-
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot >= 0:
-            # witness: v = (w, 1, 0, ..., 0) with M[:k,:k] w = -M[:k,k]
-            if k == 0:
-                witness = [Fraction(0)] * n
-                witness[0] = Fraction(1)
-            else:
-                block = [[Fraction(model.matrix[r][c]) for c in range(k)]
-                         for r in range(k)]
-                rhs = [-Fraction(model.matrix[r][k]) for r in range(k)]
-                head = linalg.solve(block, rhs)
-                witness = head + [Fraction(1)] + [Fraction(0)] * (n - k - 1)
-            return NegDefResult(False, tuple(witness))
-        row_k = work[k]
-        for r in range(k + 1, n):
-            factor = work[r][k] / pivot
-            if factor:
-                row_r = work[r]
-                for c in range(k, n):
-                    row_r[c] -= factor * row_k[c]
+    try:
+        linalg.solve_columns(model.matrix, [])
+    except linalg.NotNegativeDefinite as exc:
+        k = exc.index
+        block = [row[:k] for row in model.matrix[:k]]
+        (head,) = linalg.solve_columns(
+            block, [[-model.matrix[r][k] for r in range(k)]])
+        return NegDefResult(False, tuple(head) + (Fraction(1),)
+                            + (Fraction(0),) * (model.u - k - 1))
     return NegDefResult(True)
 
 
@@ -83,10 +64,7 @@ def dual_basis(model: ResolutionModel):
         n = model.u
         neg_identity = [[Fraction(-int(i == j)) for i in range(n)]
                         for j in range(n)]
-        try:
-            cols = linalg.solve_columns(model.matrix, neg_identity)
-        except linalg.SingularMatrixError as exc:
-            raise SingularLattice(str(exc)) from exc
+        cols = linalg.solve_columns(model.matrix, neg_identity)
         zeros = (Fraction(0),) * len(model.strict_curves)
         model._dual_basis = tuple(
             Divisor(model, tuple(col), zeros) for col in cols)
@@ -105,9 +83,6 @@ def numerical_pullback(model: ResolutionModel, c: Divisor) -> Divisor:
         if coeff:
             for k, v in model.strict_sparse[s]:
                 rhs[k] -= coeff * v
-    try:
-        exc = linalg.solve(model.matrix, rhs)
-    except linalg.SingularMatrixError as exc_err:
-        raise SingularLattice(str(exc_err)) from exc_err
+    (exc,) = linalg.solve_columns(model.matrix, [rhs])
     return Divisor(model, tuple(exc), c.strict)
 

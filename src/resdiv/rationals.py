@@ -11,9 +11,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact Fraction.

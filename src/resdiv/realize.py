@@ -30,7 +30,6 @@ from .lattice import dual_basis, numerical_pullback
 from .model import ResolutionModel
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

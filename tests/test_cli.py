@@ -11,6 +11,14 @@ from conftest import CORPUS_DIR, CORPUS_NAMES
 from oracles import generic_chain
 
 
+# E1.E2 = 2 on two (-1)-curves: indefinite
+INDEFINITE = ("curve E1 genus=0 self=-1\ncurve E2 genus=0 self=-1\n"
+              "meet E1 E2 2\ndivisor D E1=1\n")
+# E1.E2 = 1 on two (-1)-curves: singular, and D = E1 + E2 is antinef
+SINGULAR = ("curve E1 genus=0 self=-1\ncurve E2 genus=0 self=-1\n"
+            "meet E1 E2 1\ndivisor D E1=1 E2=1\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -70,6 +78,35 @@ def test_closure_with_trace(capsys):
     assert "closure = E1=1 E2=1" in lines
     assert "steps = 1" in lines
     assert any(line.startswith("trace.0 = add E2") for line in lines)
+
+
+def test_closure_rejects_indefinite_form(tmp_path):
+    # E1 + E2 has square 2: the antinef closure of D would never stop
+    # growing, so the command must refuse the form before it starts
+    path = tmp_path / "indefinite.graph"
+    path.write_text(INDEFINITE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "resdiv.cli", "closure", str(path), "D"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "not negative definite" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("multiplier", "D", "--lambda", "1/2"),
+    ("realize", "D"),
+    ("dual-basis",),
+    ("batch", "--samples", "2"),
+])
+def test_singular_form_is_a_named_error(tmp_path, capsys, argv):
+    path = tmp_path / "singular.graph"
+    path.write_text(SINGULAR)
+    command, rest = argv[0], list(argv[1:])
+    target = str(tmp_path) if command == "batch" else str(path)
+    code, out, err = run(capsys, command, target, *rest)
+    assert code == 1
+    assert "not negative definite" in err
 
 
 def test_closure_unknown_divisor(capsys):

@@ -5,7 +5,8 @@ import pytest
 
 import resdiv as r
 from conftest import random_rational
-from oracles import negdef_by_minors
+from oracles import det, negdef_by_minors
+from resdiv import linalg
 
 
 def a1():
@@ -84,7 +85,8 @@ def test_negdef_agrees_with_minor_oracle_on_corpus(corpus_models):
         assert negdef_by_minors(model.matrix)
 
 
-def test_negdef_agrees_with_minor_oracle_on_random_graphs():
+def _random_forms():
+    """200 seeded random weighted graphs: (intersection matrix, model)."""
     rng = random.Random(20260823)
     for _ in range(200):
         u = rng.randint(1, 6)
@@ -99,13 +101,42 @@ def test_negdef_agrees_with_minor_oracle_on_random_graphs():
         curves = [("E%d" % i, 0, selfs[i]) for i in range(u)]
         meetings = [("E%d" % i, "E%d" % j, mat[i][j])
                     for i in range(u) for j in range(i + 1, u) if mat[i][j]]
-        model = r.build_model(curves, meetings)
+        yield mat, r.build_model(curves, meetings)
+
+
+def test_negdef_agrees_with_minor_oracle_on_random_graphs():
+    for mat, model in _random_forms():
+        u = model.u
         got = r.check_negative_definite(model)
         assert got.is_negative_definite == negdef_by_minors(mat)
         if not got:
             v = got.witness
             q = sum(v[i] * mat[i][j] * v[j] for i in range(u) for j in range(u))
             assert q >= 0
+
+
+def test_solve_columns_agrees_with_minor_oracle_on_random_graphs():
+    rng = random.Random(5)
+    definite = 0
+    for mat, _ in _random_forms():
+        u = len(mat)
+        if not negdef_by_minors(mat):
+            with pytest.raises(linalg.NotNegativeDefinite) as info:
+                linalg.solve_columns(mat, [])
+            # first leading minor det(M[:k+1,:k+1]) without sign (-1)^(k+1)
+            k = info.value.index
+            for j in range(k + 1):
+                d = det(tuple(tuple(row[:j + 1]) for row in mat[:j + 1]))
+                assert ((-1) ** (j + 1) * d > 0) == (j < k)
+            assert info.value.pivot >= 0
+            continue
+        definite += 1
+        assert linalg.solve_columns(mat, []) == []
+        rhs = [[random_rational(rng) for _ in range(u)] for _ in range(2)]
+        for b, x in zip(rhs, linalg.solve_columns(mat, rhs)):
+            assert [sum(mat[i][j] * x[j] for j in range(u))
+                    for i in range(u)] == b
+    assert 0 < definite < 200
 
 
 # -- dual_basis ---------------------------------------------------------------
