@@ -107,40 +107,26 @@ class GenericConfiguration:
                     cursor += n[i]
         total = cursor
 
-        mat = [[0] * total for _ in range(total)]
-        for i in range(u):
-            for j in range(u):
-                mat[i][j] = base_model.matrix[i][j]
         roots = [0] * u
         for info in chains:
             roots[info.base] += 1
-        for i in range(u):
-            mat[i][i] -= roots[i]
+        curves = [ExcCurve(label=c.label, genus=c.genus,
+                           self_int=c.self_int - roots[i], chain=c.chain)
+                  for i, c in enumerate(base_model.curves)]
+        meetings = list(base_model.meetings)
         for info in chains:
             s, L, b = info.start, info.length, info.base
-            mat[b][s] = mat[s][b] = 1
-            for m in range(L):
-                mat[s + m][s + m] = -1 if m == L - 1 else -2
-                if m + 1 < L:
-                    mat[s + m][s + m + 1] = mat[s + m + 1][s + m] = 1
-
-        curves = []
-        for i, c in enumerate(base_model.curves):
-            curves.append(ExcCurve(label=c.label, genus=c.genus,
-                                   self_int=mat[i][i], row=tuple(mat[i]),
-                                   chain=c.chain))
-        for info in chains:
-            base_label = base_model.curves[info.base].label
-            for m in range(1, info.length + 1):
-                idx = info.start + m - 1
-                curves.append(ExcCurve(
-                    label="%s(%d,%d)" % (base_label, info.point, m),
-                    genus=0, self_int=mat[idx][idx], row=tuple(mat[idx]),
-                    chain=(base_label, info.point, m)))
+            base_label = base_model.curves[b].label
+            meetings.append((b, s, 1))
+            meetings.extend((s + m, s + m + 1, 1) for m in range(L - 1))
+            curves.extend(ExcCurve(
+                label="%s(%d,%d)" % (base_label, info.point, m), genus=0,
+                self_int=-1 if m == L else -2, chain=(base_label, info.point, m))
+                for m in range(1, L + 1))
         strict = tuple(StrictCurve(label=s.label,
                                    incidence=s.incidence + (0,) * (total - u))
                        for s in base_model.strict_curves)
-        model = ResolutionModel(curves, strict)
+        model = ResolutionModel(curves, meetings, strict)
 
         cols = []
         for l in range(u):

@@ -27,9 +27,9 @@ from .canonical import (NonPositiveLambda, NotAntinef, NotEffective,
                         NotLogTerminal, discrepancies, multiplier_divisor,
                         relative_canonical)
 from .divisor import Divisor, ModelMismatch
-from .graphfile import (GraphSyntaxError, format_divisor, parse_graph_file,
-                        serialize_model)
+from .graphfile import format_divisor, parse_graph_file, serialize_model
 from .lattice import check_negative_definite, dual_basis
+from .linalg import NotNegativeDefinite
 from .model import MalformedGraph
 from .rationals import format_rational, parse_rational
 # batch never calls verify_certificate (realize already did), but
@@ -47,10 +47,6 @@ def default_corpus_dir() -> Path:
     return Path(__file__).resolve().parent / "corpus"
 
 
-def _load(path):
-    return parse_graph_file(path)
-
-
 def _named_divisor(doc, name, path):
     if name not in doc.divisors:
         raise MalformedGraph("no divisor named %r in %s" % (name, path))
@@ -62,20 +58,21 @@ def _named_divisor(doc, name, path):
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    doc = _load(args.file)
-    model = doc.model
+    model = parse_graph_file(args.file).model
     rep = Report()
     rep.add("command", "check")
     rep.add("file", Path(args.file).name)
     rep.add("curves", model.u)
     rep.add("strict_curves", len(model.strict_curves))
-    result = check_negative_definite(model)
-    rep.add("negative_definite", result.is_negative_definite)
-    if not result:
+    try:
+        disc = discrepancies(model)
+    except NotNegativeDefinite:
+        result = check_negative_definite(model)
+        rep.add("negative_definite", False)
         rep.add("witness", " ".join(format_rational(v) for v in result.witness))
         print(rep.render(), end="")
         return 1
-    disc = discrepancies(model)
+    rep.add("negative_definite", True)
     for label, value in zip(model.labels, disc.b):
         rep.add("discrepancy.%s" % label, value)
     rep.add("log_terminal", disc.log_terminal)
@@ -86,8 +83,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dual_basis(args) -> int:
-    doc = _load(args.file)
-    model = doc.model
+    model = parse_graph_file(args.file).model
     rep = Report()
     rep.add("command", "dual-basis")
     rep.add("file", Path(args.file).name)
@@ -98,7 +94,7 @@ def cmd_dual_basis(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    doc = _load(args.file)
+    doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     if not check_negative_definite(doc.model):
         print("error: intersection form is not negative definite", file=sys.stderr)
@@ -121,7 +117,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_multiplier(args) -> int:
-    doc = _load(args.file)
+    doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     lam = parse_rational(args.lam)
     result = multiplier_divisor(doc.model, divisor, lam)
@@ -137,8 +133,7 @@ def cmd_multiplier(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    doc = _load(args.file)
-    model = doc.model
+    model = parse_graph_file(args.file).model
     i = model.index_of(args.curve)
     e = [int(k == i) for k in range(model.u)]
     config = GenericConfiguration.build(model, e, [args.length * v for v in e])
@@ -177,7 +172,7 @@ def _certificate_report(cert) -> Report:
 
 
 def cmd_realize(args) -> int:
-    doc = _load(args.file)
+    doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     cert = realize(doc.model, divisor)
     rep = Report()
@@ -309,19 +304,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphSyntaxError, MalformedGraph) as exc:
+    # before ValueError: a file that is not UTF-8 is an input error
+    except (MalformedGraph, UnicodeDecodeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except NotLogTerminal as exc:
+    except (NotLogTerminal, NonIntegralInput, NotAntinef, NotEffective,
+            NonPositiveLambda, ModelMismatch, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (NonIntegralInput, NotAntinef, NotEffective, NonPositiveLambda,
-            ModelMismatch, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -105,9 +105,8 @@ class Divisor:
         if not 0 <= i < self.model.u:
             raise ModelMismatch("curve index %d out of range" % (i,))
         total = _ZERO
-        for j, c in enumerate(self.exc):
-            if c:
-                total += c * self.model.matrix[j][i]
+        for j, v in self.model.sparse_rows[i]:  # row i is column i
+            total += self.exc[j] * v
         for s, c in enumerate(self.strict):
             if c:
                 total += c * self.model.strict_curves[s].incidence[i]

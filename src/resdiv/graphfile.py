@@ -7,7 +7,8 @@ Format (one statement per line, ``#`` starts a comment):
     strict <name> meets <curve>=<posint> [<curve>=<posint> ...]
     divisor <name> <curve>=<rational> [<curve>=<rational> ...]
 
-Rationals are written ``p`` or ``p/q``; decimals are rejected.  Parsing a
+Rationals are written ``p`` or ``p/q``; decimals are rejected.  Names hold
+no ``=``, and a line names each curve at most once, so parsing a
 serialized model reproduces it exactly (up to whitespace normalization).
 """
 
@@ -49,12 +50,17 @@ def _parse_assignment(token, lineno):
     return name, value
 
 
+def _parse_name(token, lineno):
+    if "=" in token:
+        raise GraphSyntaxError(lineno, "name %r must not contain '='" % (token,))
+    return token
+
+
 def parse_graph(text: str) -> GraphDoc:
     """Parse a graph description; raises GraphSyntaxError / MalformedGraph
     with line-numbered diagnostics."""
     curves = []
     meetings = []
-    meeting_lines = {}
     strict = []
     divisor_lines = []
 
@@ -67,7 +73,7 @@ def parse_graph(text: str) -> GraphDoc:
         if kind == "curve":
             if len(tokens) != 4:
                 raise GraphSyntaxError(lineno, "curve takes a name, genus= and self=")
-            name = tokens[1]
+            name = _parse_name(tokens[1], lineno)
             fields = dict(_parse_assignment(t, lineno) for t in tokens[2:])
             if set(fields) != {"genus", "self"}:
                 raise GraphSyntaxError(lineno, "curve needs genus= and self=")
@@ -86,7 +92,6 @@ def parse_graph(text: str) -> GraphDoc:
             if mult <= 0:
                 raise GraphSyntaxError(lineno, "meeting multiplicity must be positive")
             meetings.append((tokens[1], tokens[2], mult))
-            meeting_lines[(tokens[1], tokens[2])] = lineno
         elif kind == "strict":
             if len(tokens) < 3 or tokens[2] != "meets":
                 raise GraphSyntaxError(lineno,
@@ -94,8 +99,10 @@ def parse_graph(text: str) -> GraphDoc:
             incidences = {}
             for token in tokens[3:]:
                 curve, value = _parse_assignment(token, lineno)
+                if curve in incidences:
+                    raise GraphSyntaxError(lineno, "curve %r repeated" % (curve,))
                 incidences[curve] = _parse_int(value, lineno, "incidence")
-            strict.append((tokens[1], incidences))
+            strict.append((_parse_name(tokens[1], lineno), incidences))
         elif kind == "divisor":
             if len(tokens) < 2:
                 raise GraphSyntaxError(lineno, "divisor takes a name and coefficient pairs")
@@ -103,10 +110,7 @@ def parse_graph(text: str) -> GraphDoc:
         else:
             raise GraphSyntaxError(lineno, "unknown statement %r" % (kind,))
 
-    try:
-        model = build_model(curves, meetings, strict)
-    except MalformedGraph as exc:
-        raise MalformedGraph(str(exc)) from None
+    model = build_model(curves, meetings, strict)
 
     divisors = {}
     for lineno, name, tokens in divisor_lines:
@@ -118,6 +122,8 @@ def parse_graph(text: str) -> GraphDoc:
             tokens = []
         for token in tokens:
             label, value = _parse_assignment(token, lineno)
+            if label in exc_coeffs or label in strict_coeffs:
+                raise GraphSyntaxError(lineno, "curve %r repeated" % (label,))
             try:
                 coeff = parse_rational(value)
             except ValueError as err:
@@ -154,16 +160,14 @@ def format_divisor(d: Divisor) -> str:
 
 def serialize_model(model: ResolutionModel, divisors=None) -> str:
     """Canonical text form; parse(serialize(model)) == model."""
+    labels = model.labels
     lines = []
     for c in model.curves:
         lines.append("curve %s genus=%d self=%d" % (c.label, c.genus, c.self_int))
-    for i in range(model.u):
-        for j in range(i + 1, model.u):
-            if model.matrix[i][j]:
-                lines.append("meet %s %s %d"
-                             % (model.labels[i], model.labels[j], model.matrix[i][j]))
+    for i, j, m in model.meetings:
+        lines.append("meet %s %s %d" % (labels[i], labels[j], m))
     for s in model.strict_curves:
-        pairs = " ".join("%s=%d" % (model.labels[i], v)
+        pairs = " ".join("%s=%d" % (labels[i], v)
                          for i, v in enumerate(s.incidence) if v)
         lines.append("strict %s meets %s" % (s.label, pairs) if pairs
                      else "strict %s meets" % (s.label,))

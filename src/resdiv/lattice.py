@@ -42,13 +42,14 @@ def check_negative_definite(model: ResolutionModel) -> NegDefResult:
     the witness v = (w, 1, 0, ..., 0) with M[:k,:k] w = -M[:k,k], for which
     v.M.v = d >= 0; the leading block M[:k,:k] is negative definite.
     """
+    matrix = model.matrix
     try:
-        linalg.solve_columns(model.matrix, [])
+        linalg.solve_columns(matrix, [])
     except linalg.NotNegativeDefinite as exc:
         k = exc.index
-        block = [row[:k] for row in model.matrix[:k]]
+        block = [row[:k] for row in matrix[:k]]
         (head,) = linalg.solve_columns(
-            block, [[-model.matrix[r][k] for r in range(k)]])
+            block, [[-matrix[r][k] for r in range(k)]])
         return NegDefResult(False, tuple(head) + (Fraction(1),)
                             + (Fraction(0),) * (model.u - k - 1))
     return NegDefResult(True)

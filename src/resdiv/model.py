@@ -4,7 +4,9 @@ A ResolutionModel is the combinatorial model of a resolution of a normal
 surface singularity: the exceptional curves with genera, self-intersections
 and pairwise meeting numbers, plus any tracked non-exceptional ("strict")
 curves recorded purely through their incidence numbers with the exceptional
-ones.  Models are immutable after construction.
+ones.  Models are immutable after construction.  A model stores its form
+once, as self-intersections and meetings; sparse rows are derived from
+them, and the dense matrix is built on demand for the exact solver only.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ class MalformedGraph(Exception):
 
 @dataclass(frozen=True)
 class ExcCurve:
-    """One exceptional curve: label, genus, and its intersection row."""
+    """One exceptional curve: label, genus and self-intersection."""
 
     label: str
     genus: int
     self_int: int
-    row: tuple  # intersection numbers with every exceptional curve
     # (base label, point number, step) when the curve arose from a blowup chain
     chain: Optional[tuple] = None
 
@@ -40,33 +41,54 @@ class StrictCurve:
 class ResolutionModel:
     """Validated, immutable intersection data for a resolution.
 
-    Equality is structural (labels, genera, intersection matrix, strict
-    incidences); the blowup-chain tags of the curves are carried but not
-    compared, so a model round-tripped through the text format compares
+    ``meetings`` are (i, j, multiplicity) curve-index triples, one per
+    pair, stored sorted with i < j.  ``sparse_rows`` (each row's nonzero
+    entries in column order) is derived from them and the self-intersections;
+    ``matrix`` is rebuilt on each access.
+
+    Equality is structural (labels, genera, self-intersections, meetings,
+    strict incidences); the blowup-chain tags of the curves are carried but
+    not compared, so a model round-tripped through the text format compares
     equal to the original.
     """
 
-    def __init__(self, curves: Sequence[ExcCurve],
+    def __init__(self, curves: Sequence[ExcCurve], meetings=(),
                  strict_curves: Sequence[StrictCurve] = ()):
         self.curves = tuple(curves)
         self.strict_curves = tuple(strict_curves)
         self.u = len(self.curves)
-        self.matrix = tuple(c.row for c in self.curves)
+        self.meetings = tuple(sorted((min(i, j), max(i, j), m)
+                                     for i, j, m in meetings))
         self._index = {c.label: i for i, c in enumerate(self.curves)}
         self._strict_index = {s.label: i for i, s in enumerate(self.strict_curves)}
         if len(self._index) != self.u:
             raise MalformedGraph("duplicate curve labels")
         if set(self._index) & set(self._strict_index):
             raise MalformedGraph("label used for both a curve and a strict curve")
-        # sparse rows for fast intersection products
-        self.sparse_rows = tuple(
-            tuple((j, v) for j, v in enumerate(row) if v) for row in self.matrix)
+        pairs = {(i, j) for i, j, _ in self.meetings}
+        if len(pairs) != len(self.meetings) or any(
+                not (0 <= i < j < self.u and m > 0) for i, j, m in self.meetings):
+            raise MalformedGraph("meetings must join two curves, each pair once")
+        rows = [[(i, c.self_int)] for i, c in enumerate(self.curves)]
+        for i, j, m in self.meetings:
+            rows[i].append((j, m))
+            rows[j].append((i, m))
+        self.sparse_rows = tuple(tuple(sorted(row)) for row in rows)
         self.strict_sparse = tuple(
             tuple((j, v) for j, v in enumerate(s.incidence) if v)
             for s in self.strict_curves)
         # caches filled lazily by lattice / canonical
         self._dual_basis = None
         self._discrepancies = None
+
+    @property
+    def matrix(self):
+        """The dense intersection matrix, built on each access."""
+        mat = [[0] * self.u for _ in range(self.u)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row:
+                mat[i][j] = v
+        return tuple(map(tuple, mat))
 
     # -- lookup ------------------------------------------------------------
 
@@ -95,7 +117,7 @@ class ResolutionModel:
     def _key(self):
         return (
             tuple((c.label, c.genus, c.self_int) for c in self.curves),
-            self.matrix,
+            self.meetings,
             tuple((s.label, s.incidence) for s in self.strict_curves),
         )
 
@@ -139,10 +161,6 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
 
     index = {lbl: i for i, lbl in enumerate(labels)}
     u = len(labels)
-    mat = [[0] * u for _ in range(u)]
-    for i, lbl in enumerate(labels):
-        mat[i][i] = selfs[lbl]
-
     seen = {}
     for a, b, mult in meetings:
         if a not in index:
@@ -154,18 +172,14 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
         if not isinstance(mult, int) or mult <= 0:
             raise MalformedGraph("meeting %r.%r: multiplicity must be a positive integer"
                                  % (a, b))
-        key = frozenset((a, b))
+        key = (min(index[a], index[b]), max(index[a], index[b]))
         if key in seen and seen[key] != mult:
             raise MalformedGraph("asymmetric meeting data for %r and %r (%d vs %d)"
                                  % (a, b, seen[key], mult))
         seen[key] = mult
-        i, j = index[a], index[b]
-        mat[i][j] = mat[j][i] = mult
 
-    exc = tuple(
-        ExcCurve(label=lbl, genus=genera[lbl], self_int=selfs[lbl],
-                 row=tuple(mat[i]))
-        for i, lbl in enumerate(labels))
+    exc = tuple(ExcCurve(label=lbl, genus=genera[lbl], self_int=selfs[lbl])
+                for lbl in labels)
 
     strict_curves = []
     for label, incidences in strict:
@@ -182,4 +196,5 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
             vec[index[curve_label]] = mult
         strict_curves.append(StrictCurve(label=label, incidence=tuple(vec)))
 
-    return ResolutionModel(exc, tuple(strict_curves))
+    return ResolutionModel(exc, [key + (m,) for key, m in seen.items()],
+                           strict_curves)

@@ -132,13 +132,14 @@ def blow_up_free_point(model, i, point_tag=None):
     mat[u][u] = -1
 
     curves = [ExcCurve(label=c.label, genus=c.genus, self_int=mat[j][j],
-                       row=tuple(mat[j]), chain=c.chain)
+                       chain=c.chain)
               for j, c in enumerate(model.curves)]
-    curves.append(ExcCurve(label=new_label, genus=0, self_int=-1,
-                           row=tuple(mat[u]), chain=chain))
+    curves.append(ExcCurve(label=new_label, genus=0, self_int=-1, chain=chain))
+    meetings = [(a, b, mat[a][b]) for a in range(u + 1)
+                for b in range(a + 1, u + 1) if mat[a][b]]
     strict = tuple(StrictCurve(label=s.label, incidence=s.incidence + (0,))
                    for s in model.strict_curves)
-    new_model = ResolutionModel(curves, strict)
+    new_model = ResolutionModel(curves, meetings, strict)
 
     cols = []
     for j in range(u):

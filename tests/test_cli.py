@@ -271,3 +271,37 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "negative_definite = true" in proc.stdout
+
+
+def test_check_eliminates_once(capsys, monkeypatch):
+    linalg = importlib.import_module("resdiv.linalg")
+    original = linalg.solve_columns
+    calls = []
+
+    def counted(matrix, columns):
+        calls.append(len(matrix))
+        return original(matrix, columns)
+
+    monkeypatch.setattr(linalg, "solve_columns", counted)
+    code, out, _ = run(capsys, "check", graph("a2"))
+    assert code == 0
+    assert "negative_definite = true" in out.splitlines()
+    assert calls == [2]
+
+
+def test_check_indefinite_reports_witness(tmp_path, capsys):
+    path = tmp_path / "indefinite.graph"
+    path.write_text(INDEFINITE)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.splitlines()[-2:] == ["negative_definite = false",
+                                     "witness = 2 1"]
+
+
+def test_non_utf8_graph_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"curve E1 genus=0 self=-2\xff\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -113,3 +113,28 @@ def test_corpus_files_are_negative_definite():
 def test_corpus_dir_exists():
     assert CORPUS_DIR.is_dir()
     assert sorted(p.stem for p in CORPUS_DIR.glob("*.graph")) == CORPUS_NAMES
+
+
+def test_repeated_curve_in_strict_line_rejected():
+    text = "curve E1 genus=0 self=-2\nstrict S meets E1=1 E1=3\n"
+    with pytest.raises(r.GraphSyntaxError, match="line 2: curve 'E1' repeated"):
+        r.parse_graph(text)
+
+
+def test_repeated_curve_in_divisor_line_rejected():
+    text = ("curve E1 genus=0 self=-2\nstrict S meets E1=1\n"
+            "divisor D E1=1 E1=5\n")
+    with pytest.raises(r.GraphSyntaxError, match="line 3: curve 'E1' repeated"):
+        r.parse_graph(text)
+    with pytest.raises(r.GraphSyntaxError, match="line 3: curve 'S' repeated"):
+        r.parse_graph(text.replace("E1=1 E1=5", "S=1 E1=2 S=1"))
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("curve E=1 genus=0 self=-2\n", 1),
+    ("curve E1 genus=0 self=-2\nstrict S=1 meets E1=1\n", 2),
+])
+def test_label_with_equals_sign_rejected(text, lineno):
+    with pytest.raises(r.GraphSyntaxError,
+                       match="line %d: name .* must not contain '='" % lineno):
+        r.parse_graph(text)

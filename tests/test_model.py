@@ -1,0 +1,82 @@
+"""The intersection form is stored once, as meetings; everything else is
+derived from it and must agree with it."""
+
+import random
+import tracemalloc
+
+import pytest
+
+import resdiv as r
+from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
+
+
+def assert_one_form(model):
+    matrix = model.matrix
+    u = model.u
+    assert len(matrix) == u and all(len(row) == u for row in matrix)
+    for i in range(u):
+        assert model.sparse_rows[i] == tuple(
+            (j, v) for j, v in enumerate(matrix[i]) if v)
+        assert matrix[i][i] == model.curves[i].self_int
+        for j in range(u):
+            assert matrix[i][j] == matrix[j][i]
+    assert model.meetings == tuple(
+        (i, j, matrix[i][j]) for i in range(u) for j in range(i + 1, u)
+        if matrix[i][j])
+
+
+def test_corpus_models_hold_one_form(corpus_models):
+    for model in corpus_models.values():
+        assert_one_form(model)
+
+
+def test_built_models_hold_one_form(log_terminal_models):
+    # the same configurations as test_build_matches_iterated_route
+    rng = random.Random(6)
+    for model in log_terminal_models.values():
+        e = [rng.randint(0, 2) for _ in range(model.u)]
+        n = [rng.randint(1, 3) for _ in range(model.u)]
+        assert_one_form(r.GenericConfiguration.build(model, e, n).model)
+
+
+def test_meeting_declaration_order_does_not_matter():
+    rng = random.Random(11)
+    for name in CORPUS_NAMES:
+        text = (CORPUS_DIR / ("%s.graph" % name)).read_text()
+        lines = text.splitlines()
+        meets = [i for i, line in enumerate(lines) if line.startswith("meet ")]
+        swapped = []
+        for i in meets:
+            _, a, b, mult = lines[i].split()
+            swapped.append("meet %s %s %s" % (b, a, mult))
+        rng.shuffle(swapped)
+        for i, line in zip(meets, swapped):
+            lines[i] = line
+        doc = load_doc(name)
+        other = r.parse_graph("\n".join(lines) + "\n")
+        assert other.model == doc.model, name
+        assert (r.serialize_model(other.model, other.divisors)
+                == r.serialize_model(doc.model, doc.divisors)), name
+
+
+def test_build_memory_is_linear_in_curves():
+    model = load_doc("e8").model
+    e = [0] * 7 + [16]
+    n = [0] * 7 + [161]
+    tracemalloc.start()
+    try:
+        config = r.GenericConfiguration.build(model, e, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert config.model.u == 2584
+    assert peak < 16 * 2 ** 20
+
+
+def test_constructor_rejects_meetings_it_cannot_store_once():
+    curves = [r.ExcCurve("E1", 0, -2), r.ExcCurve("E2", 0, -2)]
+    assert r.ResolutionModel(curves, [(1, 0, 1)]).meetings == ((0, 1, 1),)
+    for meetings in ([(0, 1, 1), (1, 0, 2)], [(0, 0, 1)], [(0, 2, 1)],
+                     [(0, 1, 0)], [(-1, 1, 1)]):
+        with pytest.raises(r.MalformedGraph, match="each pair once"):
+            r.ResolutionModel(curves, meetings)
