@@ -21,7 +21,7 @@ from .lattice import (NegDefResult, check_negative_definite, dual_basis,
 from .linalg import NotNegativeDefinite
 from .model import (ExcCurve, MalformedGraph, ResolutionModel, StrictCurve,
                     build_model)
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import NotRational, Rational, format_rational, parse_rational
 from .realize import (CheckResult, DecompositionWitness,
                       RealizationCertificate, VerificationReport,
                       build_ample_negative, choose_epsilon, choose_mu,
@@ -35,7 +35,7 @@ __all__ = [
     "GraphDoc", "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
     "ModelMismatch", "NegDefResult", "NonIntegralInput", "NonPositiveLambda",
     "NotAntinef", "NotEffective", "NotLogTerminal", "NotNegativeDefinite",
-    "PreconditionViolated", "PullbackMap", "Rational",
+    "NotRational", "PreconditionViolated", "PullbackMap", "Rational",
     "RealizationCertificate", "ResolutionModel", "StrictCurve",
     "VerificationReport", "antinef_closure", "build_ample_negative",
     "build_model", "check_negative_definite", "choose_epsilon", "choose_mu",

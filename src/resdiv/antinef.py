@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .divisor import Divisor
 
-_ONE = Fraction(1)
-
 
 class NonIntegralInput(Exception):
     """Antinef closure is defined for integral divisors only; round first."""
@@ -27,9 +25,9 @@ class ClosureTrace:
     """Audit record of a closure run.
 
     ``steps`` lists (curve index, value of D.E_i at that step); each
-    recorded value is > 0.  ``initial_s`` is the total coefficient mass
-    added, i.e. the sum of the coefficients of closure - input; with unit
-    steps it equals the number of steps.
+    recorded value is an int > 0.  ``initial_s`` is the total coefficient
+    mass added, i.e. the sum of the coefficients of closure - input; with
+    unit steps it equals the number of steps.
     """
 
     steps: tuple
@@ -38,7 +36,7 @@ class ClosureTrace:
 
 def is_antinef(d: Divisor) -> bool:
     """True iff D.E_i <= 0 for every exceptional curve of the model."""
-    return all(p <= 0 for p in d.products())
+    return all(p <= 0 for p in d.product_numerators())
 
 
 def antinef_closure(d: Divisor, select=None, step_bound=None):
@@ -53,13 +51,12 @@ def antinef_closure(d: Divisor, select=None, step_bound=None):
     Strict coefficients never change, so the pushforward is preserved.
     """
     if not d.is_integral():
-        offender = next(
-            (c for c in d.exc + d.strict if c.denominator != 1), None)
+        offender = Fraction(next(n for n in d.num if n % d.den), d.den)
         raise NonIntegralInput("non-integral coefficient %s" % (offender,))
 
-    exc = list(d.exc)
-    prods = list(d.products())
     model = d.model
+    num = list(d.num)
+    prods = d.product_numerators()
     steps = []
     while True:
         violating = [i for i, p in enumerate(prods) if p > 0]
@@ -69,10 +66,10 @@ def antinef_closure(d: Divisor, select=None, step_bound=None):
         steps.append((i, prods[i]))
         if step_bound is not None and len(steps) > step_bound:
             raise RuntimeError("closure exceeded the step bound %d" % step_bound)
-        exc[i] += _ONE
+        num[i] += 1
         for k, v in model.sparse_rows[i]:
             prods[k] += v
 
-    final = Divisor(model, tuple(exc), d.strict)
+    final = Divisor._of(model, num, 1)
     return final, ClosureTrace(tuple(steps), len(steps))
 

@@ -17,15 +17,14 @@ against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from dataclasses import dataclass, field
+from itertools import compress
 
 from .antinef import is_antinef
 from .divisor import Divisor
 from .lattice import dual_basis
 from .model import ExcCurve, ResolutionModel, StrictCurve
-
-_ZERO = Fraction(0)
 
 
 class PreconditionViolated(Exception):
@@ -44,17 +43,24 @@ class PullbackMap:
     source: ResolutionModel
     target: ResolutionModel
     columns: tuple  # per source curve, tuple of ints over target curves
+    # per source curve, the (target index, value) pairs with value != 0
+    support: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple(
+            tuple((k, col[k]) for k in compress(range(len(col)), col))
+            for col in self.columns))
 
     def apply(self, d: Divisor) -> Divisor:
         if d.model is not self.source and d.model != self.source:
             raise PreconditionViolated("divisor does not live on the source model")
-        out = [_ZERO] * self.target.u
-        for j, c in enumerate(d.exc):
+        out = [0] * self.target.u
+        for c, support in zip(d.num, self.support):
             if c:
-                for k, v in enumerate(self.columns[j]):
-                    if v:
-                        out[k] += c * v
-        return Divisor(self.target, tuple(out), d.strict)
+                for k, v in support:
+                    out[k] += c * v
+        return Divisor._of(self.target, out + list(d.num[self.source.u:]),
+                           d.den)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +145,10 @@ class GenericConfiguration:
             cols.append(tuple(col))
         pullback = PullbackMap(base_model, model, tuple(cols))
 
-        k_exc = [_ZERO] * total
+        k_num = [0] * (total + len(strict))
         for info in chains:
-            for m in range(1, info.length + 1):
-                k_exc[info.start + m - 1] = Fraction(m)
-        k_sigma = Divisor(model, tuple(k_exc),
-                          (_ZERO,) * len(model.strict_curves))
+            k_num[info.start:info.start + info.length] = range(1, info.length + 1)
+        k_sigma = Divisor._of(model, k_num, 1)
         return cls(base_model, model, chains, pullback, k_sigma)
 
     # -- index helpers ---------------------------------------------------
@@ -155,30 +159,39 @@ class GenericConfiguration:
     # -- closed-form dual basis -------------------------------------------
 
     def weighted_dual_sum(self, weights) -> Divisor:
-        """Exact value of sum_E weights[E] * dual(E) over all curves."""
+        """Exact value of sum_E weights[E] * dual(E) over all curves; the
+        weights (ints or Fractions) are summed as ints over one denominator."""
+        base, u = self.base_model, self.base_model.u
         weights = list(weights)
-        base_weights = [weights[l] for l in range(self.base_model.u)]
+        wden = math.lcm(*(x.denominator for x in weights))
+        w = [x.numerator * (wden // x.denominator) for x in weights]
+        base_w = w[:u]
         for info in self.chains:
-            for m in range(info.length):
-                base_weights[info.base] += weights[info.start + m]
-        duals = dual_basis(self.base_model)
-        combo = Divisor.zero(self.base_model)
-        for l, w in enumerate(base_weights):
-            if w:
-                combo = combo + duals[l].scale(w)
-        total = self.pullback.apply(combo)
-        vec = list(total.exc)
+            base_w[info.base] += sum(w[info.start:info.start + info.length])
+        # g* of sum_l base_w[l] dual(E_l), which is over dden * wden
+        duals = dual_basis(base)
+        dden = math.lcm(*(v.den for v in duals))
+        combo = [0] * (u + len(base.strict_curves))
+        for c, dual in zip(base_w, duals):
+            if c:
+                c *= dden // dual.den
+                for k, v in enumerate(dual.num[:u]):
+                    combo[k] += c * v
+        pulled = self.pullback.apply(Divisor._of(base, combo, dden * wden))
+        vec = [0] * len(pulled.num)
         for info in self.chains:
             L = info.length
-            t = [weights[info.start + m] for m in range(L)]
+            t = w[info.start:info.start + L]
+            if not any(t):
+                continue
             # coefficient at chain position m is sum_k t_k * min(m, k)
-            prefix = 0          # sum_{k<=m} k t_k; int while the weights are
-            suffix = sum(t)     # ints, a Fraction once one is a Fraction
+            prefix = 0          # sum_{k<=m} k t_k
+            suffix = sum(t)     # sum_{k>m} t_k
             for m in range(1, L + 1):
                 prefix += m * t[m - 1]
                 suffix -= t[m - 1]
-                vec[info.start + m - 1] += prefix + m * suffix
-        return Divisor(self.model, tuple(vec), total.strict)
+                vec[info.start + m - 1] = prefix + m * suffix
+        return pulled + Divisor._of(self.model, vec, wden)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +237,8 @@ def verify_lemma_gen(config: GenericConfiguration, d: Divisor) -> LemmaGenReport
     seq = [duals[i]] + [duals[k] for k in chain_curves]
     duals_monotone = all(seq[t].less_equal(seq[t + 1]) for t in range(len(seq) - 1))
 
-    coeffs = (d.exc[i],) + tuple(d.exc[k] for k in chain_curves)
+    exc = d.exc
+    coeffs = (exc[i],) + tuple(exc[k] for k in chain_curves)
     coeffs_monotone = all(coeffs[t] <= coeffs[t + 1]
                           for t in range(len(coeffs) - 1))
     strict_increase = coeffs[0] < coeffs[-1]

@@ -16,6 +16,7 @@ from . import linalg
 from .antinef import NonIntegralInput, antinef_closure
 from .divisor import Divisor
 from .model import ResolutionModel
+from .rationals import as_rational
 
 
 class NotAntinef(Exception):
@@ -61,25 +62,24 @@ def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
 def relative_canonical(model: ResolutionModel) -> Divisor:
     """The rational divisor sum_i b_i E_i."""
     report = discrepancies(model)
-    zeros = (Fraction(0),) * len(model.strict_curves)
-    return Divisor(model, report.b, zeros)
+    return Divisor(model, report.b, (0,) * len(model.strict_curves))
 
 
 def multiplier_divisor(model: ResolutionModel, g: Divisor, lam) -> Divisor:
     """Antinef divisor representing the multiplier ideal of (G, lambda).
 
     G must be integral, effective and antinef (it represents an integrally
-    closed ideal); lambda must be a positive rational.  The result is the
-    antinef closure of floor(lambda G - K_f).
+    closed ideal); lambda must be a positive int or Fraction.  The result
+    is the antinef closure of floor(lambda G - K_f).
     """
-    lam = Fraction(lam)
+    lam = as_rational(lam)
     if lam <= 0:
         raise NonPositiveLambda("lambda must be > 0, got %s" % (lam,))
     if not g.is_integral():
         raise NonIntegralInput("G must be integral")
     if not g.is_effective():
         raise NotEffective("G must be effective")
-    prods = g.products()
+    prods = g.product_numerators()
     if any(p > 0 for p in prods):
         raise NotAntinef("G.E_i > 0 at index %d"
                          % next(i for i, p in enumerate(prods) if p > 0))

@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .antinef import NonIntegralInput, antinef_closure, is_antinef
@@ -108,10 +107,10 @@ def cmd_closure(args) -> int:
     rep.add("closure", closed)
     rep.add("steps", trace.initial_s)
     if args.trace:
+        labels = doc.model.labels
         for idx, (i, value) in enumerate(trace.steps):
             rep.add("trace.%d" % idx,
-                    "add %s (product %s)" % (doc.model.labels[i],
-                                             format_rational(value)))
+                    "add %s (product %s)" % (labels[i], format_rational(value)))
     print(rep.render(), end="")
     return 0
 
@@ -193,16 +192,18 @@ def cmd_realize(args) -> int:
 def random_antinef_divisor(model, seed_key: str) -> Divisor:
     """Seeded pseudo-random integral antinef divisor (see module docstring)."""
     rng = random.Random(seed_key)
-    exc = [Fraction(rng.randint(0, 10)) for _ in range(model.u)]
-    strict = [Fraction(0)] * len(model.strict_curves)
+    exc = [rng.randint(0, 10) for _ in range(model.u)]
+    strict = [0] * len(model.strict_curves)
     for s in range(min(2, len(strict))):
-        strict[s] = Fraction(rng.randint(0, 1))
-    draft = Divisor(model, tuple(exc), tuple(strict))
+        strict[s] = rng.randint(0, 1)
+    draft = Divisor(model, exc, strict)
     closed, _ = antinef_closure(draft)
     return closed
 
 
 def cmd_batch(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0, got %d" % args.samples)
     corpus = Path(args.corpus) if args.corpus else default_corpus_dir()
     files = sorted(corpus.glob("*.graph"))
     rep = Report()

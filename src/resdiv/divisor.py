@@ -1,9 +1,13 @@
 """Divisors on a resolution model and their exact arithmetic.
 
 A Divisor is a rational coefficient vector over the exceptional curves and
-the strict curves of one fixed model.  Divisors are immutable value types
-bound to a model identity: combining divisors that live on different
-models raises ModelMismatch instead of coercing.
+the strict curves of one fixed model, kept as int numerators ``num``
+(exceptional, then strict) over one denominator ``den >= 1`` in lowest
+terms, so it has one representation and its arithmetic runs on ints.  The
+``Fraction`` views ``exc``, ``strict``, ``products()`` and ``intersect()``
+are built on demand.  Divisors are immutable value types bound to a model
+identity: combining divisors that live on different models raises
+ModelMismatch instead of coercing.
 """
 
 from __future__ import annotations
@@ -13,30 +17,49 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import ResolutionModel
-
-_ZERO = Fraction(0)
+from .rationals import as_rational
 
 
 class ModelMismatch(Exception):
     """Two divisors (or a divisor and a curve) live on different models."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Divisor:
-    model: ResolutionModel
-    exc: tuple     # Fraction per exceptional curve
-    strict: tuple  # Fraction per strict curve
+    """``Divisor(model, exc, strict)`` takes one int or Fraction per
+    exceptional curve and one per strict curve."""
 
-    def __post_init__(self):
-        if len(self.exc) != self.model.u or len(self.strict) != len(self.model.strict_curves):
+    model: ResolutionModel
+    num: tuple  # ints: exceptional coefficients, then strict ones
+    den: int    # >= 1, and gcd(den, *num) == 1
+
+    def __new__(cls, model: ResolutionModel, exc, strict):
+        if len(exc) != model.u or len(strict) != len(model.strict_curves):
             raise ModelMismatch("coefficient vector lengths do not match the model")
+        values = [as_rational(v) for v in (*exc, *strict)]
+        den = math.lcm(*(v.denominator for v in values))
+        return cls._of(model, [v.numerator * (den // v.denominator)
+                               for v in values], den)
+
+    @classmethod
+    def _of(cls, model: ResolutionModel, num, den: int) -> "Divisor":
+        """The divisor ``num / den`` (den >= 1), in lowest terms."""
+        g = math.gcd(den, *num)
+        self = object.__new__(cls)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "num", tuple(num) if g == 1
+                           else tuple(n // g for n in num))
+        object.__setattr__(self, "den", den // g)
+        return self
+
+    def __reduce__(self):  # copy and pickle bypass __new__'s conversion
+        return Divisor._of, (self.model, self.num, self.den)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(model: ResolutionModel) -> "Divisor":
-        return Divisor(model, (_ZERO,) * model.u,
-                       (_ZERO,) * len(model.strict_curves))
+        return Divisor._of(model, (0,) * (model.u + len(model.strict_curves)), 1)
 
     @staticmethod
     def from_coeffs(model: ResolutionModel, exc=None, strict=None) -> "Divisor":
@@ -44,130 +67,125 @@ class Divisor:
 
         Mappings are keyed by curve label; missing entries are zero.
         """
-        e = [_ZERO] * model.u
-        s = [_ZERO] * len(model.strict_curves)
-        if exc is not None:
-            if isinstance(exc, dict):
-                for label, value in exc.items():
-                    e[model.index_of(label)] = Fraction(value)
-            else:
-                if len(exc) != model.u:
-                    raise ModelMismatch("wrong number of exceptional coefficients")
-                e = [Fraction(v) for v in exc]
-        if strict is not None:
-            if isinstance(strict, dict):
-                for label, value in strict.items():
-                    s[model.strict_index_of(label)] = Fraction(value)
-            else:
-                if len(strict) != len(model.strict_curves):
-                    raise ModelMismatch("wrong number of strict coefficients")
-                s = [Fraction(v) for v in strict]
-        return Divisor(model, tuple(e), tuple(s))
+        e, s = [0] * model.u, [0] * len(model.strict_curves)
+        for vec, given, index_of in ((e, exc, model.index_of),
+                                     (s, strict, model.strict_index_of)):
+            if isinstance(given, dict):
+                for label, value in given.items():
+                    vec[index_of(label)] = value
+            elif given is not None:
+                vec[:] = given  # the constructor checks the length
+        return Divisor(model, e, s)
 
     @staticmethod
     def curve(model: ResolutionModel, i: int) -> "Divisor":
         """The divisor consisting of the i-th exceptional curve."""
-        e = [_ZERO] * model.u
-        e[i] = Fraction(1)
-        return Divisor(model, tuple(e), (_ZERO,) * len(model.strict_curves))
+        e = [0] * model.u
+        e[i] = 1
+        return Divisor._of(model, e + [0] * len(model.strict_curves), 1)
+
+    @property
+    def exc(self) -> tuple:
+        """The exceptional coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num[:self.model.u])
+
+    @property
+    def strict(self) -> tuple:
+        """The strict coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num[self.model.u:])
 
     # -- arithmetic -----------------------------------------------------
 
-    def _check(self, other: "Divisor"):
+    def _align(self, other: "Divisor"):
+        """Both numerator vectors over one common denominator."""
         if self.model is not other.model and self.model != other.model:
             raise ModelMismatch("divisors live on different models")
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return ([n * fa for n in self.num], [n * fb for n in other.num],
+                da * fa)
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        self._check(other)
-        return Divisor(self.model,
-                       tuple(a + b for a, b in zip(self.exc, other.exc)),
-                       tuple(a + b for a, b in zip(self.strict, other.strict)))
+        a, b, den = self._align(other)
+        return Divisor._of(self.model, [x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        self._check(other)
-        return Divisor(self.model,
-                       tuple(a - b for a, b in zip(self.exc, other.exc)),
-                       tuple(a - b for a, b in zip(self.strict, other.strict)))
+        a, b, den = self._align(other)
+        return Divisor._of(self.model, [x - y for x, y in zip(a, b)], den)
 
     def __neg__(self) -> "Divisor":
-        return Divisor(self.model, tuple(-a for a in self.exc),
-                       tuple(-a for a in self.strict))
+        return Divisor._of(self.model, [-n for n in self.num], self.den)
 
     def scale(self, factor) -> "Divisor":
-        f = Fraction(factor)
-        return Divisor(self.model, tuple(f * a for a in self.exc),
-                       tuple(f * a for a in self.strict))
+        """The divisor times an int or Fraction ``factor``."""
+        f = as_rational(factor)
+        p, q = f.numerator, f.denominator
+        return Divisor._of(self.model, [p * n for n in self.num], self.den * q)
 
     # -- intersection products -------------------------------------------
 
     def intersect(self, i: int) -> Fraction:
         """Exact value of D.E_i, including strict-curve contributions."""
-        if not 0 <= i < self.model.u:
+        model, num = self.model, self.num
+        if not 0 <= i < model.u:
             raise ModelMismatch("curve index %d out of range" % (i,))
-        total = _ZERO
-        for j, v in self.model.sparse_rows[i]:  # row i is column i
-            total += self.exc[j] * v
-        for s, c in enumerate(self.strict):
+        total = sum(num[j] * v for j, v in model.sparse_rows[i])  # row i is column i
+        total += sum(c * s.incidence[i]
+                     for c, s in zip(num[model.u:], model.strict_curves))
+        return Fraction(total, self.den)
+
+    def product_numerators(self) -> list:
+        """Numerators over ``den`` of (D.E_1, ..., D.E_u), as a new list."""
+        model = self.model
+        out = [0] * model.u
+        for c, row in zip(self.num, model.sparse_rows + model.strict_sparse):
             if c:
-                total += c * self.model.strict_curves[s].incidence[i]
-        return total
+                for k, v in row:
+                    out[k] += c * v
+        return out
 
     def products(self) -> tuple:
-        """The full vector (D.E_1, ..., D.E_u)."""
-        model = self.model
-        out = [_ZERO] * model.u
-        for j, c in enumerate(self.exc):
-            if c:
-                for k, v in model.sparse_rows[j]:
-                    out[k] += c * v
-        for s, c in enumerate(self.strict):
-            if c:
-                for k, v in model.strict_sparse[s]:
-                    out[k] += c * v
-        return tuple(out)
+        """The full vector (D.E_1, ..., D.E_u) as Fractions."""
+        return tuple(Fraction(p, self.den) for p in self.product_numerators())
 
     # -- componentwise operations -----------------------------------------
 
     def meet(self, other: "Divisor") -> "Divisor":
         """Componentwise minimum over exceptional and strict coefficients."""
-        self._check(other)
-        return Divisor(self.model,
-                       tuple(min(a, b) for a, b in zip(self.exc, other.exc)),
-                       tuple(min(a, b) for a, b in zip(self.strict, other.strict)))
+        a, b, den = self._align(other)
+        return Divisor._of(self.model, [min(x, y) for x, y in zip(a, b)], den)
 
     def floor(self) -> "Divisor":
-        return Divisor(self.model,
-                       tuple(Fraction(math.floor(a)) for a in self.exc),
-                       tuple(Fraction(math.floor(a)) for a in self.strict))
+        return Divisor._of(self.model, [n // self.den for n in self.num], 1)
 
     def ceil(self) -> "Divisor":
-        return Divisor(self.model,
-                       tuple(Fraction(math.ceil(a)) for a in self.exc),
-                       tuple(Fraction(math.ceil(a)) for a in self.strict))
+        return Divisor._of(self.model, [-(-n // self.den) for n in self.num], 1)
 
     # -- predicates ---------------------------------------------------------
 
     def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.exc) and \
-            all(a.denominator == 1 for a in self.strict)
+        return self.den == 1
 
     def is_effective(self) -> bool:
-        return all(a >= 0 for a in self.exc) and all(a >= 0 for a in self.strict)
+        return all(n >= 0 for n in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.exc) and not any(self.strict)
+        return not any(self.num)
 
     def less_equal(self, other: "Divisor") -> bool:
         """Componentwise partial order D <= D'."""
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exc, other.exc)) and \
-            all(a <= b for a, b in zip(self.strict, other.strict))
+        a, b, _ = self._align(other)
+        return all(x <= y for x, y in zip(a, b))
 
     # -- projections -------------------------------------------------------
 
     def pushforward(self) -> "Divisor":
         """Drop all exceptional coefficients, keep the strict part."""
-        return Divisor(self.model, (_ZERO,) * self.model.u, self.strict)
+        u = self.model.u
+        return Divisor._of(self.model, (0,) * u + self.num[u:], self.den)
 
     def __repr__(self):
         terms = [

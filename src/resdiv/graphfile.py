@@ -15,6 +15,7 @@ serialized model reproduces it exactly (up to whitespace normalization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .divisor import Divisor
 from .model import MalformedGraph, ResolutionModel, build_model
@@ -148,13 +149,9 @@ def parse_graph_file(path) -> GraphDoc:
 def format_divisor(d: Divisor) -> str:
     """Nonzero coefficients in model order, or "0"."""
     model = d.model
-    parts = []
-    for label, coeff in zip(model.labels, d.exc):
-        if coeff:
-            parts.append("%s=%s" % (label, format_rational(coeff)))
-    for label, coeff in zip(model.strict_labels, d.strict):
-        if coeff:
-            parts.append("%s=%s" % (label, format_rational(coeff)))
+    den = d.den
+    parts = ["%s=%s" % (label, format_rational(Fraction(n, den) if den > 1 else n))
+             for label, n in zip(model.labels + model.strict_labels, d.num) if n]
     return " ".join(parts) if parts else "0"
 
 

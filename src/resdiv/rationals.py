@@ -1,8 +1,9 @@
 """Exact rational scalars and their text form.
 
-Every coefficient in this package is a ``fractions.Fraction``: arbitrary
-precision, always in lowest terms with positive denominator, no floating
-point anywhere.  The text form is ``p`` or ``p/q``; decimals are rejected.
+Coefficients go in and out of this package as ints or ``Fraction``s, and
+divisors carry theirs as int numerators over one denominator: arbitrary
+precision, no floating point anywhere.  The text form is ``p`` or ``p/q``;
+decimals are rejected.
 """
 
 from __future__ import annotations
@@ -10,6 +11,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
+
+
+class NotRational(TypeError):
+    """A value given as an exact rational is neither an int nor a Fraction."""
+
+
+def as_rational(value) -> Fraction:
+    """``value`` as a Fraction, if it is an int or a Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise NotRational("not an exact rational (int or Fraction): %r" % (value,))
 
 
 def parse_rational(text: str) -> Fraction:

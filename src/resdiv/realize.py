@@ -20,6 +20,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import eq, le, lt
 
 from .antinef import NonIntegralInput, antinef_closure, is_antinef
 from .blowup import GenericConfiguration
@@ -28,15 +30,14 @@ from .canonical import (NonPositiveLambda, NotAntinef, NotEffective,
 from .divisor import Divisor
 from .lattice import dual_basis, numerical_pullback
 from .model import ResolutionModel
-
-_ZERO = Fraction(0)
+from .rationals import format_rational
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str = ""  # on failure: the first curve or scalar that broke it
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def choose_epsilon(model: ResolutionModel, f0: Divisor) -> Fraction:
     candidates = [Fraction(1, 2)]
     for a_i, b_i in zip(f0.exc, report.b):
         candidates.append((1 + b_i) / (a_i + 1))
-    c_max = max(f0.strict, default=_ZERO)
+    c_max = max(f0.strict, default=0)
     if c_max > 0:
         candidates.append(1 / c_max)
     return min(candidates) / 2
@@ -121,12 +122,8 @@ def build_ample_negative(model: ResolutionModel, dual_sum: Divisor = None) -> Di
     the dual basis (the chain configurations compute it in closed form).
     """
     if dual_sum is None:
-        total = Divisor.zero(model)
-        for v in dual_basis(model):
-            total = total + v
-        dual_sum = total
-    d = math.lcm(*[c.denominator for c in dual_sum.exc]) if dual_sum.exc else 1
-    return dual_sum.scale(d)
+        dual_sum = sum(dual_basis(model), Divisor.zero(model))
+    return dual_sum.scale(dual_sum.den)
 
 
 def choose_mu(model: ResolutionModel, f, k_g, k_h, epsilon, a_div) -> Fraction:
@@ -138,16 +135,18 @@ def choose_mu(model: ResolutionModel, f, k_g, k_h, epsilon, a_div) -> Fraction:
     identity is verified exactly by the certificate checks, never assumed.
     """
     base = (f + k_g).scale(1 + epsilon) - k_h
+    # with alpha = p / a_div.den and c = q / den, the term is h * a_div.den /
+    # (den * (1+epsilon) * p) for h = den - q % den: minimize h / p
+    den = base.den
     best = None
-    for alpha, c in zip(a_div.exc, base.exc):
-        if alpha > 0:
-            headroom = 1 - (c - math.floor(c))
-            term = headroom / ((1 + epsilon) * alpha)
-            if best is None or term < best:
-                best = term
+    for p, q in zip(a_div.num[:model.u], base.num):
+        if p > 0:
+            h = den - q % den
+            if best is None or h * best[1] < best[0] * p:
+                best = (h, p)
     if best is None:
         raise ValueError("A has no positive coefficient")
-    return best / 2
+    return Fraction(best[0] * a_div.den, den * best[1]) / (1 + epsilon) / 2
 
 
 def _validate_input(model, f0):
@@ -157,7 +156,7 @@ def _validate_input(model, f0):
         raise NonIntegralInput("input divisor must be integral")
     if not f0.is_effective():
         raise NotEffective("input divisor must be effective")
-    prods = f0.products()
+    prods = f0.product_numerators()
     bad = next((i for i, p in enumerate(prods) if p > 0), None)
     if bad is not None:
         raise NotAntinef("input divisor has positive product with curve %d" % bad)
@@ -176,7 +175,7 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     epsilon = choose_epsilon(model, f0)
     a = f0.exc
     b = discrepancies(model).b
-    e = tuple(int(-p) for p in prods)
+    e = tuple(-p for p in prods)
     n = tuple(int(math.floor((1 + b_i) / epsilon - (a_i + 1)))
               for a_i, b_i in zip(a, b))
 
@@ -194,8 +193,7 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     mu = choose_mu(config.model, f, k_g, k_h, epsilon, a_div)
 
     scaled = f + k_g + a_div.scale(mu)
-    denoms = [c.denominator for c in scaled.exc] + [c.denominator for c in scaled.strict]
-    n_factor = math.lcm(*denoms) if denoms else 1
+    n_factor = scaled.den  # the lcm of its denominators, in lowest terms
     g_div = scaled.scale(n_factor)
     lam = (1 + epsilon) / n_factor
 
@@ -210,103 +208,126 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     return dataclasses.replace(cert, checks=verification.checks)
 
 
+def _first_break(rows) -> str:
+    """First (label, a, b, holds) row with holds(a, b) false, as 'label: a vs b'."""
+    return next(("%s: %s vs %s" % (label, format_rational(a), format_rational(b))
+                 for label, a, b, holds in rows if not holds(a, b)), "")
+
+
 def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     """Independently recheck a certificate, in order.
 
     Every check recomputes from the certificate's primitive fields; a
-    failure names the violated statement.  The analytic checks come
-    first, followed by consistency checks that pin the recorded
-    parameters to their deterministic selection rules (so that any
-    tampering with lambda, the chain lengths, or G is always caught).
+    failure names the violated statement and, in its detail, the values
+    that broke it.  The analytic checks come first, followed by
+    consistency checks that pin the recorded parameters to their
+    deterministic selection rules (so that any tampering with lambda, the
+    chain lengths, or G is always caught).
     """
     checks = []
-
-    def check(name, passed, detail=""):
-        checks.append(CheckResult(name, bool(passed), detail))
-
     config = cert.config
     model = config.model
-    f, k_g = cert.F, config.K_sigma
-    k_f = relative_canonical(cert.base_model)
+    base = cert.base_model
+
+    def check(name, passed, detail):  # detail() runs on failure only
+        checks.append(CheckResult(name, bool(passed), "" if passed else detail()))
+
+    def differ(lhs, rhs, holds=eq):  # divisors, coefficientwise
+        return lambda: _first_break(zip(
+            model.labels + model.strict_labels, lhs.exc + lhs.strict,
+            rhs.exc + rhs.strict, repeat(holds)))
+
+    f, fp, k_g = cert.F, cert.F_prime, config.K_sigma
+    fk = f + k_g
+    k_f = relative_canonical(base)
     g_k_f = config.pullback.apply(k_f)
     k_h = k_g + g_k_f
-    one_eps = 1 + cert.epsilon
+    eps = cert.epsilon
+    one_eps = 1 + eps
 
     # perturbing by mu*A must not move the floor
-    lhs = ((f + k_g + cert.A.scale(cert.mu)).scale(one_eps) - k_h).floor()
-    rhs = ((f + k_g).scale(one_eps) - k_h).floor()
-    check("perturbation_floor_identity", lhs == rhs)
+    lhs = ((fk + cert.A.scale(cert.mu)).scale(one_eps) - k_h).floor()
+    rhs = (fk.scale(one_eps) - k_h).floor()
+    check("perturbation_floor_identity", lhs == rhs, differ(lhs, rhs))
 
     # floor(lambda G - K_h) = F + floor(epsilon (F + K_g) - g*K_f)
     candidate = (cert.G.scale(cert.lam) - k_h).floor()
-    split = f + ((f + k_g).scale(cert.epsilon) - g_k_f).floor()
-    check("multiplier_floor_split", candidate == split)
+    split = f + (fk.scale(eps) - g_k_f).floor()
+    check("multiplier_floor_split", candidate == split,
+          differ(candidate, split))
 
-    check("candidate_dominated", cert.F_prime.less_equal(f))
-    check("pushforward_preserved", cert.F_prime.strict == f.strict)
+    check("candidate_dominated", fp.less_equal(f), differ(fp, f, le))
+    check("pushforward_preserved", fp.strict == f.strict,
+          differ(fp.pushforward(), f.pushforward()))
 
-    ord_ok = True
-    for info in config.chains:
-        top = info.start + info.length - 1
-        if not (cert.F_prime.exc[top] == f.exc[top] == f.exc[info.base]):
-            ord_ok = False
-            break
-    check("chain_top_order_equality", ord_ok)
+    # F' and F agree with F at the base along the top of every chain
+    tops = [(info.start + info.length - 1, info.base) for info in config.chains]
+    check("chain_top_order_equality",
+          all(fp.num[t] * f.den == f.num[t] * fp.den and f.num[t] == f.num[b]
+              for t, b in tops),
+          lambda: _first_break(
+              (model.curves[t].label, Fraction(d.num[t], d.den),
+               Fraction(f.num[b], f.den), eq) for t, b in tops for d in (fp, f)))
 
-    fp_prods = cert.F_prime.products()
-    f_prods = f.products()
-    duals_base = dual_basis(cert.base_model)
-    domination_ok = True
-    for i in range(cert.base_model.u):
-        weights = [_ZERO] * model.u
-        weights[i] = -fp_prods[i]
+    # -F'.E_k, as ints unless F' is not integral
+    neg = [-p if fp.den == 1 else Fraction(-p, fp.den)
+           for p in fp.product_numerators()]
+    f_prods = f.product_numerators()
+    duals_base = dual_basis(base)
+    domination_detail = None
+    for i in range(base.u):
+        weights = [0] * model.u
+        weights[i] = neg[i]
         for info in config.chains_over(i):
-            for m in range(info.length):
-                weights[info.start + m] = -fp_prods[info.start + m]
+            span = slice(info.start, info.start + info.length)
+            weights[span] = neg[span]
         lhs_div = config.weighted_dual_sum(weights)
-        rhs_div = config.pullback.apply(duals_base[i]).scale(-f_prods[i])
+        rhs_div = config.pullback.apply(duals_base[i]).scale(
+            Fraction(-f_prods[i], f.den))
         if not rhs_div.less_equal(lhs_div):
-            domination_ok = False
+            domination_detail = differ(rhs_div, lhs_div, le)
             break
-    check("dual_chain_domination", domination_ok)
+    check("dual_chain_domination", domination_detail is None, domination_detail)
 
-    strict_part = Divisor(cert.base_model, (_ZERO,) * cert.base_model.u,
-                          cert.F_prime.strict)
-    pullback_part = config.pullback.apply(
-        numerical_pullback(cert.base_model, strict_part))
-    base_weights = list(map(lambda p: -p, fp_prods[:cert.base_model.u])) + \
-        [_ZERO] * (model.u - cert.base_model.u)
-    chain_weights = [_ZERO] * cert.base_model.u + \
-        [-p for p in fp_prods[cert.base_model.u:]]
-    base_dual_part = config.weighted_dual_sum(base_weights)
-    chain_dual_part = config.weighted_dual_sum(chain_weights)
+    strict_part = Divisor(base, (0,) * base.u, fp.strict)
+    pullback_part = config.pullback.apply(numerical_pullback(base, strict_part))
+    base_dual_part = config.weighted_dual_sum(
+        neg[:base.u] + [0] * (model.u - base.u))
+    chain_dual_part = config.weighted_dual_sum([0] * base.u + neg[base.u:])
     witness = DecompositionWitness(pullback_part, base_dual_part,
                                    chain_dual_part)
-    check("numerical_decomposition", witness.total() == cert.F_prime)
+    total = witness.total()
+    check("numerical_decomposition", total == fp, differ(total, fp))
 
-    check("closure_equals_target", cert.F_prime == f)
+    check("closure_equals_target", fp == f, differ(fp, f))
 
     # consistency of recorded parameters with the deterministic rules
     recomputed, _ = antinef_closure(candidate)
-    check("closure_recomputation", recomputed == cert.F_prime)
+    check("closure_recomputation", recomputed == fp, differ(recomputed, fp))
 
-    eps_ok = (0 < cert.epsilon < Fraction(1, 2)
-              and all(cert.epsilon * (a_i + 1) < 1 + b_i
-                      for a_i, b_i in zip(cert.a, cert.b))
-              and all(math.floor(cert.epsilon * c) == 0 for c in cert.F0.strict))
-    check("epsilon_constraints", eps_ok)
+    rows = [("epsilon", 0, eps, lt), ("epsilon", eps, Fraction(1, 2), lt)]
+    rows += [(label, eps * (a_i + 1), 1 + b_i, lt)
+             for label, a_i, b_i in zip(base.labels, cert.a, cert.b)]
+    rows += [(label, math.floor(eps * c), 0, eq)
+             for label, c in zip(base.strict_labels, cert.F0.strict)]
+    eps_break = _first_break(rows)
+    check("epsilon_constraints", not eps_break, lambda: eps_break)
 
-    n_ok = all(
-        n_i == math.floor((1 + b_i) / cert.epsilon - (a_i + 1))
-        and (n_i < 1 or (b_i / cert.epsilon - a_i <= n_i
-                         < (b_i + 1) / cert.epsilon - a_i))
-        for n_i, a_i, b_i in zip(cert.n, cert.a, cert.b))
-    check("chain_length_rule", n_ok)
+    rows = []
+    for label, n_i, a_i, b_i in zip(base.labels, cert.n, cert.a, cert.b):
+        rows.append((label, n_i, math.floor((1 + b_i) / eps - (a_i + 1)), eq))
+        if n_i >= 1:
+            rows += [(label, b_i / eps - a_i, n_i, le),
+                     (label, n_i, (b_i + 1) / eps - a_i, lt)]
+    n_break = _first_break(rows)
+    check("chain_length_rule", not n_break, lambda: n_break)
 
-    check("lambda_scaling_rule", cert.lam * cert.N == one_eps)
-    check("integral_scaling_rule",
-          cert.G == (f + k_g + cert.A.scale(cert.mu)).scale(cert.N)
-          and cert.G.is_integral())
-    check("pullback_plus_canonical_antinef", is_antinef(f + k_g))
+    check("lambda_scaling_rule", cert.lam * cert.N == one_eps, lambda: _first_break(
+        [("lambda*N", cert.lam * cert.N, one_eps, eq)]))
+    g, expected_g = cert.G, (fk + cert.A.scale(cert.mu)).scale(cert.N)
+    check("integral_scaling_rule", g == expected_g and g.is_integral(),
+          lambda: differ(g, expected_g)() or differ(g, g.floor())())
+    check("pullback_plus_canonical_antinef", is_antinef(fk), lambda: _first_break(
+        zip(model.labels, fk.products(), repeat(0), repeat(le))))
 
     return VerificationReport(checks=tuple(checks), witness=witness)

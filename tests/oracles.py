@@ -10,8 +10,14 @@ The step-by-step blowup route builds chain configurations one free-point
 blowup at a time, composing the pullbacks and relative canonical
 divisors of the single steps; GenericConfiguration.build, which writes
 the blown model down in one pass, is checked against it.
+
+RefDivisor keeps one Fraction per coefficient and does every operation
+coefficient by coefficient, with products read off the dense matrix; the
+integer-numerator Divisor is checked against it.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,3 +201,70 @@ def iterated_configuration(base_model, e, n):
                 chains.append(ChainInfo(base=i, point=j, start=start,
                                         length=n[i]))
     return GenericConfiguration(base_model, current, chains, pullback, k_total)
+
+
+# -- reference divisor -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class RefDivisor:
+    """A divisor as a tuple of Fractions per curve kind, for comparison."""
+
+    model: ResolutionModel
+    exc: tuple
+    strict: tuple
+
+    @staticmethod
+    def of(model, coeffs):
+        coeffs = tuple(map(Fraction, coeffs))
+        return RefDivisor(model, coeffs[:model.u], coeffs[model.u:])
+
+    def _map(self, fn):
+        return RefDivisor(self.model, tuple(map(fn, self.exc)),
+                          tuple(map(fn, self.strict)))
+
+    def _zip(self, other, fn):
+        return RefDivisor(self.model, tuple(map(fn, self.exc, other.exc)),
+                          tuple(map(fn, self.strict, other.strict)))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def scale(self, factor):
+        return self._map(lambda c: Fraction(factor) * c)
+
+    def meet(self, other):
+        return self._zip(other, min)
+
+    def floor(self):
+        return self._map(lambda c: Fraction(math.floor(c)))
+
+    def ceil(self):
+        return self._map(lambda c: Fraction(math.ceil(c)))
+
+    def less_equal(self, other):
+        return all(a <= b for a, b in zip(self.exc + self.strict,
+                                          other.exc + other.strict))
+
+    def products(self):
+        matrix = self.model.matrix
+        return tuple(
+            sum((c * matrix[j][i] for j, c in enumerate(self.exc)), Fraction(0))
+            + sum((c * s.incidence[i]
+                   for c, s in zip(self.strict, self.model.strict_curves)),
+                  Fraction(0))
+            for i in range(self.model.u))
+
+    def is_integral(self):
+        return all(c.denominator == 1 for c in self.exc + self.strict)
+
+    def is_effective(self):
+        return all(c >= 0 for c in self.exc + self.strict)
+
+    def is_zero(self):
+        return not any(self.exc + self.strict)

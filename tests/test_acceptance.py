@@ -188,6 +188,38 @@ def test_criterion_7_fault_injection():
             "%d tamperings, %d undetected" % (trials, missed))
 
 
+def test_fault_injection_details_name_the_break():
+    """Each tampering of criterion 7 fails its rule with a detail naming the
+    first curve (or scalar) that broke it and the two values compared;
+    passing checks carry no detail."""
+    model = load_doc("a2").model
+    rng = random.Random(404)
+    fmt = r.format_rational
+    for k in range(20):
+        f0 = r.antinef_closure(random_integral_divisor(model, rng, hi=4))[0]
+        cert = r.realize(model, f0)
+        assert all(c.detail == "" for c in cert.checks)
+        for kind, bad in _tampered_certificates(cert, rng):
+            details = {c.name: c.detail
+                       for c in r.verify_certificate(bad).checks
+                       if not c.passed}
+            if kind == "lambda":
+                assert details["lambda_scaling_rule"] == "lambda*N: %s vs %s" \
+                    % (fmt(bad.lam * bad.N), fmt(1 + bad.epsilon))
+            elif kind == "n":
+                i = next(i for i, (a, b) in enumerate(zip(bad.n, cert.n))
+                         if a != b)
+                assert details["chain_length_rule"] == "%s: %d vs %d" \
+                    % (model.labels[i], bad.n[i], cert.n[i])
+            else:
+                j = next(j for j, (a, b) in enumerate(zip(bad.G.exc,
+                                                         cert.G.exc))
+                         if a != b)
+                assert details["integral_scaling_rule"] == "%s: %s vs %s" \
+                    % (cert.config.model.labels[j], fmt(bad.G.exc[j]),
+                       fmt(cert.G.exc[j]))
+
+
 def test_criterion_8_batch_determinism(tmp_path, capsys, monkeypatch):
     from resdiv.cli import main
 

@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -134,3 +136,11 @@ def test_rejects_non_positive_lambda():
     for lam in (0, Fraction(-1, 2)):
         with pytest.raises(r.NonPositiveLambda):
             r.multiplier_divisor(m, g, lam)
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2"])
+def test_rejects_non_rational_lambda(bad):
+    model = a1()
+    g = r.Divisor.curve(model, 0).scale(2)
+    with pytest.raises(r.NotRational, match=re.escape(repr(bad))):
+        r.multiplier_divisor(model, g, bad)

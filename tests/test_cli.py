@@ -245,6 +245,14 @@ def test_batch_verifies_each_case_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def test_batch_negative_samples_rejected(tmp_path, capsys):
+    corpus = _tiny_corpus(tmp_path)
+    code, out, err = run(capsys, "batch", str(corpus), "--samples", "-2")
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_batch_corpus_env_override(tmp_path, capsys, monkeypatch):
     corpus = _tiny_corpus(tmp_path)
     monkeypatch.setenv("RESDIV_CORPUS", str(corpus))

@@ -1,12 +1,19 @@
+import copy
+import math
+import pickle
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import resdiv as r
-from conftest import random_antinef, random_rational
+from conftest import (CORPUS_NAMES, load_doc, random_antinef, random_rational,
+                      single_chain)
+from oracles import RefDivisor
 
 coeff = st.fractions(min_value=-10, max_value=10, max_denominator=24)
 
@@ -119,3 +126,128 @@ def test_ceil_is_negated_floor(a):
 def test_integrality_predicate():
     assert d(1, 2).is_integral()
     assert not d(Fraction(1, 2), 0).is_integral()
+
+
+# -- integer numerators against the Fraction reference ---------------------------
+
+# the corpus, plus a blown-up model with chains and a strict curve
+_MODELS = [load_doc(name).model for name in CORPUS_NAMES] + \
+    [single_chain(load_doc("a2_branch").model, 0, 4).model]
+rational = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=60))
+
+
+@st.composite
+def divisor_pair(draw):
+    model = draw(st.sampled_from(_MODELS))
+    n = model.u + len(model.strict_curves)
+    coeffs = st.lists(rational, min_size=n, max_size=n)
+    return model, draw(coeffs), draw(coeffs)
+
+
+def _agrees(div, ref):
+    """Same coefficients as the reference, as Fractions, in lowest terms."""
+    assert div.exc == ref.exc and div.strict == ref.strict
+    assert all(type(c) is Fraction for c in div.exc + div.strict)
+    assert div.den >= 1 and math.gcd(div.den, *div.num) == 1
+    assert len(div.num) == div.model.u + len(div.model.strict_curves)
+
+
+@seed(20081009)
+@given(pair=divisor_pair(), factor=rational)
+@settings(deadline=None, max_examples=300)
+def test_operations_agree_with_fraction_reference(pair, factor):
+    model, a, b = pair
+    u = model.u
+    da, db = r.Divisor(model, a[:u], a[u:]), r.Divisor(model, b[:u], b[u:])
+    ra, rb = RefDivisor.of(model, a), RefDivisor.of(model, b)
+    _agrees(da, ra)
+    _agrees(r.Divisor.from_coeffs(model, exc=a[:u], strict=a[u:]), ra)
+    _agrees(da + db, ra + rb)
+    _agrees(da - db, ra - rb)
+    _agrees(-da, -ra)
+    _agrees(da.scale(factor), ra.scale(factor))
+    _agrees(da.meet(db), ra.meet(rb))
+    _agrees(da.floor(), ra.floor())
+    _agrees(da.ceil(), ra.ceil())
+    _agrees(da.pushforward(), RefDivisor(model, (Fraction(0),) * u, ra.strict))
+    assert da.less_equal(db) == ra.less_equal(rb)
+    assert da.meet(db).less_equal(da) and ra.meet(rb).less_equal(ra)
+    assert da.products() == ra.products()
+    assert all(type(p) is Fraction for p in da.products())
+    assert [da.intersect(i) for i in range(u)] == list(ra.products())
+    for div, ref in ((da, ra), (da.floor(), ra.floor()), (da - da, ra - ra),
+                     (da.meet(db), ra.meet(rb))):
+        assert div.is_integral() == ref.is_integral()
+        assert div.is_effective() == ref.is_effective()
+        assert div.is_zero() == ref.is_zero()
+
+
+@seed(20081010)
+@given(pair=divisor_pair())
+@settings(deadline=None, max_examples=100)
+def test_equal_divisors_have_one_representation(pair):
+    model, a, b = pair
+    u = model.u
+    da, db = r.Divisor(model, a[:u], a[u:]), r.Divisor(model, b[:u], b[u:])
+    again = (da + db) - db
+    assert again == da and hash(again) == hash(da)
+    assert (again.num, again.den) == (da.num, da.den)
+
+
+def test_scaled_half_equals_whole():
+    m = _A2
+    half = r.Divisor(m, (Fraction(1, 2), Fraction(1, 2)), ())
+    whole = r.Divisor(m, (1, 1), ())
+    assert half.scale(2) == whole and hash(half.scale(2)) == hash(whole)
+    assert (half.num, half.den) == ((1, 1), 2)
+    assert (whole.num, whole.den) == ((1, 1), 1)
+
+
+def test_divisors_copy_and_pickle():
+    div = d(Fraction(3, 2), -1)
+    assert copy.copy(div) == div and copy.deepcopy(div) == div
+    assert pickle.loads(pickle.dumps(div)) == div
+
+
+def test_model_mismatch_across_models_and_lengths():
+    other = r.build_model([("E1", 0, -2), ("E2", 0, -3)], [("E1", "E2", 1)])
+    x, y = d(1, 2), r.Divisor.from_coeffs(other, exc=[1, 2])
+    for op in (lambda: x + y, lambda: x - y, lambda: x.meet(y),
+               lambda: x.less_equal(y)):
+        with pytest.raises(r.ModelMismatch):
+            op()
+    with pytest.raises(r.ModelMismatch):
+        r.Divisor(_A2, (1,), ())
+    with pytest.raises(r.ModelMismatch):
+        r.Divisor(_A2, (1, 2), (3,))
+    with pytest.raises(r.ModelMismatch):
+        r.Divisor.from_coeffs(_A2, exc=[1, 2, 3])
+    with pytest.raises(r.ModelMismatch):
+        r.Divisor.from_coeffs(_A2, strict=[1])
+
+
+# -- only ints and Fractions are coefficients -------------------------------------
+
+NOT_RATIONAL = [0.5, 0.1, Decimal("0.5"), "1/2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL)
+def test_constructor_rejects_non_rational(bad):
+    with pytest.raises(r.NotRational, match=re.escape(repr(bad))):
+        r.Divisor(_A2, (bad, 1), ())
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL)
+def test_from_coeffs_rejects_non_rational(bad):
+    with pytest.raises(r.NotRational, match=re.escape(repr(bad))):
+        r.Divisor.from_coeffs(_A2, exc=[bad, 0])
+    with pytest.raises(r.NotRational, match=re.escape(repr(bad))):
+        r.Divisor.from_coeffs(_A2, exc={"E2": bad})
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL)
+def test_scale_rejects_non_rational(bad):
+    with pytest.raises(r.NotRational, match=re.escape(repr(bad))):
+        r.Divisor.curve(_A2, 0).scale(bad)

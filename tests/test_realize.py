@@ -208,3 +208,51 @@ def test_realize_rejects_non_log_terminal(corpus_models):
     with pytest.raises(r.NotLogTerminal) as info:
         r.realize(model, r.Divisor.zero(model))
     assert info.value.offenders == (0,)
+
+
+# -- failure details --------------------------------------------------------------------
+
+def _details(cert):
+    return {c.name: c.detail for c in r.verify_certificate(cert).checks
+            if not c.passed}
+
+
+def test_tampered_scalars_name_the_values():
+    model = a1()
+    cert = r.realize(model, r.Divisor.curve(model, 0))
+    lam = _details(dataclasses.replace(cert, lam=cert.lam * 2, checks=()))
+    assert lam["lambda_scaling_rule"] == "lambda*N: 5/2 vs 5/4"
+    eps = _details(dataclasses.replace(cert, epsilon=Fraction(3, 4),
+                                       checks=()))
+    assert eps["epsilon_constraints"] == "epsilon: 3/4 vs 1/2"
+    assert eps["chain_length_rule"] == "E1: 2 vs -1"
+
+
+def test_tampered_divisors_name_the_curve():
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
+    blown = cert.config.model
+    result = _details(dataclasses.replace(cert, F_prime=cert.F_prime + cert.F,
+                                          checks=()))
+    assert result["candidate_dominated"] == "E1: 2 vs 1"
+    top = _details(dataclasses.replace(
+        cert, F_prime=cert.F_prime - r.Divisor.curve(blown, blown.u - 1),
+        checks=()))
+    assert top["chain_top_order_equality"] == "E2(1,2): 0 vs 1"
+    assert top["closure_equals_target"] == "E2(1,2): 0 vs 1"
+    moved = _details(dataclasses.replace(
+        cert, F=cert.F + r.Divisor.curve(blown, 0), checks=()))
+    assert moved["dual_chain_domination"] == "E1: 8/3 vs 2/3"
+    assert moved["pullback_plus_canonical_antinef"] == "E2: 1 vs 0"
+    mu = _details(dataclasses.replace(cert, mu=cert.mu * 3, checks=()))
+    assert mu["perturbation_floor_identity"] == "E1(1,2): 2 vs 1"
+
+
+def test_tampered_strict_part_names_the_strict_curve():
+    model = r.build_model([("E1", 0, -2)], strict=[("C", {"E1": 1})])
+    f0, _ = r.antinef_closure(r.Divisor.from_coeffs(model, strict={"C": 1}))
+    cert = r.realize(model, f0)
+    bad = dataclasses.replace(
+        cert, F_prime=cert.F_prime + r.Divisor.from_coeffs(
+            cert.config.model, strict={"C": 1}), checks=())
+    assert _details(bad)["pushforward_preserved"] == "C: 2 vs 1"
