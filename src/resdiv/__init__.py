@@ -21,27 +21,26 @@ from .lattice import (NegDefResult, check_negative_definite, dual_basis,
 from .linalg import NotNegativeDefinite
 from .model import (ExcCurve, MalformedGraph, ResolutionModel, StrictCurve,
                     build_model)
-from .rationals import NotRational, Rational, format_rational, parse_rational
-from .realize import (CheckResult, DecompositionWitness,
-                      RealizationCertificate, VerificationReport,
-                      build_ample_negative, choose_epsilon, choose_mu,
-                      realize, verify_certificate)
+from .rationals import NotRational, format_rational, parse_rational
+from .realize import (CheckResult, RealizationCertificate,
+                      VerificationReport, build_ample_negative,
+                      choose_epsilon, choose_mu, realize, verify_certificate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainInfo", "CheckResult", "ClosureTrace", "DecompositionWitness",
-    "DiscrepancyReport", "Divisor", "ExcCurve", "GenericConfiguration",
-    "GraphDoc", "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
-    "ModelMismatch", "NegDefResult", "NonIntegralInput", "NonPositiveLambda",
-    "NotAntinef", "NotEffective", "NotLogTerminal", "NotNegativeDefinite",
-    "NotRational", "PreconditionViolated", "PullbackMap", "Rational",
-    "RealizationCertificate", "ResolutionModel", "StrictCurve",
-    "VerificationReport", "antinef_closure", "build_ample_negative",
-    "build_model", "check_negative_definite", "choose_epsilon", "choose_mu",
-    "decompose", "discrepancies", "dual_basis", "format_divisor",
-    "format_rational", "is_antinef", "multiplier_divisor",
-    "numerical_pullback", "parse_graph", "parse_graph_file", "parse_rational",
-    "realize", "relative_canonical", "serialize_model", "verify_certificate",
-    "verify_lemma_gen",
+    "ChainInfo", "CheckResult", "ClosureTrace", "DiscrepancyReport",
+    "Divisor", "ExcCurve", "GenericConfiguration", "GraphDoc",
+    "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
+    "ModelMismatch", "NegDefResult", "NonIntegralInput",
+    "NonPositiveLambda", "NotAntinef", "NotEffective", "NotLogTerminal",
+    "NotNegativeDefinite", "NotRational", "PreconditionViolated",
+    "PullbackMap", "RealizationCertificate", "ResolutionModel",
+    "StrictCurve", "VerificationReport", "antinef_closure",
+    "build_ample_negative", "build_model", "check_negative_definite",
+    "choose_epsilon", "choose_mu", "decompose", "discrepancies",
+    "dual_basis", "format_divisor", "format_rational", "is_antinef",
+    "multiplier_divisor", "numerical_pullback", "parse_graph",
+    "parse_graph_file", "parse_rational", "realize", "relative_canonical",
+    "serialize_model", "verify_certificate", "verify_lemma_gen",
 ]

@@ -3,9 +3,9 @@
 A divisor D is antinef when D.E_i <= 0 for every exceptional curve E_i.
 Every integral divisor has a unique smallest integral antinef divisor
 above it, its antinef closure.  The closure is computed by repeatedly
-adding one copy of a curve whose product is still positive; on a negative
-definite model this terminates, and the result does not depend on which
-violating curve is picked at each step (confluence is property-tested).
+adding one copy of the first curve whose product is still positive; on a
+negative definite model this terminates.  The tests check it against a
+dense reference closure that picks the violating curve by other rules.
 """
 
 from __future__ import annotations
@@ -39,16 +39,12 @@ def is_antinef(d: Divisor) -> bool:
     return all(p <= 0 for p in d.product_numerators())
 
 
-def antinef_closure(d: Divisor, select=None, step_bound=None):
+def antinef_closure(d: Divisor):
     """Compute the antinef closure of an integral divisor.
 
-    Returns (closure, trace).  ``select`` optionally overrides the choice
-    among violating indices (default: the smallest index); any rule yields
-    the same closure.  ``step_bound``, when given, caps the number of unit
-    steps and raises RuntimeError if exceeded (used to assert the
-    termination bound in tests).
-
-    Strict coefficients never change, so the pushforward is preserved.
+    Returns (closure, trace).  Each unit step adds the violating curve of
+    smallest index.  Strict coefficients never change, so the pushforward
+    is preserved.
     """
     if not d.is_integral():
         offender = Fraction(next(n for n in d.num if n % d.den), d.den)
@@ -62,10 +58,8 @@ def antinef_closure(d: Divisor, select=None, step_bound=None):
         violating = [i for i, p in enumerate(prods) if p > 0]
         if not violating:
             break
-        i = violating[0] if select is None else select(violating, prods)
+        i = violating[0]
         steps.append((i, prods[i]))
-        if step_bound is not None and len(steps) > step_bound:
-            raise RuntimeError("closure exceeded the step bound %d" % step_bound)
         num[i] += 1
         for k, v in model.sparse_rows[i]:
             prods[k] += v

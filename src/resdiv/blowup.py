@@ -9,17 +9,17 @@ randomness or coordinates are involved.
 
 GenericConfiguration.build constructs a whole family of chains (the e_i
 points with n_i blowups each used by the realization pipeline) in one
-pass, together with the composite pullback, the relative canonical
+pass, together with the composite pullback (stored as the sparse support
+of each column, read straight off the chains), the relative canonical
 divisor of the composition, and closed-form sums of dual-basis vectors.
 The test suite keeps the step-by-step route (one blowup at a time,
-composing pullbacks) in tests/oracles.py and checks the one-pass build
-against it.
+composing dense pullbacks) in tests/oracles.py and checks the one-pass
+build against it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
 
 from .antinef import is_antinef
 from .divisor import Divisor
@@ -35,21 +35,15 @@ class PreconditionViolated(Exception):
 class PullbackMap:
     """Integral linear map sending divisors on ``source`` to ``target``.
 
-    ``columns[j]`` holds the target exceptional coefficients of the
-    pullback of the j-th source curve.  Strict coefficients pass through
-    unchanged (centers always avoid strict curves).
+    ``support[j]`` lists the (target curve index, coefficient) pairs, in
+    index order and with nonzero coefficients, of the pullback of the j-th
+    source curve.  Strict coefficients pass through unchanged (centers
+    always avoid strict curves).
     """
 
     source: ResolutionModel
     target: ResolutionModel
-    columns: tuple  # per source curve, tuple of ints over target curves
-    # per source curve, the (target index, value) pairs with value != 0
-    support: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(
-            tuple((k, col[k]) for k in compress(range(len(col)), col))
-            for col in self.columns))
+    support: tuple  # per source curve, a tuple of (index, int) pairs
 
     def apply(self, d: Divisor) -> Divisor:
         if d.model is not self.source and d.model != self.source:
@@ -134,16 +128,11 @@ class GenericConfiguration:
                        for s in base_model.strict_curves)
         model = ResolutionModel(curves, meetings, strict)
 
-        cols = []
-        for l in range(u):
-            col = [0] * total
-            col[l] = 1
-            for info in chains:
-                if info.base == l:
-                    for m in range(info.length):
-                        col[info.start + m] = 1
-            cols.append(tuple(col))
-        pullback = PullbackMap(base_model, model, tuple(cols))
+        support = [[(l, 1)] for l in range(u)]
+        for info in chains:
+            support[info.base].extend(
+                (k, 1) for k in range(info.start, info.start + info.length))
+        pullback = PullbackMap(base_model, model, tuple(map(tuple, support)))
 
         k_num = [0] * (total + len(strict))
         for info in chains:
@@ -243,9 +232,10 @@ def verify_lemma_gen(config: GenericConfiguration, d: Divisor) -> LemmaGenReport
                           for t in range(len(coeffs) - 1))
     strict_increase = coeffs[0] < coeffs[-1]
 
+    prods = d.products()
     combo = Divisor.zero(config.model)
     for k in chain_curves:
-        combo = combo + duals[k].scale(-d.intersect(k))
+        combo = combo + duals[k].scale(-prods[k])
     chain_duals_dominate = duals[i].less_equal(combo)
 
     return LemmaGenReport(

@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .antinef import NonIntegralInput, antinef_closure, is_antinef
+from .antinef import NonIntegralInput, antinef_closure
 from .blowup import GenericConfiguration
 from .canonical import (NonPositiveLambda, NotAntinef, NotEffective,
                         NotLogTerminal, discrepancies, multiplier_divisor,

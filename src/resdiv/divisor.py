@@ -4,8 +4,8 @@ A Divisor is a rational coefficient vector over the exceptional curves and
 the strict curves of one fixed model, kept as int numerators ``num``
 (exceptional, then strict) over one denominator ``den >= 1`` in lowest
 terms, so it has one representation and its arithmetic runs on ints.  The
-``Fraction`` views ``exc``, ``strict``, ``products()`` and ``intersect()``
-are built on demand.  Divisors are immutable value types bound to a model
+``Fraction`` views ``exc``, ``strict`` and ``products()`` (the D.E_i) are
+built on demand.  Divisors are immutable value types bound to a model
 identity: combining divisors that live on different models raises
 ModelMismatch instead of coercing.
 """
@@ -127,16 +127,6 @@ class Divisor:
 
     # -- intersection products -------------------------------------------
 
-    def intersect(self, i: int) -> Fraction:
-        """Exact value of D.E_i, including strict-curve contributions."""
-        model, num = self.model, self.num
-        if not 0 <= i < model.u:
-            raise ModelMismatch("curve index %d out of range" % (i,))
-        total = sum(num[j] * v for j, v in model.sparse_rows[i])  # row i is column i
-        total += sum(c * s.incidence[i]
-                     for c, s in zip(num[model.u:], model.strict_curves))
-        return Fraction(total, self.den)
-
     def product_numerators(self) -> list:
         """Numerators over ``den`` of (D.E_1, ..., D.E_u), as a new list."""
         model = self.model
@@ -148,7 +138,8 @@ class Divisor:
         return out
 
     def products(self) -> tuple:
-        """The full vector (D.E_1, ..., D.E_u) as Fractions."""
+        """The full vector (D.E_1, ..., D.E_u) as Fractions, including
+        strict-curve contributions."""
         return tuple(Fraction(p, self.den) for p in self.product_numerators())
 
     # -- componentwise operations -----------------------------------------

@@ -69,6 +69,11 @@ class ResolutionModel:
         if len(pairs) != len(self.meetings) or any(
                 not (0 <= i < j < self.u and m > 0) for i, j, m in self.meetings):
             raise MalformedGraph("meetings must join two curves, each pair once")
+        for s in self.strict_curves:
+            if len(s.incidence) != self.u or any(
+                    not isinstance(v, int) or v < 0 for v in s.incidence):
+                raise MalformedGraph("strict curve %r: incidences must be %d "
+                                     "non-negative integers" % (s.label, self.u))
         rows = [[(i, c.self_int)] for i, c in enumerate(self.curves)]
         for i, j, m in self.meetings:
             rows[i].append((j, m))

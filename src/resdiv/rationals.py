@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class NotRational(TypeError):
     """A value given as an exact rational is neither an int nor a Fraction."""

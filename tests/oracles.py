@@ -7,9 +7,11 @@ coefficient box (vectorized with numpy so the full enumeration stays
 fast).
 
 The step-by-step blowup route builds chain configurations one free-point
-blowup at a time, composing the pullbacks and relative canonical
-divisors of the single steps; GenericConfiguration.build, which writes
-the blown model down in one pass, is checked against it.
+blowup at a time, composing dense pullback matrices and the relative
+canonical divisors of the single steps; GenericConfiguration.build, which
+writes the blown model and the sparse pullback down in one pass, is
+checked against it.  closure_with_rule runs the unit-step closure on the
+dense matrix under any rule for picking the violating curve.
 
 RefDivisor keeps one Fraction per coefficient and does every operation
 coefficient by coefficient, with products read off the dense matrix; the
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from resdiv import (ChainInfo, Divisor, ExcCurve, GenericConfiguration,
-                    PullbackMap, ResolutionModel, StrictCurve)
+                    ResolutionModel, StrictCurve)
 
 
 def det(matrix):
@@ -76,12 +78,53 @@ def brute_closure_oracle(matrix, box=12):
     return least_above
 
 
+def closure_with_rule(model, exc, select, strict=()):
+    """Antinef closure of the integral divisor (exc, strict) by unit steps
+    on the dense matrix, adding at each step the curve
+    ``select(violating, prods)`` picks among the indices whose product is
+    positive.  Returns the exceptional coefficients of the closure."""
+    matrix = model.matrix
+    exc = [int(c) for c in exc]
+    prods = [sum(c * matrix[j][i] for j, c in enumerate(exc))
+             + sum(int(c) * s.incidence[i]
+                   for c, s in zip(strict, model.strict_curves))
+             for i in range(model.u)]
+    while True:
+        violating = [i for i, p in enumerate(prods) if p > 0]
+        if not violating:
+            return tuple(exc)
+        i = select(violating, prods)
+        exc[i] += 1
+        prods = [p + v for p, v in zip(prods, matrix[i])]
+
+
 # -- step-by-step blowups ------------------------------------------------------
+
+@dataclass(frozen=True)
+class DensePullback:
+    """A pullback as its dense matrix: ``columns[j]`` holds the target
+    exceptional coefficients of the pullback of the j-th source curve."""
+
+    source: ResolutionModel
+    target: ResolutionModel
+    columns: tuple
+
+    @property
+    def support(self):
+        """The sparse form PullbackMap stores: nonzero (index, value) pairs."""
+        return tuple(tuple((k, v) for k, v in enumerate(col) if v)
+                     for col in self.columns)
+
+    def apply(self, d):
+        exc = [sum((c * col[k] for c, col in zip(d.exc, self.columns)),
+                   Fraction(0)) for k in range(self.target.u)]
+        return Divisor(self.target, exc, d.strict)
+
 
 def identity_pullback(model):
     cols = tuple(tuple(int(i == j) for i in range(model.u))
                  for j in range(model.u))
-    return PullbackMap(model, model, cols)
+    return DensePullback(model, model, cols)
 
 
 def compose(first, second):
@@ -95,13 +138,13 @@ def compose(first, second):
                     if w:
                         out[k] += v * w
         cols.append(tuple(out))
-    return PullbackMap(first.source, second.target, tuple(cols))
+    return DensePullback(first.source, second.target, tuple(cols))
 
 
 @dataclass(frozen=True)
 class BlowupResult:
     new_model: ResolutionModel
-    sigma_pullback: PullbackMap
+    sigma_pullback: DensePullback
     K_sigma: Divisor            # relative canonical divisor of the map
     base_curve: int             # index of the curve carrying the center(s)
     chain_curves: tuple         # indices of the new curves, in creation order
@@ -153,7 +196,7 @@ def blow_up_free_point(model, i, point_tag=None):
         if j == i:
             col[u] = 1
         cols.append(tuple(col))
-    pullback = PullbackMap(model, new_model, tuple(cols))
+    pullback = DensePullback(model, new_model, tuple(cols))
     return BlowupResult(new_model, pullback, Divisor.curve(new_model, u),
                         base_curve=i, chain_curves=(u,))
 

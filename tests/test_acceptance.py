@@ -36,7 +36,7 @@ def test_criterion_1_dual_basis_exactness():
         worst = max(worst, elapsed)
         for i, dual in enumerate(duals):
             for j in range(model.u):
-                if dual.intersect(j) != -int(i == j):
+                if dual.products()[j] != -int(i == j):
                     ok = False
     ok = ok and worst < 0.1
     verdict("criterion 1 (dual-basis exactness)", ok,

@@ -6,7 +6,7 @@ import pytest
 
 import resdiv as r
 from conftest import random_integral_divisor
-from oracles import brute_closure_oracle
+from oracles import brute_closure_oracle, closure_with_rule
 
 
 def a2():
@@ -99,7 +99,11 @@ def test_pushforward_preserved_and_idempotent(corpus_models):
 
 
 def test_confluence_under_selection_rule(corpus_models):
+    """The closure matches the dense reference under three picking rules."""
     rng = random.Random(9)
+
+    def pick_smallest(violating, prods):
+        return violating[0]
 
     def pick_largest(violating, prods):
         return violating[-1]
@@ -110,9 +114,10 @@ def test_confluence_under_selection_rule(corpus_models):
     for model in corpus_models.values():
         for _ in range(20):
             d = random_integral_divisor(model, rng)
-            base, _ = r.antinef_closure(d)
-            assert r.antinef_closure(d, select=pick_largest)[0] == base
-            assert r.antinef_closure(d, select=pick_most_violating)[0] == base
+            closed = tuple(r.antinef_closure(d)[0].exc)
+            for rule in (pick_smallest, pick_largest, pick_most_violating):
+                assert closure_with_rule(model, d.exc, rule,
+                                         d.strict) == closed
 
 
 def _termination_bound(model, d):
@@ -140,5 +145,5 @@ def test_termination_within_dominating_bound(corpus_models):
         for _ in range(10):
             d = random_integral_divisor(model, rng, hi=6)
             bound = _termination_bound(model, d)
-            closed, trace = r.antinef_closure(d, step_bound=bound)
+            closed, trace = r.antinef_closure(d)
             assert len(trace.steps) <= bound

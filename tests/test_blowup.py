@@ -33,7 +33,7 @@ def test_blowup_pullback_and_canonical():
     pulled = res.sigma_pullback.apply(r.Divisor.curve(base, 0))
     assert pulled.exc == (Fraction(1), Fraction(1))
     # pullbacks stay orthogonal to the new curve
-    assert pulled.intersect(1) == 0
+    assert pulled.products()[1] == 0
     assert res.K_sigma == r.Divisor.curve(res.new_model, 1)
 
 
@@ -56,10 +56,10 @@ def test_pullback_preserves_intersection_products():
     for _ in range(20):
         d1 = random_integral_divisor(base, rng)
         d2 = random_integral_divisor(base, rng)
-        before = sum(c * d2.intersect(i) for i, c in enumerate(d1.exc))
+        before = sum(c * p for c, p in zip(d1.exc, d2.products()))
         p1 = res.sigma_pullback.apply(d1)
         p2 = res.sigma_pullback.apply(d2)
-        after = sum(c * p2.intersect(i) for i, c in enumerate(p1.exc))
+        after = sum(c * p for c, p in zip(p1.exc, p2.products()))
         assert before == after
 
 
@@ -113,9 +113,28 @@ def test_build_matches_iterated_route(log_terminal_models):
         fast = r.GenericConfiguration.build(model, e, n)
         slow = iterated_configuration(model, e, n)
         assert fast.model == slow.model
-        assert fast.pullback.columns == slow.pullback.columns
+        assert fast.pullback.support == slow.pullback.support
         assert fast.K_sigma.exc == slow.K_sigma.exc
         assert fast.chains == slow.chains
+
+
+def test_production_pullback_projection_formula(log_terminal_models):
+    """(g*D).E_i is D.E_i on every base curve and 0 on every chain curve,
+    for D with a strict part: each model gains a strict curve S."""
+    rng = random.Random(14)
+    for name, base in log_terminal_models.items():
+        at = rng.randrange(base.u)
+        s = r.StrictCurve("S", tuple(int(k == at) for k in range(base.u)))
+        model = r.ResolutionModel(base.curves, base.meetings,
+                                  base.strict_curves + (s,))
+        e = [rng.randint(0, 2) for _ in range(model.u)]
+        n = [rng.randint(0, 3) for _ in range(model.u)]
+        config = r.GenericConfiguration.build(model, e, n)
+        d = r.Divisor(model, [rng.randint(0, 6) for _ in range(model.u)],
+                      [rng.randint(1, 3) for _ in model.strict_curves])
+        pulled = config.pullback.apply(d).products()
+        assert pulled[:model.u] == d.products(), name
+        assert all(p == 0 for p in pulled[model.u:]), name
 
 
 def test_configuration_duals_match_direct_solve():

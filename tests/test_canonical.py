@@ -51,7 +51,7 @@ def test_adjunction_identity(corpus_models):
     for model in corpus_models.values():
         k = r.relative_canonical(model)
         for i, curve in enumerate(model.curves):
-            assert k.intersect(i) == 2 * curve.genus - 2 - curve.self_int
+            assert k.products()[i] == 2 * curve.genus - 2 - curve.self_int
 
 
 def test_relative_canonical_has_zero_strict_part(corpus_models):

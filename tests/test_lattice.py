@@ -164,25 +164,25 @@ def test_dual_basis_duality_and_effectivity(corpus_models):
         for i, dual in enumerate(duals):
             assert dual.is_effective()
             for j in range(model.u):
-                assert dual.intersect(j) == -int(i == j)
+                assert dual.products()[j] == -int(i == j)
 
 
-# -- intersect ------------------------------------------------------------------
+# -- intersection products -----------------------------------------------------
 
 def test_intersect_adjacent_curves():
     m = a2()
-    assert r.Divisor.curve(m, 0).intersect(1) == 1
+    assert r.Divisor.curve(m, 0).products()[1] == 1
 
 
 def test_intersect_zero_divisor():
     m = a2()
     z = r.Divisor.zero(m)
-    assert all(z.intersect(i) == 0 for i in range(m.u))
+    assert all(z.products()[i] == 0 for i in range(m.u))
 
 
 def test_intersect_dual_with_own_curve():
     m = a2()
-    assert r.dual_basis(m)[0].intersect(0) == -1
+    assert r.dual_basis(m)[0].products()[0] == -1
 
 
 def test_intersect_is_bilinear(corpus_models):
@@ -198,8 +198,8 @@ def test_intersect_is_bilinear(corpus_models):
                              for _ in model.strict_curves))
         a, b = random_rational(rng), random_rational(rng)
         for i in range(model.u):
-            assert (d1.scale(a) + d2.scale(b)).intersect(i) == \
-                a * d1.intersect(i) + b * d2.intersect(i)
+            assert (d1.scale(a) + d2.scale(b)).products()[i] == \
+                a * d1.products()[i] + b * d2.products()[i]
 
 
 # -- numerical pullback / pushforward ---------------------------------------------
@@ -210,7 +210,7 @@ def test_pullback_through_a1_strict_curve():
     pulled = r.numerical_pullback(m, c)
     assert pulled.exc == (Fraction(1, 2),)
     assert pulled.strict == (Fraction(1),)
-    assert pulled.intersect(0) == 0
+    assert pulled.products()[0] == 0
 
 
 def test_pullback_is_linear_in_strict_part():
@@ -236,7 +236,7 @@ def test_pullback_pushforward_roundtrip(corpus_models):
                       tuple(random_rational(rng)
                             for _ in model.strict_curves))
         pulled = r.numerical_pullback(model, c)
-        assert all(pulled.intersect(i) == 0 for i in range(model.u))
+        assert all(pulled.products()[i] == 0 for i in range(model.u))
         assert pulled.pushforward().strict == c.strict
 
 

@@ -80,3 +80,13 @@ def test_constructor_rejects_meetings_it_cannot_store_once():
                      [(0, 1, 0)], [(-1, 1, 1)]):
         with pytest.raises(r.MalformedGraph, match="each pair once"):
             r.ResolutionModel(curves, meetings)
+
+
+def test_constructor_rejects_malformed_strict_incidences():
+    """One non-negative int per curve: too many entries used to crash
+    later in product_numerators, and () and (-3,) used to be accepted."""
+    curves = [r.ExcCurve("E1", 0, -2)]
+    assert r.ResolutionModel(curves, (), [r.StrictCurve("C", (1,))]).u == 1
+    for incidence in ((1, 1), (), (-3,)):
+        with pytest.raises(r.MalformedGraph, match="strict curve 'C'"):
+            r.ResolutionModel(curves, (), [r.StrictCurve("C", incidence)])

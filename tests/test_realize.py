@@ -73,7 +73,6 @@ def test_realize_on_random_corpus_divisors(log_terminal_models):
             assert cert.passed, (name, cert)
             report = r.verify_certificate(cert)
             assert report.passed and report.first_failure is None
-            assert report.witness.total() == cert.F_prime
 
 
 def test_scaling_invariance_of_the_pair():
@@ -99,7 +98,8 @@ def test_epsilon_rule_on_strict_coefficients():
 
 def test_ample_negative_products():
     model = a2()
-    a_div = r.build_ample_negative(model)
+    a_div = r.build_ample_negative(sum(r.dual_basis(model),
+                                       r.Divisor.zero(model)))
     assert a_div.is_integral() and a_div.is_effective()
     prods = a_div.products()
     assert len(set(prods)) == 1 and prods[0] < 0
@@ -153,7 +153,7 @@ def test_tampered_chain_length_detected():
     k_g = config.K_sigma
     k_h = k_g + config.pullback.apply(r.relative_canonical(model))
     a_div = r.build_ample_negative(
-        config.model, dual_sum=config.weighted_dual_sum([1] * config.model.u))
+        config.weighted_dual_sum([1] * config.model.u))
     mu = r.choose_mu(config.model, f, k_g, k_h, cert.epsilon, a_div)
     scaled = f + k_g + a_div.scale(mu)
     n_factor = math.lcm(*[c.denominator for c in scaled.exc])
