@@ -51,8 +51,9 @@ class DiscrepancyReport:
 def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
     """Solve the adjunction system for the discrepancy vector."""
     if model._discrepancies is None:
-        rhs = [Fraction(2 * c.genus - 2 - c.self_int) for c in model.curves]
-        (b,) = linalg.solve_columns(model.matrix, [rhs])
+        rhs = [2 * c.genus - 2 - c.self_int for c in model.curves]
+        den, (num,) = linalg.solve_columns(model.matrix, [rhs])
+        b = [Fraction(n, den) for n in num]
         offenders = tuple(i for i, v in enumerate(b) if v <= -1)
         model._discrepancies = DiscrepancyReport(
             b=tuple(b), log_terminal=not offenders, offenders=offenders)

@@ -65,10 +65,18 @@ class ResolutionModel:
             raise MalformedGraph("duplicate curve labels")
         if set(self._index) & set(self._strict_index):
             raise MalformedGraph("label used for both a curve and a strict curve")
+        for c in self.curves:
+            if not (isinstance(c.genus, int) and c.genus >= 0
+                    and isinstance(c.self_int, int) and c.self_int < 0):
+                raise MalformedGraph("curve %r: genus %r and self-intersection "
+                                     "%r must be ints >= 0 and < 0"
+                                     % (c.label, c.genus, c.self_int))
         pairs = {(i, j) for i, j, _ in self.meetings}
         if len(pairs) != len(self.meetings) or any(
-                not (0 <= i < j < self.u and m > 0) for i, j, m in self.meetings):
-            raise MalformedGraph("meetings must join two curves, each pair once")
+                not (0 <= i < j < self.u and isinstance(m, int) and m > 0)
+                for i, j, m in self.meetings):
+            raise MalformedGraph("meetings must join two curves, each pair "
+                                 "once, with a positive int multiplicity")
         for s in self.strict_curves:
             if len(s.incidence) != self.u or any(
                     not isinstance(v, int) or v < 0 for v in s.incidence):
@@ -154,10 +162,6 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
     selfs = {}
     for entry in curves:
         label, genus, self_int = entry
-        if not isinstance(genus, int) or genus < 0:
-            raise MalformedGraph("curve %r: genus must be a non-negative integer" % (label,))
-        if not isinstance(self_int, int) or self_int >= 0:
-            raise MalformedGraph("curve %r: self-intersection must be a negative integer" % (label,))
         if label in genera:
             raise MalformedGraph("duplicate curve %r" % (label,))
         labels.append(label)
@@ -174,12 +178,9 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
             raise MalformedGraph("meeting references unknown curve %r" % (b,))
         if a == b:
             raise MalformedGraph("curve %r cannot meet itself" % (a,))
-        if not isinstance(mult, int) or mult <= 0:
-            raise MalformedGraph("meeting %r.%r: multiplicity must be a positive integer"
-                                 % (a, b))
         key = (min(index[a], index[b]), max(index[a], index[b]))
         if key in seen and seen[key] != mult:
-            raise MalformedGraph("asymmetric meeting data for %r and %r (%d vs %d)"
+            raise MalformedGraph("asymmetric meeting data for %r and %r (%r vs %r)"
                                  % (a, b, seen[key], mult))
         seen[key] = mult
 

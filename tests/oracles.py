@@ -78,22 +78,26 @@ def brute_closure_oracle(matrix, box=12):
     return least_above
 
 
-def closure_with_rule(model, exc, select, strict=()):
+def closure_with_rule(model, exc, select, strict=(), trace=False):
     """Antinef closure of the integral divisor (exc, strict) by unit steps
     on the dense matrix, adding at each step the curve
     ``select(violating, prods)`` picks among the indices whose product is
-    positive.  Returns the exceptional coefficients of the closure."""
+    positive, found by rescanning every product.  Returns the exceptional
+    coefficients of the closure, and with ``trace`` also the steps as
+    (index, product before the step) pairs."""
     matrix = model.matrix
     exc = [int(c) for c in exc]
     prods = [sum(c * matrix[j][i] for j, c in enumerate(exc))
              + sum(int(c) * s.incidence[i]
                    for c, s in zip(strict, model.strict_curves))
              for i in range(model.u)]
+    steps = []
     while True:
         violating = [i for i, p in enumerate(prods) if p > 0]
         if not violating:
-            return tuple(exc)
+            return (tuple(exc), tuple(steps)) if trace else tuple(exc)
         i = select(violating, prods)
+        steps.append((i, prods[i]))
         exc[i] += 1
         prods = [p + v for p, v in zip(prods, matrix[i])]
 

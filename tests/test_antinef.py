@@ -98,12 +98,13 @@ def test_pushforward_preserved_and_idempotent(corpus_models):
             assert again == closed and trace.steps == ()
 
 
+def _pick_smallest(violating, prods):
+    return violating[0]
+
+
 def test_confluence_under_selection_rule(corpus_models):
     """The closure matches the dense reference under three picking rules."""
     rng = random.Random(9)
-
-    def pick_smallest(violating, prods):
-        return violating[0]
 
     def pick_largest(violating, prods):
         return violating[-1]
@@ -115,9 +116,36 @@ def test_confluence_under_selection_rule(corpus_models):
         for _ in range(20):
             d = random_integral_divisor(model, rng)
             closed = tuple(r.antinef_closure(d)[0].exc)
-            for rule in (pick_smallest, pick_largest, pick_most_violating):
+            for rule in (_pick_smallest, pick_largest, pick_most_violating):
                 assert closure_with_rule(model, d.exc, rule,
                                          d.strict) == closed
+
+
+def test_trace_matches_rescanning_oracle_step_for_step(corpus_models):
+    """The heap of violating indices takes the same smallest-index steps
+    as a closure that rescans every product before each step."""
+    rng = random.Random(13)
+    for model in corpus_models.values():
+        for _ in range(10):
+            d = random_integral_divisor(model, rng)
+            closed, trace = r.antinef_closure(d)
+            assert closure_with_rule(model, d.exc, _pick_smallest, d.strict,
+                                     trace=True) == (closed.exc, trace.steps)
+
+
+def test_trace_matches_rescanning_oracle_on_100_curve_chain_model(
+        corpus_models):
+    base = corpus_models["e8"]
+    e, n = [0] * base.u, [0] * base.u
+    for label, count, length in (("E2", 2, 10), ("E4", 3, 8), ("E8", 4, 12)):
+        e[base.index_of(label)], n[base.index_of(label)] = count, length
+    model = r.GenericConfiguration.build(base, e, n).model
+    assert model.u == 100
+    d = r.Divisor.curve(model, 0).scale(400)
+    closed, trace = r.antinef_closure(d)
+    assert len(trace.steps) > 10000
+    assert closure_with_rule(model, d.exc, _pick_smallest,
+                             trace=True) == (closed.exc, trace.steps)
 
 
 def _termination_bound(model, d):

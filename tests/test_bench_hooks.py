@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps names inside ``resdiv``; a refactor that
-removes or moves one of them must fail here, not only in a traced run."""
+removes or moves one of them, or changes what its counters read, must
+fail here, not only in a traced run."""
 
 import os
 import subprocess
@@ -9,13 +10,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_against_src():
+def run_with_tracer(body):
+    """Run ``body`` in a fresh interpreter after installing the tracer as
+    ``tracer_``; the tracer patches modules for the life of the process."""
     script = ("import sys; sys.path[:0] = [%r, %r]\n"
               "import resdiv, tracer\n"
               "assert resdiv.__file__.startswith(%r), resdiv.__file__\n"
-              "tracer.Tracer().install()\n"
-              % (str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "src")))
+              "tracer_ = tracer.Tracer()\n"
+              "tracer_.install()\n"
+              % (str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "src"))
+              + body)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_installs_against_src():
+    run_with_tracer("")
+
+
+def test_tracer_counts_rows_solved_by_dual_basis():
+    run_with_tracer(
+        "from fractions import Fraction\n"
+        "from resdiv import lattice\n"
+        "a2 = resdiv.build_model([('E1', 0, -2), ('E2', 0, -2)],\n"
+        "                        [('E1', 'E2', 1)])\n"
+        "d1, _ = lattice.dual_basis(a2)\n"
+        "assert d1.exc == (Fraction(2, 3), Fraction(1, 3)), d1\n"
+        "assert tracer_.counters['linalg.rows_solved'] == 2, tracer_.counters\n"
+        "assert tracer_.calls['linalg.solve_columns'] == 1, tracer_.calls\n")

@@ -287,14 +287,15 @@ def test_check_eliminates_once(capsys, monkeypatch):
     calls = []
 
     def counted(matrix, columns):
-        calls.append(len(matrix))
-        return original(matrix, columns)
+        calls.append((len(matrix), original(matrix, columns)))
+        return calls[-1][1]
 
     monkeypatch.setattr(linalg, "solve_columns", counted)
     code, out, _ = run(capsys, "check", graph("a2"))
     assert code == 0
     assert "negative_definite = true" in out.splitlines()
-    assert calls == [2]
+    # one solve of the 2-curve form: den = |det| = 3, discrepancies 0
+    assert calls == [(2, (3, [[0, 0]]))]
 
 
 def test_check_indefinite_reports_witness(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,11 @@ def test_negdef_agrees_with_minor_oracle_on_random_graphs():
             assert q >= 0
 
 
+def _leading_minor(mat, k):
+    """det of the leading k x k block, by the cofactor oracle."""
+    return det(tuple(tuple(row[:k]) for row in mat[:k]))
+
+
 def test_solve_columns_agrees_with_minor_oracle_on_random_graphs():
     rng = random.Random(5)
     definite = 0
@@ -126,17 +132,44 @@ def test_solve_columns_agrees_with_minor_oracle_on_random_graphs():
             # first leading minor det(M[:k+1,:k+1]) without sign (-1)^(k+1)
             k = info.value.index
             for j in range(k + 1):
-                d = det(tuple(tuple(row[:j + 1]) for row in mat[:j + 1]))
+                d = _leading_minor(mat, j + 1)
                 assert ((-1) ** (j + 1) * d > 0) == (j < k)
+            assert info.value.pivot == \
+                _leading_minor(mat, k + 1) / _leading_minor(mat, k)
             assert info.value.pivot >= 0
             continue
         definite += 1
-        assert linalg.solve_columns(mat, []) == []
+        den = abs(det(tuple(map(tuple, mat))))
+        assert linalg.solve_columns(mat, []) == (den, [])
         rhs = [[random_rational(rng) for _ in range(u)] for _ in range(2)]
-        for b, x in zip(rhs, linalg.solve_columns(mat, rhs)):
-            assert [sum(mat[i][j] * x[j] for j in range(u))
-                    for i in range(u)] == b
+        scale = math.lcm(*(v.denominator for b in rhs for v in b))
+        got_den, xs = linalg.solve_columns(
+            mat, [[int(v * scale) for v in b] for b in rhs])
+        assert got_den == den
+        for b, x in zip(rhs, xs):
+            assert all(isinstance(v, int) for v in x)
+            assert [sum(mat[i][j] * Fraction(x[j], den * scale)
+                        for j in range(u)) for i in range(u)] == b
     assert 0 < definite < 200
+
+
+def test_solve_columns_is_exact_on_huge_int_right_hand_sides():
+    """den = |det M| and M x = den b hold exactly on ints near 10^40."""
+    rng = random.Random(17)
+    solved = 0
+    for mat, _ in _random_forms():
+        if not negdef_by_minors(mat):
+            continue
+        u = len(mat)
+        rhs = [[rng.randint(-10 ** 40, 10 ** 40) for _ in range(u)]
+               for _ in range(3)]
+        den, xs = linalg.solve_columns(mat, rhs)
+        assert den == abs(det(tuple(map(tuple, mat))))
+        for b, x in zip(rhs, xs):
+            assert [sum(mat[i][j] * x[j] for j in range(u))
+                    for i in range(u)] == [den * v for v in b]
+        solved += 1
+    assert solved > 10
 
 
 # -- dual_basis ---------------------------------------------------------------

@@ -82,6 +82,19 @@ def test_constructor_rejects_meetings_it_cannot_store_once():
             r.ResolutionModel(curves, meetings)
 
 
+@pytest.mark.parametrize("curves, meetings", [
+    ([r.ExcCurve("E1", 0, 2)], []),
+    ([r.ExcCurve("E1", -1, -2)], []),
+    ([r.ExcCurve("E1", 0, -2), r.ExcCurve("E2", 0, -2)], [(0, 1, 1.5)]),
+], ids=["positive_self_int", "negative_genus", "float_multiplicity"])
+def test_constructor_rejects_malformed_curves_and_multiplicities(curves,
+                                                                meetings):
+    """A direct construction used to accept these; the integer solver
+    would then floor a float or fail inside math.gcd."""
+    with pytest.raises(r.MalformedGraph):
+        r.ResolutionModel(curves, meetings)
+
+
 def test_constructor_rejects_malformed_strict_incidences():
     """One non-negative int per curve: too many entries used to crash
     later in product_numerators, and () and (-3,) used to be accepted."""
