@@ -63,6 +63,8 @@ class PullbackMap:
 
 @dataclass(frozen=True)
 class ChainInfo:
+    """One chain; its curves are labelled ``<base label>(point,step)``."""
+
     base: int    # base-curve index the chain hangs off
     point: int   # 1-based point number on that curve
     start: int   # index of the first chain curve in the blown model
@@ -110,8 +112,7 @@ class GenericConfiguration:
         roots = [0] * u
         for info in chains:
             roots[info.base] += 1
-        curves = [ExcCurve(label=c.label, genus=c.genus,
-                           self_int=c.self_int - roots[i], chain=c.chain)
+        curves = [ExcCurve(c.label, c.genus, c.self_int - roots[i])
                   for i, c in enumerate(base_model.curves)]
         meetings = list(base_model.meetings)
         for info in chains:
@@ -119,10 +120,9 @@ class GenericConfiguration:
             base_label = base_model.curves[b].label
             meetings.append((b, s, 1))
             meetings.extend((s + m, s + m + 1, 1) for m in range(L - 1))
-            curves.extend(ExcCurve(
-                label="%s(%d,%d)" % (base_label, info.point, m), genus=0,
-                self_int=-1 if m == L else -2, chain=(base_label, info.point, m))
-                for m in range(1, L + 1))
+            curves.extend(ExcCurve("%s(%d,%d)" % (base_label, info.point, m),
+                                   0, -1 if m == L else -2)
+                          for m in range(1, L + 1))
         strict = tuple(StrictCurve(label=s.label,
                                    incidence=s.incidence + (0,) * (total - u))
                        for s in base_model.strict_curves)

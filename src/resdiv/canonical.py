@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .antinef import NonIntegralInput, antinef_closure
-from .divisor import Divisor
+from .divisor import Divisor, ModelMismatch
 from .model import ResolutionModel
 from .rationals import as_rational
 
@@ -66,24 +66,36 @@ def relative_canonical(model: ResolutionModel) -> Divisor:
     return Divisor(model, report.b, (0,) * len(model.strict_curves))
 
 
+def check_ideal_divisor(model: ResolutionModel, d: Divisor) -> list:
+    """The D.E_i numerators of a divisor representing an integrally closed
+    ideal: D must live on ``model`` and be integral, effective and antinef,
+    or ModelMismatch, NonIntegralInput, NotEffective or NotAntinef (naming
+    the first curve with a positive product) is raised."""
+    if d.model is not model and d.model != model:
+        raise ModelMismatch("divisor does not live on the given model")
+    if not d.is_integral():
+        raise NonIntegralInput("divisor must be integral")
+    if not d.is_effective():
+        raise NotEffective("divisor must be effective")
+    prods = d.product_numerators()
+    bad = next((i for i, p in enumerate(prods) if p > 0), None)
+    if bad is not None:
+        raise NotAntinef("divisor has positive product %d with curve %r"
+                         % (prods[bad], model.labels[bad]))
+    return prods
+
+
 def multiplier_divisor(model: ResolutionModel, g: Divisor, lam) -> Divisor:
     """Antinef divisor representing the multiplier ideal of (G, lambda).
 
-    G must be integral, effective and antinef (it represents an integrally
-    closed ideal); lambda must be a positive int or Fraction.  The result
-    is the antinef closure of floor(lambda G - K_f).
+    G must pass check_ideal_divisor (it represents an integrally closed
+    ideal); lambda must be a positive int or Fraction.  The result is the
+    antinef closure of floor(lambda G - K_f).
     """
     lam = as_rational(lam)
     if lam <= 0:
         raise NonPositiveLambda("lambda must be > 0, got %s" % (lam,))
-    if not g.is_integral():
-        raise NonIntegralInput("G must be integral")
-    if not g.is_effective():
-        raise NotEffective("G must be effective")
-    prods = g.product_numerators()
-    if any(p > 0 for p in prods):
-        raise NotAntinef("G.E_i > 0 at index %d"
-                         % next(i for i, p in enumerate(prods) if p > 0))
+    check_ideal_divisor(model, g)
     k_f = relative_canonical(model)
     candidate = (g.scale(lam) - k_f).floor()
     closed, _ = antinef_closure(candidate)

@@ -14,7 +14,6 @@ get 0 or 1, and the result is replaced by its antinef closure.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -36,14 +35,7 @@ from .rationals import format_rational, parse_rational
 from .realize import realize, verify_certificate  # noqa: F401
 from .report import Report
 
-CORPUS_ENV = "RESDIV_CORPUS"
-
-
-def default_corpus_dir() -> Path:
-    override = os.environ.get(CORPUS_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "corpus"
+CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
 def _named_divisor(doc, name, path):
@@ -204,8 +196,7 @@ def random_antinef_divisor(model, seed_key: str) -> Divisor:
 def cmd_batch(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be >= 0, got %d" % args.samples)
-    corpus = Path(args.corpus) if args.corpus else default_corpus_dir()
-    files = sorted(corpus.glob("*.graph"))
+    files = sorted(Path(args.corpus or CORPUS_DIR).glob("*.graph"))
     rep = Report()
     rep.add("command", "batch")
     rep.add("samples", args.samples)
@@ -291,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run seeded realizations over a corpus")
     p.add_argument("corpus", nargs="?", default=None,
-                   help="directory of .graph files (default: bundled corpus, "
-                        "or $%s)" % CORPUS_ENV)
+                   help="directory of .graph files (default: bundled corpus)")
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_batch)

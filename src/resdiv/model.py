@@ -4,15 +4,16 @@ A ResolutionModel is the combinatorial model of a resolution of a normal
 surface singularity: the exceptional curves with genera, self-intersections
 and pairwise meeting numbers, plus any tracked non-exceptional ("strict")
 curves recorded purely through their incidence numbers with the exceptional
-ones.  Models are immutable after construction.  A model stores its form
-once, as self-intersections and meetings; sparse rows are derived from
-them, and the dense matrix is built on demand for the exact solver only.
+ones.  Models are immutable after construction, and the constructor is the
+one place that checks a model's invariants.  A model stores its form once,
+as self-intersections and meetings; sparse rows are derived from them, and
+the dense matrix is built on demand for the exact solver only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class MalformedGraph(Exception):
@@ -26,8 +27,6 @@ class ExcCurve:
     label: str
     genus: int
     self_int: int
-    # (base label, point number, step) when the curve arose from a blowup chain
-    chain: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -41,47 +40,52 @@ class StrictCurve:
 class ResolutionModel:
     """Validated, immutable intersection data for a resolution.
 
-    ``meetings`` are (i, j, multiplicity) curve-index triples, one per
-    pair, stored sorted with i < j.  ``sparse_rows`` (each row's nonzero
-    entries in column order) is derived from them and the self-intersections;
-    ``matrix`` is rebuilt on each access.
+    The constructor checks every invariant before it sorts or indexes
+    anything, and raises MalformedGraph at the first violation: labels
+    unique across exceptional and strict curves, int genus >= 0 and int
+    self-intersection < 0, each meeting an (i, j, multiplicity) triple of
+    ints with i != j in range and multiplicity > 0, each pair once, and
+    one non-negative int incidence per curve for each strict curve.
 
-    Equality is structural (labels, genera, self-intersections, meetings,
-    strict incidences); the blowup-chain tags of the curves are carried but
-    not compared, so a model round-tripped through the text format compares
-    equal to the original.
+    ``meetings`` are stored sorted with i < j; ``sparse_rows`` (each row's
+    nonzero entries in column order) is derived from them and the
+    self-intersections, and ``matrix`` is rebuilt on each access.
+    Equality is structural.
     """
 
     def __init__(self, curves: Sequence[ExcCurve], meetings=(),
                  strict_curves: Sequence[StrictCurve] = ()):
         self.curves = tuple(curves)
         self.strict_curves = tuple(strict_curves)
-        self.u = len(self.curves)
-        self.meetings = tuple(sorted((min(i, j), max(i, j), m)
-                                     for i, j, m in meetings))
-        self._index = {c.label: i for i, c in enumerate(self.curves)}
-        self._strict_index = {s.label: i for i, s in enumerate(self.strict_curves)}
-        if len(self._index) != self.u:
-            raise MalformedGraph("duplicate curve labels")
-        if set(self._index) & set(self._strict_index):
-            raise MalformedGraph("label used for both a curve and a strict curve")
+        self.u = u = len(self.curves)
+        seen = set()
+        for c in self.curves + self.strict_curves:
+            if c.label in seen:
+                raise MalformedGraph("duplicate label %r" % (c.label,))
+            seen.add(c.label)
         for c in self.curves:
             if not (isinstance(c.genus, int) and c.genus >= 0
                     and isinstance(c.self_int, int) and c.self_int < 0):
                 raise MalformedGraph("curve %r: genus %r and self-intersection "
                                      "%r must be ints >= 0 and < 0"
                                      % (c.label, c.genus, c.self_int))
-        pairs = {(i, j) for i, j, _ in self.meetings}
-        if len(pairs) != len(self.meetings) or any(
-                not (0 <= i < j < self.u and isinstance(m, int) and m > 0)
-                for i, j, m in self.meetings):
-            raise MalformedGraph("meetings must join two curves, each pair "
-                                 "once, with a positive int multiplicity")
+        pairs = {}
+        for i, j, m in meetings:
+            if not (isinstance(i, int) and isinstance(j, int) and i != j
+                    and 0 <= i < u and 0 <= j < u and isinstance(m, int)
+                    and m > 0) or (min(i, j), max(i, j)) in pairs:
+                raise MalformedGraph("meeting %r must join two curves, each "
+                                     "pair once, with a positive int "
+                                     "multiplicity" % ((i, j, m),))
+            pairs[min(i, j), max(i, j)] = m
         for s in self.strict_curves:
-            if len(s.incidence) != self.u or any(
+            if len(s.incidence) != u or any(
                     not isinstance(v, int) or v < 0 for v in s.incidence):
                 raise MalformedGraph("strict curve %r: incidences must be %d "
-                                     "non-negative integers" % (s.label, self.u))
+                                     "non-negative integers" % (s.label, u))
+        self.meetings = tuple((i, j, m) for (i, j), m in sorted(pairs.items()))
+        self._index = {c.label: i for i, c in enumerate(self.curves)}
+        self._strict_index = {s.label: i for i, s in enumerate(self.strict_curves)}
         rows = [[(i, c.self_int)] for i, c in enumerate(self.curves)]
         for i, j, m in self.meetings:
             rows[i].append((j, m))
@@ -149,58 +153,38 @@ class ResolutionModel:
 
 
 def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
-    """Build and validate a ResolutionModel from a plain description.
+    """Build a ResolutionModel from a plain, label-keyed description.
 
     ``curves`` is a sequence of (label, genus, self_int); ``meetings`` a
     sequence of (label_a, label_b, multiplicity); ``strict`` a sequence of
-    (label, {curve_label: multiplicity}).  Redundant meeting entries are
-    allowed but must agree, so a description carrying E1.E2 = 1 alongside
-    E2.E1 = 2 is rejected as asymmetric.
+    (label, {curve_label: multiplicity}).  Only what needs labels is
+    checked here: every referenced curve must exist, and redundant meeting
+    entries must agree, so a description carrying E1.E2 = 1 alongside
+    E2.E1 = 2 is rejected as asymmetric.  ResolutionModel checks the rest.
     """
-    labels = []
-    genera = {}
-    selfs = {}
-    for entry in curves:
-        label, genus, self_int = entry
-        if label in genera:
-            raise MalformedGraph("duplicate curve %r" % (label,))
-        labels.append(label)
-        genera[label] = genus
-        selfs[label] = self_int
-
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    u = len(labels)
+    exc = tuple(ExcCurve(label, genus, self_int)
+                for label, genus, self_int in curves)
+    index = {c.label: i for i, c in enumerate(exc)}
     seen = {}
     for a, b, mult in meetings:
-        if a not in index:
-            raise MalformedGraph("meeting references unknown curve %r" % (a,))
-        if b not in index:
-            raise MalformedGraph("meeting references unknown curve %r" % (b,))
-        if a == b:
-            raise MalformedGraph("curve %r cannot meet itself" % (a,))
+        for label in (a, b):
+            if label not in index:
+                raise MalformedGraph("meeting references unknown curve %r"
+                                     % (label,))
         key = (min(index[a], index[b]), max(index[a], index[b]))
-        if key in seen and seen[key] != mult:
+        if seen.setdefault(key, mult) != mult:
             raise MalformedGraph("asymmetric meeting data for %r and %r (%r vs %r)"
                                  % (a, b, seen[key], mult))
-        seen[key] = mult
-
-    exc = tuple(ExcCurve(label=lbl, genus=genera[lbl], self_int=selfs[lbl])
-                for lbl in labels)
 
     strict_curves = []
     for label, incidences in strict:
-        if label in index or any(label == s.label for s in strict_curves):
-            raise MalformedGraph("duplicate label %r" % (label,))
-        vec = [0] * u
+        vec = [0] * len(exc)
         for curve_label, mult in dict(incidences).items():
             if curve_label not in index:
                 raise MalformedGraph("strict curve %r meets unknown curve %r"
                                      % (label, curve_label))
-            if not isinstance(mult, int) or mult < 0:
-                raise MalformedGraph("strict curve %r: incidence with %r must be a "
-                                     "non-negative integer" % (label, curve_label))
             vec[index[curve_label]] = mult
-        strict_curves.append(StrictCurve(label=label, incidence=tuple(vec)))
+        strict_curves.append(StrictCurve(label, tuple(vec)))
 
     return ResolutionModel(exc, [key + (m,) for key, m in seen.items()],
                            strict_curves)

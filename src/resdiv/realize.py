@@ -25,9 +25,9 @@ from fractions import Fraction
 from itertools import repeat
 from operator import eq, le, lt
 
-from .antinef import NonIntegralInput, antinef_closure, is_antinef
+from .antinef import antinef_closure, is_antinef
 from .blowup import GenericConfiguration
-from .canonical import (NotAntinef, NotEffective, NotLogTerminal,
+from .canonical import (NotLogTerminal, check_ideal_divisor,
                         discrepancies, relative_canonical)
 from .divisor import Divisor
 from .lattice import dual_basis, numerical_pullback
@@ -136,29 +136,15 @@ def choose_mu(model: ResolutionModel, f, k_g, k_h, epsilon, a_div) -> Fraction:
     return Fraction(best[0] * a_div.den, den * best[1]) / (1 + epsilon) / 2
 
 
-def _validate_input(model, f0):
-    if f0.model is not model and f0.model != model:
-        raise NotEffective("divisor does not live on the given model")
-    if not f0.is_integral():
-        raise NonIntegralInput("input divisor must be integral")
-    if not f0.is_effective():
-        raise NotEffective("input divisor must be effective")
-    prods = f0.product_numerators()
-    bad = next((i for i, p in enumerate(prods) if p > 0), None)
-    if bad is not None:
-        raise NotAntinef("input divisor has positive product with curve %d" % bad)
-    return prods
-
-
 def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     """Run the full construction and verify every step.
 
-    Raises NotLogTerminal / NotAntinef / NotEffective on bad inputs; the
-    returned certificate carries the complete check list (all of which
-    pass for valid inputs, but every check is recomputed rather than
-    trusted).
+    Raises NotLogTerminal, or what check_ideal_divisor raises, on bad
+    inputs; the returned certificate carries the complete check list (all
+    of which pass for valid inputs, but every check is recomputed rather
+    than trusted).
     """
-    prods = _validate_input(model, f0)
+    prods = check_ideal_divisor(model, f0)
     epsilon = choose_epsilon(model, f0)
     a = f0.exc
     b = discrepancies(model).b
@@ -274,10 +260,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     strict_part = Divisor(base, (0,) * base.u, fp.strict)
     pullback_part = config.pullback.apply(numerical_pullback(base, strict_part))
-    base_dual_part = config.weighted_dual_sum(
-        neg[:base.u] + [0] * (model.u - base.u))
-    chain_dual_part = config.weighted_dual_sum([0] * base.u + neg[base.u:])
-    total = pullback_part + base_dual_part + chain_dual_part
+    total = pullback_part + config.weighted_dual_sum(neg)
     check("numerical_decomposition", total == fp, differ(total, fp))
 
     check("closure_equals_target", fp == f, differ(fp, f))

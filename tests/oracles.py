@@ -20,6 +20,7 @@ integer-numerator Divisor is checked against it.
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -154,10 +155,10 @@ class BlowupResult:
     chain_curves: tuple         # indices of the new curves, in creation order
 
 
-def _next_point_tag(model, base_label):
-    used = [c.chain[1] for c in model.curves
-            if c.chain is not None and c.chain[0] == base_label]
-    return max(used, default=0) + 1
+def _chain_tag(label):
+    """(base label, point, step) of a curve this route named, else None."""
+    match = re.fullmatch(r"(.+)\((\d+),(\d+)\)", label)
+    return match and (match[1], int(match[2]), int(match[3]))
 
 
 def blow_up_free_point(model, i, point_tag=None):
@@ -166,16 +167,22 @@ def blow_up_free_point(model, i, point_tag=None):
     The new curve C has self-intersection -1 and meets only (the strict
     transform of) curve i, whose self-intersection drops by one.  The
     pullback sends E_i to E_i' + C and fixes every other curve; the
-    relative canonical divisor of the blowup is C.
+    relative canonical divisor of the blowup is C.  Chain positions are
+    read back from the labels ``<base>(point,step)`` this route writes:
+    a chain curve's blowup continues its chain, and a new chain on a
+    base curve takes the next free point number.
     """
     old = model.curves[i]
-    if old.chain is not None:
-        base_label, point, step = old.chain
-        chain = (base_label, point, step + 1)
+    tag = _chain_tag(old.label)
+    if tag is not None:
+        tag = tag[:2] + (tag[2] + 1,)
     else:
-        point = point_tag if point_tag is not None else _next_point_tag(model, old.label)
-        chain = (old.label, point, 1)
-    new_label = "%s(%d,%d)" % chain
+        if point_tag is None:
+            tags = [_chain_tag(c.label) for c in model.curves]
+            point_tag = 1 + max((t[1] for t in tags
+                                 if t and t[0] == old.label), default=0)
+        tag = (old.label, point_tag, 1)
+    new_label = "%s(%d,%d)" % tag
 
     u = model.u
     mat = [list(row) + [0] for row in model.matrix]
@@ -184,10 +191,9 @@ def blow_up_free_point(model, i, point_tag=None):
     mat[i][u] = mat[u][i] = 1
     mat[u][u] = -1
 
-    curves = [ExcCurve(label=c.label, genus=c.genus, self_int=mat[j][j],
-                       chain=c.chain)
+    curves = [ExcCurve(c.label, c.genus, mat[j][j])
               for j, c in enumerate(model.curves)]
-    curves.append(ExcCurve(label=new_label, genus=0, self_int=-1, chain=chain))
+    curves.append(ExcCurve(new_label, 0, -1))
     meetings = [(a, b, mat[a][b]) for a in range(u + 1)
                 for b in range(a + 1, u + 1) if mat[a][b]]
     strict = tuple(StrictCurve(label=s.label, incidence=s.incidence + (0,))

@@ -220,10 +220,9 @@ def test_fault_injection_details_name_the_break():
                        fmt(cert.G.exc[j]))
 
 
-def test_criterion_8_batch_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_8_batch_determinism(capsys):
     from resdiv.cli import main
 
-    monkeypatch.delenv("RESDIV_CORPUS", raising=False)
     outputs = []
     for _ in range(2):
         code = main(["batch", "--samples", "5", "--seed", "42"])

@@ -169,8 +169,8 @@ def test_chain_lookup_helpers():
     over0 = config.chains_over(0)
     assert len(over0) == 1 and over0[0].base == 0
     curves = config.model.curves
-    assert curves[over0[0].start + 1].chain == ("E1", 1, 2)
-    assert curves[0].chain is None
+    assert curves[over0[0].start + 1].label == "E1(1,2)"
+    assert curves[0].label == "E1"
     duals = r.dual_basis(config.model)
     for info in config.chains:
         for idx in range(info.start, info.start + info.length):

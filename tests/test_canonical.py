@@ -130,6 +130,11 @@ def test_rejects_non_integral_ideal():
         r.multiplier_divisor(m, g, 1)
 
 
+def test_rejects_ideal_from_another_model():
+    with pytest.raises(r.ModelMismatch):
+        r.multiplier_divisor(a2(), r.Divisor.from_coeffs(a1(), exc=[-1]), 1)
+
+
 def test_rejects_non_positive_lambda():
     m = a1()
     g = r.Divisor.curve(m, 0)

@@ -253,14 +253,6 @@ def test_batch_negative_samples_rejected(tmp_path, capsys):
     assert "--samples" in err
 
 
-def test_batch_corpus_env_override(tmp_path, capsys, monkeypatch):
-    corpus = _tiny_corpus(tmp_path)
-    monkeypatch.setenv("RESDIV_CORPUS", str(corpus))
-    code, out, _ = run(capsys, "batch", "--samples", "1")
-    assert code == 0
-    assert "a2.passes = 1/1" in out.splitlines()
-
-
 def test_random_divisor_is_seed_stable(corpus_models):
     model = corpus_models["d4"]
     one = random_antinef_divisor(model, "7:d4:0")

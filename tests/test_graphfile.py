@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import resdiv as r
 from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
@@ -138,3 +141,44 @@ def test_label_with_equals_sign_rejected(text, lineno):
     with pytest.raises(r.GraphSyntaxError,
                        match="line %d: name .* must not contain '='" % lineno):
         r.parse_graph(text)
+
+
+# tokens that are valid somewhere, or nearly so, for the mutations to use
+EXTRA_TOKENS = ["curve", "meet", "strict", "divisor", "meets", "genus=0",
+                "genus=-1", "self=-2", "self=0", "E1", "E1=1", "E1=1/2",
+                "E1=0.5", "=", "x=", "1/0", "-1", "0", "#", "\n", "\xe9"]
+
+
+@st.composite
+def mutated_corpus_texts(draw):
+    """A corpus file with one to four tokens inserted, deleted, replaced
+    or duplicated; newlines count as tokens."""
+    path = CORPUS_DIR / ("%s.graph" % draw(st.sampled_from(CORPUS_NAMES)))
+    tokens = re.findall(r"\S+|\n", path.read_text())
+    pool = st.sampled_from(sorted(set(tokens)) + EXTRA_TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace", "duplicate"]))
+        k = draw(st.integers(0, len(tokens) - (op != "insert")))
+        if op == "insert":
+            tokens.insert(k, draw(pool))
+        elif op == "delete":
+            del tokens[k]
+        elif op == "replace":
+            tokens[k] = draw(pool)
+        else:
+            tokens.insert(k, tokens[k])
+    return " ".join(tokens)
+
+
+@seed(20080919)
+@given(text=mutated_corpus_texts())
+@settings(deadline=None, max_examples=300)
+def test_parse_graph_raises_only_malformed_graph(text):
+    """GraphSyntaxError is a MalformedGraph; a text that parses
+    round-trips through serialize_model."""
+    try:
+        doc = r.parse_graph(text)
+    except r.MalformedGraph:
+        return
+    again = r.parse_graph(r.serialize_model(doc.model, doc.divisors))
+    assert again.model == doc.model and again.divisors == doc.divisors

@@ -3,8 +3,11 @@ derived from it and must agree with it."""
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import resdiv as r
 from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
@@ -76,8 +79,12 @@ def test_build_memory_is_linear_in_curves():
 def test_constructor_rejects_meetings_it_cannot_store_once():
     curves = [r.ExcCurve("E1", 0, -2), r.ExcCurve("E2", 0, -2)]
     assert r.ResolutionModel(curves, [(1, 0, 1)]).meetings == ((0, 1, 1),)
+    # the last five used to end in a bare TypeError, from the sort or
+    # from indexing the sparse rows
     for meetings in ([(0, 1, 1), (1, 0, 2)], [(0, 0, 1)], [(0, 2, 1)],
-                     [(0, 1, 0)], [(-1, 1, 1)]):
+                     [(0, 1, 0)], [(-1, 1, 1)], [(0, 1, 1), (1, 0, "x")],
+                     [("0", 1, 1)], [(None, 1, 1)], [(0.0, 1, 1)],
+                     [(Fraction(0), 1, 1)]):
         with pytest.raises(r.MalformedGraph, match="each pair once"):
             r.ResolutionModel(curves, meetings)
 
@@ -103,3 +110,56 @@ def test_constructor_rejects_malformed_strict_incidences():
     for incidence in ((1, 1), (), (-3,)):
         with pytest.raises(r.MalformedGraph, match="strict curve 'C'"):
             r.ResolutionModel(curves, (), [r.StrictCurve("C", incidence)])
+
+
+def test_constructor_rejects_duplicate_labels():
+    curves = [r.ExcCurve("E1", 0, -2)]
+    for strict in ([r.StrictCurve("C", (1,)), r.StrictCurve("C", (0,))],
+                   [r.StrictCurve("E1", (1,))]):
+        label = strict[-1].label
+        with pytest.raises(r.MalformedGraph,
+                           match="duplicate label %r" % (label,)):
+            r.ResolutionModel(curves, (), strict)
+    with pytest.raises(r.MalformedGraph, match="duplicate label 'E1'"):
+        r.ResolutionModel(curves * 2)
+
+
+JUNK = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2),
+                 st.none(), st.fractions(max_denominator=3))
+
+
+def value(low, high):
+    """An int in [low, high] seven times in eight, else JUNK, so that a
+    share of the drawn models is valid."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.integers(low, high) if k else JUNK)
+
+
+@st.composite
+def raw_models(draw):
+    """Constructor arguments: labels from a small set, the rest value()s."""
+    labels = draw(st.lists(st.sampled_from(["E1", "E2", "E3"]), min_size=2,
+                           max_size=3, unique=True))
+    curves = [r.ExcCurve(label, draw(value(0, 1)), draw(value(-3, -1)))
+              for label in labels]
+    u = len(curves)
+    meetings = draw(st.lists(st.tuples(value(0, 2), value(0, 2), value(1, 2)),
+                             max_size=3))
+    strict = draw(st.lists(st.builds(
+        r.StrictCurve, st.sampled_from(["C", "D", "E1"]),
+        st.lists(value(0, 2), min_size=u, max_size=u + 1).map(tuple)),
+        max_size=2))
+    return curves, meetings, strict
+
+
+@seed(20080918)
+@given(args=raw_models())
+@settings(deadline=None, max_examples=300)
+def test_constructor_raises_only_malformed_graph(args):
+    try:
+        model = r.ResolutionModel(*args)
+    except r.MalformedGraph:
+        return
+    labels = model.labels + model.strict_labels
+    assert len(set(labels)) == len(labels)
+    assert_one_form(model)

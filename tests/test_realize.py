@@ -194,8 +194,11 @@ def test_tampered_epsilon_detected():
 
 def test_realize_rejects_bad_inputs():
     model = a2()
-    with pytest.raises(r.NotAntinef):
+    with pytest.raises(r.NotAntinef, match="product 1 with curve 'E2'"):
         r.realize(model, r.Divisor.curve(model, 0))
+    # the model is checked first; this used to be reported as NotEffective
+    with pytest.raises(r.ModelMismatch):
+        r.realize(model, r.Divisor.from_coeffs(a1(), exc=[-1]))
     with pytest.raises(r.NotEffective):
         r.realize(model, r.Divisor.from_coeffs(model, exc=[-1, -1]))
     with pytest.raises(r.NonIntegralInput):
