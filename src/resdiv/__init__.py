@@ -8,8 +8,9 @@ as multiplier-ideal data, verifying every step of the construction.
 
 from .antinef import (ClosureTrace, NonIntegralInput, antinef_closure,
                       is_antinef)
-from .blowup import (ChainInfo, GenericConfiguration, LemmaGenReport,
-                     PreconditionViolated, PullbackMap, verify_lemma_gen)
+from .blowup import (MAX_BLOWN_CURVES, ChainInfo, GenericConfiguration,
+                     LemmaGenReport, PreconditionViolated, PullbackMap,
+                     TooManyCurves, verify_lemma_gen)
 from .canonical import (DiscrepancyReport, NonPositiveLambda, NotAntinef,
                         NotEffective, NotLogTerminal, discrepancies,
                         multiplier_divisor, relative_canonical)
@@ -29,18 +30,19 @@ from .realize import (CheckResult, RealizationCertificate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainInfo", "CheckResult", "ClosureTrace", "DiscrepancyReport",
-    "Divisor", "ExcCurve", "GenericConfiguration", "GraphDoc",
-    "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
+    "MAX_BLOWN_CURVES", "ChainInfo", "CheckResult", "ClosureTrace",
+    "DiscrepancyReport", "Divisor", "ExcCurve", "GenericConfiguration",
+    "GraphDoc", "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
     "ModelMismatch", "NegDefResult", "NonIntegralInput",
     "NonPositiveLambda", "NotAntinef", "NotEffective", "NotLogTerminal",
     "NotNegativeDefinite", "NotRational", "PreconditionViolated",
     "PullbackMap", "RealizationCertificate", "ResolutionModel",
-    "StrictCurve", "VerificationReport", "antinef_closure",
-    "build_ample_negative", "build_model", "check_negative_definite",
-    "choose_epsilon", "choose_mu", "decompose", "discrepancies",
-    "dual_basis", "format_divisor", "format_rational", "is_antinef",
-    "multiplier_divisor", "numerical_pullback", "parse_graph",
-    "parse_graph_file", "parse_rational", "realize", "relative_canonical",
-    "serialize_model", "verify_certificate", "verify_lemma_gen",
+    "StrictCurve", "TooManyCurves", "VerificationReport",
+    "antinef_closure", "build_ample_negative", "build_model",
+    "check_negative_definite", "choose_epsilon", "choose_mu", "decompose",
+    "discrepancies", "dual_basis", "format_divisor", "format_rational",
+    "is_antinef", "multiplier_divisor", "numerical_pullback",
+    "parse_graph", "parse_graph_file", "parse_rational", "realize",
+    "relative_canonical", "serialize_model", "verify_certificate",
+    "verify_lemma_gen",
 ]

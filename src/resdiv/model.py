@@ -41,11 +41,12 @@ class ResolutionModel:
     """Validated, immutable intersection data for a resolution.
 
     The constructor checks every invariant before it sorts or indexes
-    anything, and raises MalformedGraph at the first violation: labels
-    unique across exceptional and strict curves, int genus >= 0 and int
-    self-intersection < 0, each meeting an (i, j, multiplicity) triple of
-    ints with i != j in range and multiplicity > 0, each pair once, and
-    one non-negative int incidence per curve for each strict curve.
+    anything, and raises MalformedGraph at the first violation: ExcCurve
+    and StrictCurve instances with str labels, unique across both kinds,
+    int genus >= 0 and int self-intersection < 0, each meeting an
+    (i, j, multiplicity) triple of ints with i != j in range and
+    multiplicity > 0, each pair once, and for each strict curve a tuple of
+    one non-negative int incidence per curve.
 
     ``meetings`` are stored sorted with i < j; ``sparse_rows`` (each row's
     nonzero entries in column order) is derived from them and the
@@ -59,7 +60,11 @@ class ResolutionModel:
         self.strict_curves = tuple(strict_curves)
         self.u = u = len(self.curves)
         seen = set()
-        for c in self.curves + self.strict_curves:
+        for k, c in enumerate(self.curves + self.strict_curves):
+            kind = ExcCurve if k < u else StrictCurve
+            if not (isinstance(c, kind) and isinstance(c.label, str)):
+                raise MalformedGraph("%r: expected %s with a str label"
+                                     % (c, kind.__name__))
             if c.label in seen:
                 raise MalformedGraph("duplicate label %r" % (c.label,))
             seen.add(c.label)
@@ -70,17 +75,18 @@ class ResolutionModel:
                                      "%r must be ints >= 0 and < 0"
                                      % (c.label, c.genus, c.self_int))
         pairs = {}
-        for i, j, m in meetings:
+        for t in meetings:
+            i, j, m = _entries(t, 3, "meeting")
             if not (isinstance(i, int) and isinstance(j, int) and i != j
                     and 0 <= i < u and 0 <= j < u and isinstance(m, int)
                     and m > 0) or (min(i, j), max(i, j)) in pairs:
                 raise MalformedGraph("meeting %r must join two curves, each "
                                      "pair once, with a positive int "
-                                     "multiplicity" % ((i, j, m),))
+                                     "multiplicity" % (t,))
             pairs[min(i, j), max(i, j)] = m
         for s in self.strict_curves:
-            if len(s.incidence) != u or any(
-                    not isinstance(v, int) or v < 0 for v in s.incidence):
+            if not isinstance(s.incidence, tuple) or len(s.incidence) != u \
+                    or any(not isinstance(v, int) or v < 0 for v in s.incidence):
                 raise MalformedGraph("strict curve %r: incidences must be %d "
                                      "non-negative integers" % (s.label, u))
         self.meetings = tuple((i, j, m) for (i, j), m in sorted(pairs.items()))
@@ -157,18 +163,19 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
 
     ``curves`` is a sequence of (label, genus, self_int); ``meetings`` a
     sequence of (label_a, label_b, multiplicity); ``strict`` a sequence of
-    (label, {curve_label: multiplicity}).  Only what needs labels is
-    checked here: every referenced curve must exist, and redundant meeting
-    entries must agree, so a description carrying E1.E2 = 1 alongside
-    E2.E1 = 2 is rejected as asymmetric.  ResolutionModel checks the rest.
+    (label, {curve_label: multiplicity}).  Only the number of entries and
+    what needs labels is checked here: every referenced curve must exist,
+    and redundant meeting entries must agree, so a description carrying
+    E1.E2 = 1 alongside E2.E1 = 2 is rejected as asymmetric.
+    ResolutionModel checks the rest.
     """
-    exc = tuple(ExcCurve(label, genus, self_int)
-                for label, genus, self_int in curves)
-    index = {c.label: i for i, c in enumerate(exc)}
+    exc = tuple(ExcCurve(*_entries(c, 3, "curve")) for c in curves)
+    # a label that is not a str is left to ResolutionModel to reject
+    index = {c.label: i for i, c in enumerate(exc) if isinstance(c.label, str)}
     seen = {}
-    for a, b, mult in meetings:
+    for a, b, mult in (_entries(t, 3, "meeting") for t in meetings):
         for label in (a, b):
-            if label not in index:
+            if not isinstance(label, str) or label not in index:
                 raise MalformedGraph("meeting references unknown curve %r"
                                      % (label,))
         key = (min(index[a], index[b]), max(index[a], index[b]))
@@ -177,7 +184,7 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
                                  % (a, b, seen[key], mult))
 
     strict_curves = []
-    for label, incidences in strict:
+    for label, incidences in (_entries(t, 2, "strict curve") for t in strict):
         vec = [0] * len(exc)
         for curve_label, mult in dict(incidences).items():
             if curve_label not in index:
@@ -188,3 +195,10 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
 
     return ResolutionModel(exc, [key + (m,) for key, m in seen.items()],
                            strict_curves)
+
+
+def _entries(t, k, what):
+    """``t`` if it is a tuple or list of ``k`` entries."""
+    if not isinstance(t, (tuple, list)) or len(t) != k:
+        raise MalformedGraph("%s %r must have %d entries" % (what, t, k))
+    return t

@@ -14,6 +14,10 @@ divisor / integrally closed ideal correspondence and is not a numerical
 computation, so it is recorded as an assumption rather than checked.
 The construction asserts nothing on the way: each property of it (F + K_g
 antinef among them) is established once, by a named certificate check.
+
+Every divisor of the construction is fixed by the permutations of the
+identical chains, so realize works on the quotient configuration and
+expands F, A, G and F' onto the full blown model for the certificate.
 """
 
 from __future__ import annotations
@@ -153,13 +157,14 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
               for a_i, b_i in zip(a, b))
 
     config = GenericConfiguration.build(model, e, n)
-    f = config.pullback.apply(f0)
-    k_g = config.K_sigma
+    q = config.quotient()  # every divisor below is fixed by the chain copies
+    f = q.pullback.apply(f0)
+    k_g = q.K_sigma
     k_f = relative_canonical(model)
-    k_h = k_g + config.pullback.apply(k_f)
+    k_h = k_g + q.pullback.apply(k_f)
 
-    a_div = build_ample_negative(config.weighted_dual_sum([1] * config.model.u))
-    mu = choose_mu(config.model, f, k_g, k_h, epsilon, a_div)
+    a_div = build_ample_negative(q.weighted_dual_sum([1] * q.model.u))
+    mu = choose_mu(q.model, f, k_g, k_h, epsilon, a_div)
 
     scaled = f + k_g + a_div.scale(mu)
     n_factor = scaled.den  # the lcm of its denominators, in lowest terms
@@ -171,8 +176,9 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
 
     cert = RealizationCertificate(
         base_model=model, F0=f0, epsilon=epsilon, a=a, b=b, e=e, n=n,
-        config=config, F=f, A=a_div, mu=mu, N=n_factor, G=g_div, lam=lam,
-        F_prime=f_prime)
+        config=config, F=config.expand(f), A=config.expand(a_div), mu=mu,
+        N=n_factor, G=config.expand(g_div), lam=lam,
+        F_prime=config.expand(f_prime))
     verification = verify_certificate(cert)
     return dataclasses.replace(cert, checks=verification.checks)
 
@@ -192,11 +198,27 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     consistency checks that pin the recorded parameters to their
     deterministic selection rules (so that any tampering with lambda, the
     chain lengths, or G is always caught).
+
+    The checks run on the quotient of ``cert.config`` when F, A, G and F'
+    agree on every copy of each chain, else on the full configuration.
     """
-    checks = []
     config = cert.config
+    parts = [config.compress(d) for d in (cert.F, cert.A, cert.G, cert.F_prime)]
+    if None in parts:
+        return _run_checks(cert, config, cert.F, cert.A, cert.G, cert.F_prime)
+    return _run_checks(cert, config.quotient(), *parts)
+
+
+def _run_checks(cert, config, f, a_div, g, fp) -> VerificationReport:
+    """The 14 checks on ``config``, the certificate's or its quotient, with
+    F, A, G and F' given on it.  A product on a chain standing for c
+    copies reads c times the product with one copy."""
+    checks = []
     model = config.model
     base = cert.base_model
+    copies = [1] * model.u
+    for info in config.chains:
+        copies[info.start:info.start + info.length] = [info.copies] * info.length
 
     def check(name, passed, detail):  # detail() runs on failure only
         checks.append(CheckResult(name, bool(passed), "" if passed else detail()))
@@ -206,7 +228,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             model.labels + model.strict_labels, lhs.exc + lhs.strict,
             rhs.exc + rhs.strict, repeat(holds)))
 
-    f, fp, k_g = cert.F, cert.F_prime, config.K_sigma
+    k_g = config.K_sigma
     fk = f + k_g
     k_f = relative_canonical(base)
     g_k_f = config.pullback.apply(k_f)
@@ -215,12 +237,12 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     one_eps = 1 + eps
 
     # perturbing by mu*A must not move the floor
-    lhs = ((fk + cert.A.scale(cert.mu)).scale(one_eps) - k_h).floor()
+    lhs = ((fk + a_div.scale(cert.mu)).scale(one_eps) - k_h).floor()
     rhs = (fk.scale(one_eps) - k_h).floor()
     check("perturbation_floor_identity", lhs == rhs, differ(lhs, rhs))
 
     # floor(lambda G - K_h) = F + floor(epsilon (F + K_g) - g*K_f)
-    candidate = (cert.G.scale(cert.lam) - k_h).floor()
+    candidate = (g.scale(cert.lam) - k_h).floor()
     split = f + (fk.scale(eps) - g_k_f).floor()
     check("multiplier_floor_split", candidate == split,
           differ(candidate, split))
@@ -239,8 +261,8 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
                Fraction(f.num[b], f.den), eq) for t, b in tops for d in (fp, f)))
 
     # -F'.E_k, as ints unless F' is not integral
-    neg = [-p if fp.den == 1 else Fraction(-p, fp.den)
-           for p in fp.product_numerators()]
+    neg = [-p // c if fp.den == 1 else Fraction(-p, fp.den * c)
+           for p, c in zip(fp.product_numerators(), copies)]
     f_prods = f.product_numerators()
     duals_base = dual_basis(base)
     domination_detail = None
@@ -288,10 +310,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     check("lambda_scaling_rule", cert.lam * cert.N == one_eps, lambda: _first_break(
         [("lambda*N", cert.lam * cert.N, one_eps, eq)]))
-    g, expected_g = cert.G, (fk + cert.A.scale(cert.mu)).scale(cert.N)
+    expected_g = (fk + a_div.scale(cert.mu)).scale(cert.N)
     check("integral_scaling_rule", g == expected_g and g.is_integral(),
           lambda: differ(g, expected_g)() or differ(g, g.floor())())
     check("pullback_plus_canonical_antinef", is_antinef(fk), lambda: _first_break(
-        zip(model.labels, fk.products(), repeat(0), repeat(le))))
+        (label, Fraction(p, fk.den * c), 0, le) for label, p, c in
+        zip(model.labels, fk.product_numerators(), copies)))
 
     return VerificationReport(checks=tuple(checks))

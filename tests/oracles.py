@@ -10,7 +10,10 @@ The step-by-step blowup route builds chain configurations one free-point
 blowup at a time, composing dense pullback matrices and the relative
 canonical divisors of the single steps; GenericConfiguration.build, which
 writes the blown model and the sparse pullback down in one pass, is
-checked against it.  closure_with_rule runs the unit-step closure on the
+checked against it.  quotient_matrix and expand_by_labels read the
+quotient by identical chains off the labels alone: each chain curve
+<base>(point,step) stands in the class of <base>(1,step).
+closure_with_rule runs the unit-step closure on the
 dense matrix under any rule for picking the violating curve.
 
 RefDivisor keeps one Fraction per coefficient and does every operation
@@ -254,6 +257,33 @@ def iterated_configuration(base_model, e, n):
                 chains.append(ChainInfo(base=i, point=j, start=start,
                                         length=n[i]))
     return GenericConfiguration(base_model, current, chains, pullback, k_total)
+
+
+# -- the quotient by identical chains, by labels ---------------------------------
+
+def _class_label(label):
+    """The label of the curve that stands for ``label`` in a quotient."""
+    tag = _chain_tag(label)
+    return label if tag is None else "%s(1,%d)" % (tag[0], tag[2])
+
+
+def quotient_matrix(full, quotient):
+    """P^T M P for the form M of ``full``, where P sends each curve of
+    ``quotient`` to the sum of the curves of its class."""
+    cls = [quotient.index_of(_class_label(label)) for label in full.labels]
+    out = [[0] * quotient.u for _ in range(quotient.u)]
+    for i, row in enumerate(full.matrix):
+        for j, v in enumerate(row):
+            out[cls[i]][cls[j]] += v
+    return tuple(map(tuple, out))
+
+
+def expand_by_labels(d, full):
+    """The divisor on ``full`` with each curve's coefficient read from the
+    curve of its class in ``d``'s (quotient) model."""
+    exc = {label: d.exc[d.model.index_of(_class_label(label))]
+           for label in full.labels}
+    return Divisor.from_coeffs(full, exc=exc, strict=list(d.strict))
 
 
 # -- reference divisor -----------------------------------------------------------

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import resdiv as r
 from conftest import random_integral_divisor, single_chain
-from oracles import blow_up_free_point, generic_chain, iterated_configuration
+from oracles import (blow_up_free_point, expand_by_labels, generic_chain,
+                     iterated_configuration, quotient_matrix)
 
 
 def a1():
@@ -176,6 +178,59 @@ def test_chain_lookup_helpers():
         for idx in range(info.start, info.start + info.length):
             unit = [int(k == idx) for k in range(config.model.u)]
             assert config.weighted_dual_sum(unit) == duals[idx]
+
+
+# -- the quotient by identical chains ------------------------------------------------
+
+def test_quotient_form_is_the_class_form(log_terminal_models):
+    """The quotient's form is P^T M P, read off the labels by the oracle;
+    symmetric divisors compress and expand as the label oracle says, and
+    the quotient's weighted dual sums are those of the full model."""
+    rng = random.Random(9)
+    for name, model in log_terminal_models.items():
+        e = [rng.randint(0, 3) for _ in range(model.u)]
+        n = [rng.randint(0, 3) for _ in range(model.u)]
+        config = r.GenericConfiguration.build(model, e, n)
+        q = config.quotient()
+        assert q is config.quotient()
+        assert q.model.matrix == quotient_matrix(config.model, q.model), name
+        assert [(i.base, i.point, i.length, i.copies) for i in q.chains] == [
+            (i, 1, n[i], e[i]) for i in range(model.u) if e[i] and n[i]]
+        d = r.Divisor(q.model, [rng.randint(-3, 6) for _ in range(q.model.u)],
+                      [rng.randint(0, 2) for _ in model.strict_curves])
+        full = config.expand(d)
+        assert full == expand_by_labels(d, config.model), name
+        assert config.compress(full) == d
+        weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                   for _ in range(q.model.u)]
+        assert config.expand(q.weighted_dual_sum(weights)) == \
+            config.weighted_dual_sum(expand_by_labels(
+                r.Divisor(q.model, weights, [0] * len(model.strict_curves)),
+                config.model).exc), name
+
+
+def test_compress_refuses_asymmetric_divisors():
+    config = r.GenericConfiguration.build(a2(), e=[2, 1], n=[2, 3])
+    blown = config.model
+    second = r.Divisor.curve(blown, blown.index_of("E1(2,1)"))
+    assert config.compress(second) is None
+    assert config.compress(second + r.Divisor.curve(
+        blown, blown.index_of("E1(1,1)"))) is not None
+    assert config.compress(r.Divisor.zero(a2())) is None
+
+
+def test_build_refuses_models_past_the_limit():
+    """Sized before anything is allocated: 10^9 curves end at once."""
+    model = a2()
+    started = time.perf_counter()
+    with pytest.raises(r.TooManyCurves, match="1000000002 curves"):
+        r.GenericConfiguration.build(model, [1, 0], [10 ** 9, 0])
+    assert time.perf_counter() - started < 0.1
+    limit = r.MAX_BLOWN_CURVES - model.u
+    assert r.GenericConfiguration.build(model, [1, 0], [0, 0]).model.u == 2
+    with pytest.raises(r.TooManyCurves):
+        r.GenericConfiguration.build(model, [1, 1], [limit, 1])
+    assert issubclass(r.TooManyCurves, ValueError)
 
 
 # -- chain monotonicity report ---------------------------------------------------

@@ -1,12 +1,14 @@
+import hashlib
 import importlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import resdiv as r
 import resdiv.cli
-from resdiv.cli import main, random_antinef_divisor
+from resdiv.cli import _certificate_report, main, random_antinef_divisor
 from conftest import CORPUS_DIR, CORPUS_NAMES
 from oracles import generic_chain
 
@@ -154,6 +156,17 @@ def test_blowup_negative_length_rejected(capsys):
     assert "error" in err
 
 
+def test_blowup_past_the_size_limit_ends_at_once(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "blowup", graph("a1"),
+                         "--curve", "E1", "--length", "1000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "1000000001 curves, more than the limit of %d" % (
+        r.MAX_BLOWN_CURVES,) in err
+
+
 def test_blowup_matches_step_by_step_route(capsys, corpus_models):
     for name in CORPUS_NAMES:
         model = corpus_models[name]
@@ -169,6 +182,29 @@ def test_blowup_matches_step_by_step_route(capsys, corpus_models):
 
 
 # -- realize ---------------------------------------------------------------------------
+
+# sha256 of the rendered certificate reports of the 350 realizations of
+# ``batch --samples 25 --seed 0``, recorded before realize and
+# verify_certificate moved to the quotient by identical chains
+SEED0_REPORTS_SHA256 = (
+    "8e539bf97726b7f73fee0eda7197c81382ff13563066feb7739c5d777bf76e77")
+
+
+def test_seed0_certificate_reports_are_byte_identical(corpus_models):
+    digest = hashlib.sha256()
+    cases = 0
+    for name in CORPUS_NAMES:
+        model = corpus_models[name]
+        if not r.discrepancies(model).log_terminal:
+            continue
+        for k in range(25):
+            f0 = random_antinef_divisor(model, "0:%s:%d" % (name, k))
+            cert = r.realize(model, f0)
+            digest.update(_certificate_report(cert).render().encode())
+            cases += 1
+    assert cases == 350
+    assert digest.hexdigest() == SEED0_REPORTS_SHA256
+
 
 def test_realize_a2(capsys, tmp_path):
     cert_path = tmp_path / "cert.txt"

@@ -124,30 +124,63 @@ def test_constructor_rejects_duplicate_labels():
         r.ResolutionModel(curves * 2)
 
 
+def test_constructor_rejects_wrong_shapes():
+    """These used to end in a bare ValueError, AttributeError or
+    TypeError: entries of the wrong length, a tuple for a curve, a list
+    for a label, and None for the incidences."""
+    curves = [r.ExcCurve("E1", 0, -2), r.ExcCurve("E2", 0, -2)]
+    with pytest.raises(r.MalformedGraph, match="must have 3 entries"):
+        r.ResolutionModel(curves, [(0, 1)])
+    with pytest.raises(r.MalformedGraph, match="expected ExcCurve"):
+        r.ResolutionModel([("E1", 0, -2)])
+    with pytest.raises(r.MalformedGraph, match="str label"):
+        r.build_model([(["x"], 0, -2)])
+    with pytest.raises(r.MalformedGraph, match="unknown curve"):
+        r.build_model([("E1", 0, -2)], [(["x"], "E1", 1)])
+    with pytest.raises(r.MalformedGraph, match="strict curve 'C'"):
+        r.ResolutionModel(curves, (), [r.StrictCurve("C", None)])
+    # build_model unpacked these into a bare ValueError
+    for args in ([("E1", 0)],), ([("E1", 0, -2)], [("E1", "E1")]), \
+            ([("E1", 0, -2)], (), [("C",)]):
+        with pytest.raises(r.MalformedGraph, match="must have"):
+            r.build_model(*args)
+
+
 JUNK = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2),
                  st.none(), st.fractions(max_denominator=3))
 
 
+def rarely(bad, good):
+    """``good`` seven times in eight, else ``bad``, so that a share of the
+    drawn models is valid."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else bad)
+
+
 def value(low, high):
-    """An int in [low, high] seven times in eight, else JUNK, so that a
-    share of the drawn models is valid."""
-    return st.integers(0, 7).flatmap(
-        lambda k: st.integers(low, high) if k else JUNK)
+    return rarely(JUNK, st.integers(low, high))
 
 
 @st.composite
 def raw_models(draw):
-    """Constructor arguments: labels from a small set, the rest value()s."""
+    """Constructor arguments: labels from a small set, the rest value()s,
+    and now and then a wrong shape: a list label, a plain tuple for a
+    curve, a meeting of two entries, None for the incidences."""
     labels = draw(st.lists(st.sampled_from(["E1", "E2", "E3"]), min_size=2,
                            max_size=3, unique=True))
-    curves = [r.ExcCurve(label, draw(value(0, 1)), draw(value(-3, -1)))
-              for label in labels]
+    curves = []
+    for label in labels:
+        fields = (draw(rarely(st.just([label]), st.just(label))),
+                  draw(value(0, 1)), draw(value(-3, -1)))
+        curves.append(draw(rarely(st.just(fields),
+                                  st.just(r.ExcCurve(*fields)))))
     u = len(curves)
-    meetings = draw(st.lists(st.tuples(value(0, 2), value(0, 2), value(1, 2)),
-                             max_size=3))
+    meetings = draw(st.lists(rarely(
+        st.tuples(value(0, 2), value(0, 2)),
+        st.tuples(value(0, 2), value(0, 2), value(1, 2))), max_size=3))
     strict = draw(st.lists(st.builds(
         r.StrictCurve, st.sampled_from(["C", "D", "E1"]),
-        st.lists(value(0, 2), min_size=u, max_size=u + 1).map(tuple)),
+        rarely(st.none(), st.lists(value(0, 2), min_size=u,
+                                   max_size=u + 1).map(tuple))),
         max_size=2))
     return curves, meetings, strict
 

@@ -1,11 +1,15 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import resdiv as r
-from conftest import random_antinef
+from conftest import LOG_TERMINAL_NAMES, load_doc, random_antinef
+from oracles import closure_with_rule, expand_by_labels
+from resdiv.cli import random_antinef_divisor
+from resdiv.realize import _run_checks
 
 
 def a1():
@@ -259,3 +263,82 @@ def test_tampered_strict_part_names_the_strict_curve():
         cert, F_prime=cert.F_prime + r.Divisor.from_coeffs(
             cert.config.model, strict={"C": 1}), checks=())
     assert _details(bad)["pushforward_preserved"] == "C: 2 vs 1"
+
+
+# -- the quotient route and the full route ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed0_certificates():
+    """The 350 certificates of ``batch --samples 25 --seed 0``."""
+    return [(name, r.realize(model, random_antinef_divisor(
+                model, "0:%s:%d" % (name, k))))
+            for name in LOG_TERMINAL_NAMES
+            for model in [load_doc(name).model] for k in range(25)]
+
+
+def test_quotient_and_full_routes_agree(seed0_certificates):
+    """realize's checks ran on the quotient; the full configuration gives
+    equal results, passing and (with lambda and mu tampered) failing."""
+    cases = 0
+    for name, cert in seed0_certificates:
+        for bad in (cert, dataclasses.replace(cert, lam=cert.lam * 2),
+                    dataclasses.replace(cert, mu=cert.mu * 3)):
+            full = _run_checks(bad, bad.config, bad.F, bad.A, bad.G,
+                               bad.F_prime)
+            assert full == r.verify_certificate(bad), name
+        cases += max(cert.e) >= 2
+    assert cases > 200
+
+
+def test_quotient_closure_expands_to_full_closure(seed0_certificates):
+    """The closure of the candidate on the quotient, expanded by labels,
+    is the closure of the candidate on the full model, found by the
+    rescanning oracle."""
+    checked = 0
+    for name, cert in seed0_certificates:
+        config = cert.config
+        if config.model.u > 150:
+            continue
+        checked += 1
+        k_h = config.K_sigma + config.pullback.apply(
+            r.relative_canonical(cert.base_model))
+        candidate = (cert.G.scale(cert.lam) - k_h).floor()
+        full = closure_with_rule(config.model, candidate.exc, min,
+                                 candidate.strict)
+        q = config.quotient()
+        q_candidate = r.Divisor.from_coeffs(
+            q.model, exc={label: candidate.exc[config.model.index_of(label)]
+                          for label in q.model.labels},
+            strict=list(candidate.strict))
+        closed, _ = r.antinef_closure(q_candidate)
+        assert expand_by_labels(closed, config.model).exc == full, name
+        assert cert.F_prime.exc == full, name
+    assert checked > 200
+
+
+def test_tampering_one_copy_takes_the_full_route():
+    """G changed on the second of three identical chains breaks the
+    symmetry, so the checks run on the full model and name that curve."""
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    blown = cert.config.model
+    j = blown.index_of("E1(2,1)")
+    bad = dataclasses.replace(cert, G=cert.G + r.Divisor.curve(blown, j),
+                              checks=())
+    assert cert.config.compress(bad.G) is None
+    g = cert.G.exc[j]
+    assert _details(bad)["integral_scaling_rule"] == "E1(2,1): %s vs %s" % (
+        r.format_rational(g + 1), r.format_rational(g))
+    assert r.verify_certificate(bad) == _run_checks(
+        bad, bad.config, bad.F, bad.A, bad.G, bad.F_prime)
+
+
+def test_realize_refuses_models_past_the_limit():
+    """F0 = 10^4 Z on e8 would need about 10^9 curves; it ends at once."""
+    model = load_doc("e8").model
+    z = r.Divisor.from_coeffs(model, exc=[6, 3, 4, 2, 5, 4, 3, 2])
+    assert r.realize(model, z).passed
+    started = time.perf_counter()
+    with pytest.raises(r.TooManyCurves):
+        r.realize(model, z.scale(10 ** 4))
+    assert time.perf_counter() - started < 1.0
