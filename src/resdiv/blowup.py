@@ -7,15 +7,17 @@ curve, whose self-intersection drops by one.  "Generic" chains iterate
 this, each new center on the most recent chain curve only, so no
 randomness or coordinates are involved.
 
-GenericConfiguration.build constructs a whole family of chains (the e_i
+GenericConfiguration.build lays out a whole family of chains (the e_i
 points with n_i blowups each used by the realization pipeline) in one
-pass, together with the composite pullback (stored as the sparse support
-of each column, read straight off the chains), the relative canonical
-divisor of the composition, and closed-form sums of dual-basis vectors.
-It refuses, before allocating anything, a model of more than
-MAX_BLOWN_CURVES curves.  The test suite keeps the step-by-step route
-(one blowup at a time, composing dense pullbacks) in tests/oracles.py and
-checks the one-pass build against it.
+pass, and gives closed-form sums of dual-basis vectors.  The blown model
+knows its size and labels from the layout alone; its form, the composite
+pullback (stored as the sparse support of each column, read straight off
+the chains) and the relative canonical divisor of the composition are
+built the first time something reads them.  build refuses, before
+allocating anything, a model of more than MAX_BLOWN_CURVES curves.  The
+test suite keeps the step-by-step route (one blowup at a time, composing
+dense pullbacks) in tests/oracles.py and checks the one-pass build
+against it.
 
 The e_i chains over E_i are identical.  quotient() keeps one (point 1)
 standing for ChainInfo.copies = e_i of them, with form P^T M P for P
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .antinef import is_antinef
 from .divisor import Divisor
@@ -35,9 +38,11 @@ from .lattice import dual_basis
 from .model import ExcCurve, ResolutionModel, StrictCurve
 
 
-# Most curves GenericConfiguration.build makes.  realize on e8 with
-# F0 = 99 Z, the largest multiple of Z under it (98 117 curves), takes
-# about 1 s and peaks at 118 MB RSS (Python 3.11, one 2-vCPU machine).
+# Most curves GenericConfiguration.build makes.  The CLI's realize on e8
+# with F0 = 99 Z, the largest multiple of Z under it (98 117 curves),
+# never builds the blown form and takes about 0.4 s and 49 MB peak RSS;
+# blowup to 100 000 curves on a1, which builds and prints it, about 1.4 s
+# and 137 MB (Python 3.11, one 2-vCPU machine).
 MAX_BLOWN_CURVES = 100_000
 
 
@@ -90,6 +95,51 @@ class ChainInfo:
     copies: int = 1  # identical chains it stands for, in a quotient
 
 
+class _BlownModel(ResolutionModel):
+    """The model of a configuration's chains over ``base``.  Its size and
+    labels come from the chain layout; the form (a chain of c copies has
+    entries c times those of one chain) is built, and checked, by
+    ResolutionModel.__init__ the first time anything reads it."""
+
+    def __init__(self, base, chains, u):
+        self._base, self._chains, self.u = base, chains, u
+
+    @cached_property
+    def labels(self):
+        labels = list(self._base.labels)
+        for info in self._chains:
+            label = labels[info.base]
+            labels.extend("%s(%d,%d)" % (label, info.point, m)
+                          for m in range(1, info.length + 1))
+        return tuple(labels)
+
+    @property
+    def strict_labels(self):
+        return self._base.strict_labels
+
+    def __getattr__(self, name):  # reached only for what is not yet set
+        state = vars(self)
+        if name.startswith("__") or "curves" in state or "_chains" not in state:
+            raise AttributeError(name)
+        base, labels = self._base, self.labels
+        roots = [0] * base.u
+        for info in self._chains:
+            roots[info.base] += info.copies
+        curves = [ExcCurve(c.label, c.genus, c.self_int - roots[i])
+                  for i, c in enumerate(base.curves)]
+        meetings = list(base.meetings)
+        for info in self._chains:
+            s, end, c = info.start, info.start + info.length, info.copies
+            meetings.append((info.base, s, c))
+            meetings.extend((k, k + 1, c) for k in range(s, end - 1))
+            curves.extend(ExcCurve(labels[k], 0, -c if k == end - 1 else -2 * c)
+                          for k in range(s, end))
+        pad = (0,) * (self.u - base.u)
+        ResolutionModel.__init__(self, curves, meetings, [
+            StrictCurve(s.label, s.incidence + pad) for s in base.strict_curves])
+        return getattr(self, name)
+
+
 class GenericConfiguration:
     """All chains of a realization step: e[i] chains of length n[i] per curve.
 
@@ -103,12 +153,10 @@ class GenericConfiguration:
     which avoids re-solving the (possibly large) intersection form.
     """
 
-    def __init__(self, base_model, model, chains, pullback, K_sigma):
+    def __init__(self, base_model, model, chains):
         self.base_model = base_model
         self.model = model
         self.chains = tuple(chains)
-        self.pullback = pullback
-        self.K_sigma = K_sigma
         self._quotient = None
 
     @classmethod
@@ -128,46 +176,33 @@ class GenericConfiguration:
 
     @classmethod
     def _assemble(cls, base_model, specs) -> "GenericConfiguration":
-        """The configuration of (base, point, length, copies) chains, in order;
-        a chain of c copies has form entries c times those of one chain."""
-        u = base_model.u
+        """The configuration of (base, point, length, copies) chains, in order."""
         chains = []
-        cursor = u
+        cursor = base_model.u
         for b, point, length, copies in specs:
             chains.append(ChainInfo(b, point, cursor, length, copies))
             cursor += length
-        total = cursor
+        chains = tuple(chains)
+        return cls(base_model, _BlownModel(base_model, chains, cursor), chains)
 
-        roots = [0] * u
-        for info in chains:
-            roots[info.base] += info.copies
-        curves = [ExcCurve(c.label, c.genus, c.self_int - roots[i])
-                  for i, c in enumerate(base_model.curves)]
-        meetings = list(base_model.meetings)
-        for info in chains:
-            s, L, b, c = info.start, info.length, info.base, info.copies
-            base_label = base_model.curves[b].label
-            meetings.append((b, s, c))
-            meetings.extend((s + m, s + m + 1, c) for m in range(L - 1))
-            curves.extend(ExcCurve("%s(%d,%d)" % (base_label, info.point, m),
-                                   0, -c if m == L else -2 * c)
-                          for m in range(1, L + 1))
-        strict = tuple(StrictCurve(label=s.label,
-                                   incidence=s.incidence + (0,) * (total - u))
-                       for s in base_model.strict_curves)
-        model = ResolutionModel(curves, meetings, strict)
-
-        support = [[(l, 1)] for l in range(u)]
-        for info in chains:
+    @cached_property
+    def pullback(self) -> PullbackMap:
+        """The composite pullback, read off the chains on first use."""
+        support = [[(l, 1)] for l in range(self.base_model.u)]
+        for info in self.chains:
             support[info.base].extend(
                 (k, 1) for k in range(info.start, info.start + info.length))
-        pullback = PullbackMap(base_model, model, tuple(map(tuple, support)))
+        return PullbackMap(self.base_model, self.model,
+                           tuple(map(tuple, support)))
 
-        k_num = [0] * (total + len(strict))
-        for info in chains:
+    @cached_property
+    def K_sigma(self) -> Divisor:
+        """The relative canonical divisor of the composition: coefficient
+        k on the k-th curve of each chain."""
+        k_num = [0] * (self.model.u + len(self.base_model.strict_curves))
+        for info in self.chains:
             k_num[info.start:info.start + info.length] = range(1, info.length + 1)
-        k_sigma = Divisor._of(model, k_num, 1)
-        return cls(base_model, model, chains, pullback, k_sigma)
+        return Divisor._of(self.model, k_num, 1)
 
     # -- index helpers ---------------------------------------------------
 

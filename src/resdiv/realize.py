@@ -18,6 +18,8 @@ antinef among them) is established once, by a named certificate check.
 Every divisor of the construction is fixed by the permutations of the
 identical chains, so realize works on the quotient configuration and
 expands F, A, G and F' onto the full blown model for the certificate.
+The full model's form is built only if something reads it; an untampered
+certificate and its report never do.
 """
 
 from __future__ import annotations

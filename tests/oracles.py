@@ -256,7 +256,10 @@ def iterated_configuration(base_model, e, n):
                 current = step.new_model
                 chains.append(ChainInfo(base=i, point=j, start=start,
                                         length=n[i]))
-    return GenericConfiguration(base_model, current, chains, pullback, k_total)
+    config = GenericConfiguration(base_model, current, chains)
+    # the composed maps, in place of those build reads off the chains
+    config.pullback, config.K_sigma = pullback, k_total
+    return config
 
 
 # -- the quotient by identical chains, by labels ---------------------------------

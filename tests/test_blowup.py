@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -5,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import resdiv as r
-from conftest import random_integral_divisor, single_chain
+from conftest import CORPUS_DIR, load_doc, random_integral_divisor, single_chain
 from oracles import (blow_up_free_point, expand_by_labels, generic_chain,
                      iterated_configuration, quotient_matrix)
+from resdiv.cli import _certificate_report, main
 
 
 def a1():
@@ -285,3 +288,125 @@ def test_lemma_rejects_bad_inputs():
     two = r.GenericConfiguration.build(base, [2], [1])
     with pytest.raises(r.PreconditionViolated):
         r.verify_lemma_gen(two, r.Divisor.zero(two.model))
+
+
+# -- the blown model's form, built on first read --------------------------------
+
+E8_Z = [6, 3, 4, 2, 5, 4, 3, 2]  # the fundamental cycle of e8
+
+
+@pytest.fixture
+def built_sizes(monkeypatch):
+    """The number of curves of each model ResolutionModel.__init__ builds."""
+    sizes = []
+    init = r.ResolutionModel.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(self.u)
+
+    monkeypatch.setattr(r.ResolutionModel, "__init__", counted)
+    return sizes
+
+
+def eager_model(config):
+    """The model of ``config``'s chains, built at once from their layout:
+    c copies of a chain lower their base curve's self-intersection by c,
+    and have self-intersections -2c (-c at the tip) and meetings c."""
+    base = config.base_model
+    curves, meetings = list(base.curves), list(base.meetings)
+    for info in config.chains:
+        c, b = info.copies, curves[info.base]
+        assert info.start == len(curves)
+        curves[info.base] = r.ExcCurve(b.label, b.genus, b.self_int - c)
+        previous = info.base
+        for m in range(1, info.length + 1):
+            curves.append(r.ExcCurve(
+                "%s(%d,%d)" % (base.labels[info.base], info.point, m), 0,
+                -c if m == info.length else -2 * c))
+            meetings.append((previous, len(curves) - 1, c))
+            previous = len(curves) - 1
+    pad = (0,) * (len(curves) - base.u)
+    return r.ResolutionModel(curves, meetings, [
+        r.StrictCurve(s.label, s.incidence + pad) for s in base.strict_curves])
+
+
+def test_realize_and_its_report_leave_the_blown_form_unbuilt(built_sizes):
+    model = load_doc("e8").model
+    for k in (2, 5, 8):
+        cert = r.realize(model, r.Divisor.from_coeffs(
+            model, exc=[k * v for v in E8_Z]))
+        lines = _certificate_report(cert).render().splitlines()
+        blown = cert.config.model
+        assert cert.passed and "blown_curves = %d" % blown.u in lines
+        assert blown.u > cert.config.quotient().model.u
+        assert blown.u not in built_sizes, k
+        # the count sees the form once something reads it
+        assert len(blown.sparse_rows) == blown.u
+        assert built_sizes[-1] == blown.u
+
+
+def test_cli_realize_leaves_the_blown_form_unbuilt(built_sizes, tmp_path,
+                                                   capsys):
+    model = load_doc("e8").model
+    f0 = r.Divisor.from_coeffs(model, exc=[3 * v for v in E8_Z])
+    path = tmp_path / "e8_3z.graph"
+    path.write_text(r.serialize_model(model, {"F": f0}))
+    blown = r.realize(model, f0).config.model.u
+    built_sizes.clear()
+    assert main(["realize", str(path), "F"]) == 0
+    assert "blown_curves = %d" % blown in capsys.readouterr().out.splitlines()
+    assert built_sizes and blown not in built_sizes
+
+
+def test_form_read_later_equals_the_eager_model(log_terminal_models,
+                                                built_sizes):
+    rng = random.Random(10)
+    with_strict = 0
+    for name, model in log_terminal_models.items():
+        e = [rng.randint(0, 3) for _ in range(model.u)]
+        n = [rng.randint(1, 3) for _ in range(model.u)]
+        full = r.GenericConfiguration.build(model, e, n)
+        for config in (full, full.quotient()):
+            lazy = config.model
+            if config is full:
+                built_sizes.clear()
+                assert repr(lazy).startswith("ResolutionModel(")
+                assert built_sizes == [], name
+            eager = eager_model(config)
+            assert lazy.labels == eager.labels, name
+            assert lazy.strict_labels == eager.strict_labels, name
+            assert lazy == eager and eager == lazy, name
+            assert hash(lazy) == hash(eager), name
+            assert lazy.meetings == eager.meetings, name
+            assert lazy.sparse_rows == eager.sparse_rows, name
+            assert lazy.strict_sparse == eager.strict_sparse, name
+            assert lazy.curves == eager.curves, name
+            assert lazy.strict_curves == eager.strict_curves, name
+            assert lazy.labels == tuple(c.label for c in lazy.curves), name
+        assert full.model == iterated_configuration(model, e, n).model, name
+        with_strict += bool(model.strict_curves)
+    assert with_strict >= 1
+
+
+def test_divisors_on_an_unbuilt_form_copy_and_pickle(built_sizes):
+    config = r.GenericConfiguration.build(
+        r.parse_graph_file(CORPUS_DIR / "a2_branch.graph").model, [3, 2], [2, 3])
+    for c in (config, config.quotient()):
+        k = c.K_sigma
+        built_sizes.clear()
+        twins = [copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))]
+        assert built_sizes == []
+        for twin in twins:
+            assert twin == k and twin.products() == k.products()
+            assert twin.model.labels == c.model.labels
+        # a model whose form was built round-trips too
+        assert pickle.loads(pickle.dumps(k)) == k
+
+
+def test_unknown_attribute_of_a_blown_model_is_an_attribute_error():
+    model = r.GenericConfiguration.build(a2(), [2, 0], [2, 0]).model
+    for _ in range(2):  # before and after the form is built
+        with pytest.raises(AttributeError):
+            model.no_such_attribute
+    assert model.u == 6 and len(model.curves) == 6

@@ -76,6 +76,24 @@ def test_build_memory_is_linear_in_curves():
     assert peak < 16 * 2 ** 20
 
 
+def test_form_build_memory_is_linear_in_curves():
+    """The same bound with the blown model's form and the pullback read,
+    which are built on first read."""
+    model = load_doc("e8").model
+    e = [0] * 7 + [16]
+    n = [0] * 7 + [161]
+    tracemalloc.start()
+    try:
+        config = r.GenericConfiguration.build(model, e, n)
+        rows = config.model.sparse_rows
+        support = config.pullback.support
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2584 and len(support[7]) == 1 + 16 * 161
+    assert peak < 16 * 2 ** 20
+
+
 def test_constructor_rejects_meetings_it_cannot_store_once():
     curves = [r.ExcCurve("E1", 0, -2), r.ExcCurve("E2", 0, -2)]
     assert r.ResolutionModel(curves, [(1, 0, 1)]).meetings == ((0, 1, 1),)

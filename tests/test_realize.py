@@ -8,7 +8,7 @@ import pytest
 import resdiv as r
 from conftest import LOG_TERMINAL_NAMES, load_doc, random_antinef
 from oracles import closure_with_rule, expand_by_labels
-from resdiv.cli import random_antinef_divisor
+from resdiv.cli import _certificate_report, random_antinef_divisor
 from resdiv.realize import _run_checks
 
 
@@ -342,3 +342,52 @@ def test_realize_refuses_models_past_the_limit():
     with pytest.raises(r.TooManyCurves):
         r.realize(model, z.scale(10 ** 4))
     assert time.perf_counter() - started < 1.0
+
+
+# -- metamorphic: declaration order --------------------------------------------
+
+def _shuffled(model, rng):
+    """``model`` parsed back from its text with the curve and meeting lines
+    in a shuffled order and the ends of some meetings swapped."""
+    lines = r.serialize_model(model).splitlines()
+    curves = [line for line in lines if line.startswith("curve ")]
+    meets = []
+    for line in lines:
+        if line.startswith("meet "):
+            _, a, b, m = line.split()
+            if rng.random() < 0.5:
+                a, b = b, a
+            meets.append("meet %s %s %s" % (a, b, m))
+    rest = [line for line in lines if not line.startswith(("curve ", "meet "))]
+    rng.shuffle(curves)
+    rng.shuffle(meets)
+    return r.parse_graph("\n".join(curves + meets + rest) + "\n").model
+
+
+def _report_lines(cert):
+    """The report's lines, with the terms of each value sorted."""
+    out = []
+    for line in _certificate_report(cert).render().splitlines():
+        key, _, value = line.partition(" = ")
+        out.append((key, tuple(sorted(value.split()))))
+    return sorted(out)
+
+
+def test_declaration_order_only_reorders_the_report():
+    rng = random.Random(11)
+    with_strict = reordered = 0
+    for name in LOG_TERMINAL_NAMES:
+        model = load_doc(name).model
+        shuffled = _shuffled(model, rng)
+        assert sorted(shuffled.labels) == sorted(model.labels)
+        reordered += shuffled.labels != model.labels
+        for k in range(3):
+            f0 = random_antinef_divisor(model, "7:%s:%d" % (name, k))
+            moved = r.Divisor.from_coeffs(
+                shuffled, exc=dict(zip(model.labels, f0.exc)),
+                strict=list(f0.strict))
+            cert, twin = r.realize(model, f0), r.realize(shuffled, moved)
+            assert cert.passed and twin.passed, name
+            assert _report_lines(twin) == _report_lines(cert), name
+        with_strict += bool(model.strict_curves)
+    assert with_strict >= 1 and reordered >= len(LOG_TERMINAL_NAMES) // 2
