@@ -9,12 +9,11 @@ as multiplier-ideal data, verifying every step of the construction.
 from .antinef import (ClosureTrace, NonIntegralInput, antinef_closure,
                       is_antinef)
 from .blowup import (MAX_BLOWN_CURVES, ChainInfo, GenericConfiguration,
-                     LemmaGenReport, PreconditionViolated, PullbackMap,
-                     TooManyCurves, verify_lemma_gen)
+                     PullbackMap, TooManyCurves)
 from .canonical import (DiscrepancyReport, NonPositiveLambda, NotAntinef,
                         NotEffective, NotLogTerminal, discrepancies,
                         multiplier_divisor, relative_canonical)
-from .divisor import Divisor, ModelMismatch, decompose
+from .divisor import Divisor, ModelMismatch
 from .graphfile import (GraphDoc, GraphSyntaxError, format_divisor,
                         parse_graph, parse_graph_file, serialize_model)
 from .lattice import (NegDefResult, check_negative_definite, dual_basis,
@@ -32,17 +31,15 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_BLOWN_CURVES", "ChainInfo", "CheckResult", "ClosureTrace",
     "DiscrepancyReport", "Divisor", "ExcCurve", "GenericConfiguration",
-    "GraphDoc", "GraphSyntaxError", "LemmaGenReport", "MalformedGraph",
-    "ModelMismatch", "NegDefResult", "NonIntegralInput",
-    "NonPositiveLambda", "NotAntinef", "NotEffective", "NotLogTerminal",
-    "NotNegativeDefinite", "NotRational", "PreconditionViolated",
+    "GraphDoc", "GraphSyntaxError", "MalformedGraph", "ModelMismatch",
+    "NegDefResult", "NonIntegralInput", "NonPositiveLambda", "NotAntinef",
+    "NotEffective", "NotLogTerminal", "NotNegativeDefinite", "NotRational",
     "PullbackMap", "RealizationCertificate", "ResolutionModel",
     "StrictCurve", "TooManyCurves", "VerificationReport",
     "antinef_closure", "build_ample_negative", "build_model",
-    "check_negative_definite", "choose_epsilon", "choose_mu", "decompose",
+    "check_negative_definite", "choose_epsilon", "choose_mu",
     "discrepancies", "dual_basis", "format_divisor", "format_rational",
     "is_antinef", "multiplier_divisor", "numerical_pullback",
     "parse_graph", "parse_graph_file", "parse_rational", "realize",
     "relative_canonical", "serialize_model", "verify_certificate",
-    "verify_lemma_gen",
 ]

@@ -9,15 +9,17 @@ randomness or coordinates are involved.
 
 GenericConfiguration.build lays out a whole family of chains (the e_i
 points with n_i blowups each used by the realization pipeline) in one
-pass, and gives closed-form sums of dual-basis vectors.  The blown model
-knows its size and labels from the layout alone; its form, the composite
-pullback (stored as the sparse support of each column, read straight off
-the chains) and the relative canonical divisor of the composition are
-built the first time something reads them.  build refuses, before
-allocating anything, a model of more than MAX_BLOWN_CURVES curves.  The
-test suite keeps the step-by-step route (one blowup at a time, composing
-dense pullbacks) in tests/oracles.py and checks the one-pass build
-against it.
+pass (GenericConfiguration.layout gives that layout alone), and gives
+closed-form sums of dual-basis vectors.  The blown model knows its size
+and labels from the layout; its form, the composite pullback (stored as
+the sparse support of each column, read straight off the chains; it
+raises ModelMismatch on a divisor of another model) and the relative
+canonical divisor of the composition are built the first time something
+reads them.  build refuses, before allocating anything, a model of more
+than MAX_BLOWN_CURVES curves.  The test suite keeps the step-by-step
+route (one blowup at a time, composing dense pullbacks) and the
+direct-solve check of the chain lemma in tests/oracles.py, and checks the
+one-pass build against the former.
 
 The e_i chains over E_i are identical.  quotient() keeps one (point 1)
 standing for ChainInfo.copies = e_i of them, with form P^T M P for P
@@ -32,8 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .antinef import is_antinef
-from .divisor import Divisor
+from .divisor import Divisor, ModelMismatch
 from .lattice import dual_basis
 from .model import ExcCurve, ResolutionModel, StrictCurve
 
@@ -44,10 +45,6 @@ from .model import ExcCurve, ResolutionModel, StrictCurve
 # blowup to 100 000 curves on a1, which builds and prints it, about 1.4 s
 # and 137 MB (Python 3.11, one 2-vCPU machine).
 MAX_BLOWN_CURVES = 100_000
-
-
-class PreconditionViolated(Exception):
-    """The divisor or model does not satisfy the chain-lemma hypotheses."""
 
 
 class TooManyCurves(ValueError):
@@ -70,7 +67,7 @@ class PullbackMap:
 
     def apply(self, d: Divisor) -> Divisor:
         if d.model is not self.source and d.model != self.source:
-            raise PreconditionViolated("divisor does not live on the source model")
+            raise ModelMismatch("divisor does not live on the source model")
         out = [0] * self.target.u
         for c, support in zip(d.num, self.support):
             if c:
@@ -93,6 +90,16 @@ class ChainInfo:
     start: int   # index of the first chain curve in the blown model
     length: int
     copies: int = 1  # identical chains it stands for, in a quotient
+
+
+def _lay_out(u, specs) -> tuple:
+    """The chains of (base, point, length, copies) specs, in order, the
+    first starting at index u."""
+    chains = []
+    for b, point, length, copies in specs:
+        chains.append(ChainInfo(b, point, u, length, copies))
+        u += length
+    return tuple(chains)
 
 
 class _BlownModel(ResolutionModel):
@@ -171,19 +178,19 @@ class GenericConfiguration:
         if total > MAX_BLOWN_CURVES:
             raise TooManyCurves("the blown model would have %d curves, more "
                                 "than the limit of %d" % (total, MAX_BLOWN_CURVES))
-        return cls._assemble(base_model, [(i, j, n[i], 1) for i in range(u)
-                                          if n[i] > 0 for j in range(1, e[i] + 1)])
+        return cls._assemble(base_model, cls.layout(u, e, n))
+
+    @staticmethod
+    def layout(u, e, n) -> tuple:
+        """The chains of build(model, e, n) for a model of u curves: e[i]
+        chains of length n[i] over each curve i with n[i] > 0, in order."""
+        return _lay_out(u, [(i, j, n[i], 1) for i in range(u) if n[i] > 0
+                            for j in range(1, e[i] + 1)])
 
     @classmethod
-    def _assemble(cls, base_model, specs) -> "GenericConfiguration":
-        """The configuration of (base, point, length, copies) chains, in order."""
-        chains = []
-        cursor = base_model.u
-        for b, point, length, copies in specs:
-            chains.append(ChainInfo(b, point, cursor, length, copies))
-            cursor += length
-        chains = tuple(chains)
-        return cls(base_model, _BlownModel(base_model, chains, cursor), chains)
+    def _assemble(cls, base_model, chains) -> "GenericConfiguration":
+        end = chains[-1].start + chains[-1].length if chains else base_model.u
+        return cls(base_model, _BlownModel(base_model, chains, end), chains)
 
     @cached_property
     def pullback(self) -> PullbackMap:
@@ -219,8 +226,8 @@ class GenericConfiguration:
             for info in self.chains:
                 over.setdefault(info.base, []).append(info)
             self._quotient = self if len(over) == len(self.chains) else \
-                self._assemble(self.base_model, [
-                    (b, c[0].point, c[0].length, len(c)) for b, c in over.items()])
+                self._assemble(self.base_model, _lay_out(self.base_model.u, [
+                    (b, c[0].point, c[0].length, len(c)) for b, c in over.items()]))
         return self._quotient
 
     def expand(self, d: Divisor) -> Divisor:
@@ -228,9 +235,12 @@ class GenericConfiguration:
         return self._carry(d, self.quotient(), self)
 
     def compress(self, d: Divisor):
-        """``d`` on the quotient, or None if ``d`` is not on this model or
-        differs between two copies of a chain."""
-        if d.model is not self.model and d.model != self.model:
+        """``d`` on the quotient, or None if ``d`` is not on this model, the
+        chains do not cover the model, or ``d`` differs between two copies
+        of a chain."""
+        if (d.model is not self.model and d.model != self.model
+                or self.model.u != self.base_model.u
+                + sum(info.length for info in self.chains)):
             return None
         return self._carry(d, self, self.quotient())
 
@@ -286,68 +296,3 @@ class GenericConfiguration:
                 suffix -= t[m - 1]
                 vec[info.start + m - 1] = prefix + m * suffix
         return pulled + Divisor._of(self.model, vec, wden)
-
-
-# ---------------------------------------------------------------------------
-# chain lemma verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LemmaGenReport:
-    duals_monotone: bool       # dual(E(i)) <= dual(E(i,x,1)) <= ...
-    coeffs_monotone: bool      # a_0 <= a_1 <= ... <= a_n
-    coeffs: tuple              # (a_0, ..., a_n)
-    strict_increase: bool      # a_0 < a_n
-    chain_duals_dominate: bool  # sum_k (-D.E_k) dual_k >= dual(E(i))
-    equivalence_holds: bool    # strict_increase <=> chain_duals_dominate
-
-    @property
-    def all_hold(self):
-        return self.duals_monotone and self.coeffs_monotone and self.equivalence_holds
-
-
-def verify_lemma_gen(config: GenericConfiguration, d: Divisor) -> LemmaGenReport:
-    """Check the chain monotonicity statements for one generic chain.
-
-    ``config`` must hold exactly one chain (of length n >= 1) and ``d``
-    must be an integral antinef divisor on its blown model.  The duals
-    come from a direct solve, not from the closed form.  (In this
-    combinatorial setting the chain root automatically meets only the
-    base curve, so the free-point hypothesis needs no further check.)
-    """
-    if len(config.chains) != 1:
-        raise PreconditionViolated("configuration must hold exactly one chain")
-    if d.model is not config.model and d.model != config.model:
-        raise PreconditionViolated("divisor does not live on the chain model")
-    if not d.is_integral():
-        raise PreconditionViolated("divisor must be integral")
-    if not is_antinef(d):
-        raise PreconditionViolated("divisor must be antinef")
-
-    info = config.chains[0]
-    duals = dual_basis(config.model)
-    i = info.base
-    chain_curves = range(info.start, info.start + info.length)
-    seq = [duals[i]] + [duals[k] for k in chain_curves]
-    duals_monotone = all(seq[t].less_equal(seq[t + 1]) for t in range(len(seq) - 1))
-
-    exc = d.exc
-    coeffs = (exc[i],) + tuple(exc[k] for k in chain_curves)
-    coeffs_monotone = all(coeffs[t] <= coeffs[t + 1]
-                          for t in range(len(coeffs) - 1))
-    strict_increase = coeffs[0] < coeffs[-1]
-
-    prods = d.products()
-    combo = Divisor.zero(config.model)
-    for k in chain_curves:
-        combo = combo + duals[k].scale(-prods[k])
-    chain_duals_dominate = duals[i].less_equal(combo)
-
-    return LemmaGenReport(
-        duals_monotone=duals_monotone,
-        coeffs_monotone=coeffs_monotone,
-        coeffs=coeffs,
-        strict_increase=strict_increase,
-        chain_duals_dominate=chain_duals_dominate,
-        equivalence_holds=(strict_increase == chain_duals_dominate),
-    )

@@ -166,17 +166,18 @@ def cmd_realize(args) -> int:
     doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     cert = realize(doc.model, divisor)
+    body = _certificate_report(cert)
     rep = Report()
     rep.add("command", "realize")
     rep.add("file", Path(args.file).name)
     rep.add("divisor", args.divisor)
-    rep.extend(_certificate_report(cert))
+    rep.extend(body)
     print(rep.render(), end="")
     if args.emit_certificate:
         full = Report()
         full.add("certificate_for", Path(args.file).name)
         full.add("divisor", format_divisor(divisor))
-        full.extend(_certificate_report(cert))
+        full.extend(body)
         Path(args.emit_certificate).write_text(full.render(), encoding="utf-8")
     return 0 if cert.passed else 1
 

@@ -152,9 +152,6 @@ class Divisor:
     def floor(self) -> "Divisor":
         return Divisor._of(self.model, [n // self.den for n in self.num], 1)
 
-    def ceil(self) -> "Divisor":
-        return Divisor._of(self.model, [-(-n // self.den) for n in self.num], 1)
-
     # -- predicates ---------------------------------------------------------
 
     def is_integral(self) -> bool:
@@ -162,9 +159,6 @@ class Divisor:
 
     def is_effective(self) -> bool:
         return all(n >= 0 for n in self.num)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def less_equal(self, other: "Divisor") -> bool:
         """Componentwise partial order D <= D'."""
@@ -187,17 +181,3 @@ class Divisor:
         ]
         return "Divisor(%s)" % (" + ".join(terms) if terms else "0")
 
-
-def decompose(d: Divisor):
-    """Relative numerical decomposition of a divisor.
-
-    Returns (pullback_part, dual_coeffs) where pullback_part is the
-    numerical pullback of the pushforward of D and dual_coeffs[i] = -D.E_i,
-    so that D = pullback_part + sum_i dual_coeffs[i] * dual_basis[i]
-    reconstructs D exactly.
-    """
-    from .lattice import numerical_pullback
-
-    pullback_part = numerical_pullback(d.model, d.pushforward())
-    dual_coeffs = tuple(-p for p in d.products())
-    return pullback_part, dual_coeffs

@@ -15,6 +15,11 @@ computation, so it is recorded as an assumption rather than checked.
 The construction asserts nothing on the way: each property of it (F + K_g
 antinef among them) is established once, by a named certificate check.
 
+A certificate holds F0, the base model and the choices made from them; a,
+b and e are derived from F0 and the base model, and the checks bind the
+rest to them: F is the pullback of F0 (closure_equals_target), and the
+chains are laid out as build lays them out for (e, n) (chain_length_rule).
+
 Every divisor of the construction is fixed by the permutations of the
 identical chains, so realize works on the quotient configuration and
 expands F, A, G and F' onto the full blown model for the certificate.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -69,9 +75,6 @@ class RealizationCertificate:
     base_model: ResolutionModel
     F0: Divisor
     epsilon: Fraction
-    a: tuple          # exceptional coefficients of F0
-    b: tuple          # discrepancies of the base model
-    e: tuple          # e_i = -F0.E_i
     n: tuple          # chain lengths
     config: GenericConfiguration
     F: Divisor        # pullback of F0 to the blown model
@@ -86,6 +89,22 @@ class RealizationCertificate:
     @property
     def passed(self) -> bool:
         return bool(self.checks) and all(c.passed for c in self.checks)
+
+    # a (F0's exceptional coefficients), b (the base model's discrepancies)
+    # and e (e_i = -F0.E_i, ints when F0 is integral)
+    @property
+    def a(self) -> tuple:
+        return self.F0.exc
+
+    @property
+    def b(self) -> tuple:
+        return discrepancies(self.base_model).b
+
+    @property
+    def e(self) -> tuple:
+        den = self.F0.den
+        return tuple(-p if den == 1 else Fraction(-p, den)
+                     for p in self.F0.product_numerators())
 
 
 def choose_epsilon(model: ResolutionModel, f0: Divisor) -> Fraction:
@@ -152,13 +171,10 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     """
     prods = check_ideal_divisor(model, f0)
     epsilon = choose_epsilon(model, f0)
-    a = f0.exc
-    b = discrepancies(model).b
-    e = tuple(-p for p in prods)
-    n = tuple(int(math.floor((1 + b_i) / epsilon - (a_i + 1)))
-              for a_i, b_i in zip(a, b))
+    n = tuple(math.floor((1 + b_i) / epsilon - (a_i + 1))
+              for a_i, b_i in zip(f0.exc, discrepancies(model).b))
 
-    config = GenericConfiguration.build(model, e, n)
+    config = GenericConfiguration.build(model, [-p for p in prods], n)
     q = config.quotient()  # every divisor below is fixed by the chain copies
     f = q.pullback.apply(f0)
     k_g = q.K_sigma
@@ -177,7 +193,7 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     f_prime, _trace = antinef_closure(candidate)
 
     cert = RealizationCertificate(
-        base_model=model, F0=f0, epsilon=epsilon, a=a, b=b, e=e, n=n,
+        base_model=model, F0=f0, epsilon=epsilon, n=n,
         config=config, F=config.expand(f), A=config.expand(a_div), mu=mu,
         N=n_factor, G=config.expand(g_div), lam=lam,
         F_prime=config.expand(f_prime))
@@ -199,10 +215,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     that broke it.  The analytic checks come first, followed by
     consistency checks that pin the recorded parameters to their
     deterministic selection rules (so that any tampering with lambda, the
-    chain lengths, or G is always caught).
+    chain lengths or layout, F0, or G is always caught).
 
-    The checks run on the quotient of ``cert.config`` when F, A, G and F'
-    agree on every copy of each chain, else on the full configuration.
+    The checks run on the quotient of ``cert.config`` when its chains cover
+    its model and F, A, G and F' agree on every copy of each chain, else on
+    the full configuration.
     """
     config = cert.config
     parts = [config.compress(d) for d in (cert.F, cert.A, cert.G, cert.F_prime)]
@@ -287,7 +304,10 @@ def _run_checks(cert, config, f, a_div, g, fp) -> VerificationReport:
     total = pullback_part + config.weighted_dual_sum(neg)
     check("numerical_decomposition", total == fp, differ(total, fp))
 
-    check("closure_equals_target", fp == f, differ(fp, f))
+    # F is the pullback of F0, and F' is F
+    target = config.pullback.apply(cert.F0)
+    check("closure_equals_target", fp == f and f == target,
+          lambda: differ(fp, f)() or differ(f, target)())
 
     # consistency of recorded parameters with the deterministic rules
     recomputed, _ = antinef_closure(candidate)
@@ -307,7 +327,20 @@ def _run_checks(cert, config, f, a_div, g, fp) -> VerificationReport:
         if n_i >= 1:
             rows += [(label, b_i / eps - a_i, n_i, le),
                      (label, n_i, (b_i + 1) / eps - a_i, lt)]
-    n_break = _first_break(rows)
+    # and the chains are laid out as build lays them out for (e, n)
+    chains = cert.config.chains
+    counts = Counter(info.base for info in chains)
+    n_break = _first_break(rows) or _first_break(
+        [("n", len(cert.n), base.u, eq)]
+        + [(label, counts[i], e_i if n_i >= 1 else 0, eq) for i, (label, n_i, e_i)
+           in enumerate(zip(base.labels, cert.n, cert.e))])
+    # so far each E_i has its e_i chains, as counted
+    if not n_break and (
+            laid := GenericConfiguration.layout(base.u, counts, cert.n)) != chains:
+        n_break = _first_break(
+            ("%s(%d,1)" % (base.labels[want.base], want.point), x, y, eq)
+            for have, want in zip(chains, laid)
+            for x, y in zip(dataclasses.astuple(have), dataclasses.astuple(want)))
     check("chain_length_rule", not n_break, lambda: n_break)
 
     check("lambda_scaling_rule", cert.lam * cert.N == one_eps, lambda: _first_break(

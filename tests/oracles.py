@@ -10,11 +10,18 @@ The step-by-step blowup route builds chain configurations one free-point
 blowup at a time, composing dense pullback matrices and the relative
 canonical divisors of the single steps; GenericConfiguration.build, which
 writes the blown model and the sparse pullback down in one pass, is
-checked against it.  quotient_matrix and expand_by_labels read the
-quotient by identical chains off the labels alone: each chain curve
-<base>(point,step) stands in the class of <base>(1,step).
-closure_with_rule runs the unit-step closure on the
-dense matrix under any rule for picking the violating curve.
+checked against it.  blow_up_meeting_point blows up the point where two
+curves meet once, and blown_discrepancies gives the discrepancies of a
+one-point blowup from those below it by the blowup rule, solving nothing.
+verify_lemma_gen checks the paper's chain lemma on one generic chain,
+with the duals from a direct solve rather than the closed form that
+GenericConfiguration.weighted_dual_sum uses.
+
+quotient_matrix and expand_by_labels read the quotient by identical
+chains off the labels alone: each chain curve <base>(point,step) stands
+in the class of <base>(1,step).  closure_with_rule runs the unit-step
+closure on the dense matrix under any rule for picking the violating
+curve.
 
 RefDivisor keeps one Fraction per coefficient and does every operation
 coefficient by coefficient, with products read off the dense matrix; the
@@ -31,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from resdiv import (ChainInfo, Divisor, ExcCurve, GenericConfiguration,
-                    ResolutionModel, StrictCurve)
+                    ResolutionModel, StrictCurve, dual_basis, is_antinef)
 
 
 def det(matrix):
@@ -185,13 +192,36 @@ def blow_up_free_point(model, i, point_tag=None):
             point_tag = 1 + max((t[1] for t in tags
                                  if t and t[0] == old.label), default=0)
         tag = (old.label, point_tag, 1)
-    new_label = "%s(%d,%d)" % tag
+    return _blow_up_point(model, (i,), "%s(%d,%d)" % tag)
 
+
+def blow_up_meeting_point(model, i, j):
+    """Blow up the point where curves i and j meet with multiplicity 1.
+
+    The new curve C, labelled ``[<label i>,<label j>]``, has
+    self-intersection -1 and meets E_i and E_j once each; both drop their
+    self-intersection by one and no longer meet.  The pullback sends E_i
+    to E_i' + C and E_j to E_j' + C; the relative canonical divisor of the
+    blowup is C.  The point lies on no strict curve.
+    """
+    if model.matrix[i][j] != 1:
+        raise ValueError("curves %d and %d do not meet once" % (i, j))
+    return _blow_up_point(model, (i, j), "[%s,%s]" % (model.labels[i],
+                                                      model.labels[j]))
+
+
+def _blow_up_point(model, through, new_label):
+    """Blow up a point on the curves ``through`` (each smooth there, any two
+    meeting transversally) and on no strict curve: each product of two of
+    them, self-intersections included, drops by one, and each meets the
+    new (-1)-curve C once and pulls back to its strict transform plus C."""
     u = model.u
     mat = [list(row) + [0] for row in model.matrix]
     mat.append([0] * (u + 1))
-    mat[i][i] -= 1
-    mat[i][u] = mat[u][i] = 1
+    for i in through:
+        for j in through:
+            mat[i][j] -= 1
+        mat[i][u] = mat[u][i] = 1
     mat[u][u] = -1
 
     curves = [ExcCurve(c.label, c.genus, mat[j][j])
@@ -206,12 +236,23 @@ def blow_up_free_point(model, i, point_tag=None):
     cols = []
     for j in range(u):
         col = [int(j == k) for k in range(u + 1)]
-        if j == i:
+        if j in through:
             col[u] = 1
         cols.append(tuple(col))
     pullback = DensePullback(model, new_model, tuple(cols))
     return BlowupResult(new_model, pullback, Divisor.curve(new_model, u),
-                        base_curve=i, chain_curves=(u,))
+                        base_curve=through[0], chain_curves=(u,))
+
+
+def blown_discrepancies(b, step):
+    """The discrepancies of ``step.new_model``, a one-point blowup, from
+    those of the model it blew up, ``b``, solving nothing.  K' = pi^*K + C,
+    so the new curve C takes 1 plus the b of each curve through the centre
+    (b_i + 1 at a free point of E_i, b_i + b_j + 1 where E_i meets E_j),
+    and the old curves keep theirs."""
+    (c,) = step.chain_curves
+    return tuple(b) + (1 + sum(b_k * col[c] for b_k, col
+                               in zip(b, step.sigma_pullback.columns)),)
 
 
 def generic_chain(model, i, n, point_tag=None):
@@ -260,6 +301,73 @@ def iterated_configuration(base_model, e, n):
     # the composed maps, in place of those build reads off the chains
     config.pullback, config.K_sigma = pullback, k_total
     return config
+
+
+# -- the chain lemma, by a direct solve ------------------------------------------
+
+class PreconditionViolated(Exception):
+    """The divisor or model does not satisfy the chain-lemma hypotheses."""
+
+
+@dataclass(frozen=True)
+class LemmaGenReport:
+    duals_monotone: bool       # dual(E(i)) <= dual(E(i,x,1)) <= ...
+    coeffs_monotone: bool      # a_0 <= a_1 <= ... <= a_n
+    coeffs: tuple              # (a_0, ..., a_n)
+    strict_increase: bool      # a_0 < a_n
+    chain_duals_dominate: bool  # sum_k (-D.E_k) dual_k >= dual(E(i))
+    equivalence_holds: bool    # strict_increase <=> chain_duals_dominate
+
+    @property
+    def all_hold(self):
+        return self.duals_monotone and self.coeffs_monotone and self.equivalence_holds
+
+
+def verify_lemma_gen(config, d):
+    """Check the chain monotonicity statements for one generic chain.
+
+    ``config`` must hold exactly one chain (of length n >= 1) and ``d``
+    must be an integral antinef divisor on its blown model.  The duals
+    come from a direct solve, not from the closed form.  (In this
+    combinatorial setting the chain root automatically meets only the
+    base curve, so the free-point hypothesis needs no further check.)
+    """
+    if len(config.chains) != 1:
+        raise PreconditionViolated("configuration must hold exactly one chain")
+    if d.model is not config.model and d.model != config.model:
+        raise PreconditionViolated("divisor does not live on the chain model")
+    if not d.is_integral():
+        raise PreconditionViolated("divisor must be integral")
+    if not is_antinef(d):
+        raise PreconditionViolated("divisor must be antinef")
+
+    info = config.chains[0]
+    duals = dual_basis(config.model)
+    i = info.base
+    chain_curves = range(info.start, info.start + info.length)
+    seq = [duals[i]] + [duals[k] for k in chain_curves]
+    duals_monotone = all(seq[t].less_equal(seq[t + 1]) for t in range(len(seq) - 1))
+
+    exc = d.exc
+    coeffs = (exc[i],) + tuple(exc[k] for k in chain_curves)
+    coeffs_monotone = all(coeffs[t] <= coeffs[t + 1]
+                          for t in range(len(coeffs) - 1))
+    strict_increase = coeffs[0] < coeffs[-1]
+
+    prods = d.products()
+    combo = Divisor.zero(config.model)
+    for k in chain_curves:
+        combo = combo + duals[k].scale(-prods[k])
+    chain_duals_dominate = duals[i].less_equal(combo)
+
+    return LemmaGenReport(
+        duals_monotone=duals_monotone,
+        coeffs_monotone=coeffs_monotone,
+        coeffs=coeffs,
+        strict_increase=strict_increase,
+        chain_duals_dominate=chain_duals_dominate,
+        equivalence_holds=(strict_increase == chain_duals_dominate),
+    )
 
 
 # -- the quotient by identical chains, by labels ---------------------------------
@@ -329,9 +437,6 @@ class RefDivisor:
 
     def floor(self):
         return self._map(lambda c: Fraction(math.floor(c)))
-
-    def ceil(self):
-        return self._map(lambda c: Fraction(math.ceil(c)))
 
     def less_equal(self, other):
         return all(a <= b for a, b in zip(self.exc + self.strict,

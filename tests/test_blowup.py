@@ -8,8 +8,9 @@ import pytest
 
 import resdiv as r
 from conftest import CORPUS_DIR, load_doc, random_integral_divisor, single_chain
-from oracles import (blow_up_free_point, expand_by_labels, generic_chain,
-                     iterated_configuration, quotient_matrix)
+from oracles import (PreconditionViolated, blow_up_free_point,
+                     expand_by_labels, generic_chain, iterated_configuration,
+                     quotient_matrix, verify_lemma_gen)
 from resdiv.cli import _certificate_report, main
 
 
@@ -90,9 +91,17 @@ def test_chain_of_length_zero_is_identity():
     config = single_chain(base, 0, 0)
     assert config.model == base
     assert config.chains == ()
-    assert config.K_sigma.is_zero()
+    assert config.K_sigma == r.Divisor.zero(config.model)
     d = r.Divisor.curve(base, 0)
     assert config.pullback.apply(d) == d
+
+
+def test_pullback_rejects_a_divisor_on_another_model():
+    config = single_chain(a2(), 0, 2)
+    with pytest.raises(r.ModelMismatch):
+        config.pullback.apply(r.Divisor.curve(a1(), 0))
+    with pytest.raises(r.ModelMismatch):
+        config.pullback.apply(r.Divisor.zero(config.model))
 
 
 def test_negative_chain_length_rejected():
@@ -243,7 +252,7 @@ def test_lemma_report_on_pulled_back_divisor():
     chain = single_chain(base, 0, 2)
     d = chain.pullback.apply(
         r.Divisor.from_coeffs(base, exc=[2, 1]))
-    report = r.verify_lemma_gen(chain, d)
+    report = verify_lemma_gen(chain, d)
     assert report.all_hold
     # pullback has equal coefficients along the chain: no strict increase,
     # so the chain duals cannot dominate the base dual
@@ -257,7 +266,7 @@ def test_lemma_report_with_strict_increase():
     d = chain.pullback.apply(r.Divisor.curve(base, 0)) + \
         r.dual_basis(chain.model)[2].scale(2)
     assert d.is_integral() and r.is_antinef(d)
-    report = r.verify_lemma_gen(chain, d)
+    report = verify_lemma_gen(chain, d)
     assert report.all_hold
     assert report.strict_increase
     assert report.chain_duals_dominate
@@ -271,23 +280,23 @@ def test_lemma_report_on_random_antinef(log_terminal_models):
         for _ in range(10):
             d0 = random_integral_divisor(chain.model, rng, hi=6)
             d, _ = r.antinef_closure(d0)
-            report = r.verify_lemma_gen(chain, d)
+            report = verify_lemma_gen(chain, d)
             assert report.all_hold
 
 
 def test_lemma_rejects_bad_inputs():
     base = a1()
     chain = single_chain(base, 0, 2)
-    with pytest.raises(r.PreconditionViolated):
-        r.verify_lemma_gen(chain, r.Divisor.curve(chain.model, 0))
-    with pytest.raises(r.PreconditionViolated):
-        r.verify_lemma_gen(chain, r.Divisor.zero(base))
+    with pytest.raises(PreconditionViolated):
+        verify_lemma_gen(chain, r.Divisor.curve(chain.model, 0))
+    with pytest.raises(PreconditionViolated):
+        verify_lemma_gen(chain, r.Divisor.zero(base))
     empty = single_chain(base, 0, 0)
-    with pytest.raises(r.PreconditionViolated):
-        r.verify_lemma_gen(empty, r.Divisor.zero(empty.model))
+    with pytest.raises(PreconditionViolated):
+        verify_lemma_gen(empty, r.Divisor.zero(empty.model))
     two = r.GenericConfiguration.build(base, [2], [1])
-    with pytest.raises(r.PreconditionViolated):
-        r.verify_lemma_gen(two, r.Divisor.zero(two.model))
+    with pytest.raises(PreconditionViolated):
+        verify_lemma_gen(two, r.Divisor.zero(two.model))
 
 
 # -- the blown model's form, built on first read --------------------------------

@@ -70,7 +70,7 @@ def test_a1_multiplier_at_one():
 def test_a1_multiplier_below_threshold_is_trivial():
     m = a1()
     g = r.Divisor.curve(m, 0)
-    assert r.multiplier_divisor(m, g, Fraction(1, 2)).is_zero()
+    assert r.multiplier_divisor(m, g, Fraction(1, 2)) == r.Divisor.zero(m)
 
 
 def test_minus_three_multiplier_uses_discrepancy():

@@ -219,6 +219,22 @@ def test_realize_a2(capsys, tmp_path):
     assert saved.startswith("format_version = 1\n")
 
 
+def test_emitted_certificate_repeats_the_report(capsys, tmp_path):
+    """The file holds the certificate lines of stdout, after its own head."""
+    z = "E1=6 E2=3 E3=4 E4=2 E5=5 E6=4 E7=3 E8=2"
+    source = tmp_path / "e8.graph"
+    source.write_text((CORPUS_DIR / "e8.graph").read_text() + "divisor Z %s\n" % z)
+    cert_path = tmp_path / "cert.txt"
+    code, out, _ = run(capsys, "realize", str(source), "Z",
+                       "--emit-certificate", str(cert_path))
+    assert code == 0
+    head, saved = out.splitlines(), cert_path.read_text().splitlines()
+    assert head[1:4] == ["command = realize", "file = e8.graph",
+                         "divisor = Z"]
+    assert saved[1:3] == ["certificate_for = e8.graph", "divisor = " + z]
+    assert saved[3:] == head[4:] and saved[3].startswith("epsilon = ")
+
+
 def test_realize_not_log_terminal(capsys, tmp_path):
     src = (CORPUS_DIR / "elliptic_minus2.graph").read_text()
     target = tmp_path / "bad.graph"

@@ -47,7 +47,7 @@ def test_parse_sample_document():
     f = doc.divisors["F"]
     assert f.exc == (Fraction(1), Fraction(2))
     assert f.strict == (Fraction(1, 3),)
-    assert doc.divisors["Z"].is_zero()
+    assert doc.divisors["Z"] == r.Divisor.zero(m)
 
 
 def test_syntax_errors_carry_line_numbers():

@@ -5,12 +5,17 @@ A stand-in for a linter's unused-import rule: each module is parsed with
 as a loaded name, or in ``__all__``.  An import line marked
 ``# noqa: F401`` is exempt; such a name is imported so that something
 outside the package can find it there.
+
+And every name the package exports is read by one of its own modules:
+what only the tests read belongs with the tests.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import resdiv
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "resdiv"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -43,6 +48,19 @@ def unused_imports(source):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def loaded_names(source):
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_is_read_inside_the_package():
+    read = set()
+    for module in MODULES:
+        if module != "__init__.py":
+            read |= loaded_names((SRC / module).read_text())
+    assert sorted(set(resdiv.__all__) - read) == []
 
 
 def test_detector_flags_an_unused_name():

@@ -1,0 +1,83 @@
+"""Log terminal models beyond the corpus: one to three random blowups of
+the log-terminal corpus graphs, each at a free point of a curve or at a
+point where two curves meet once.  Blowups keep a model log terminal, so
+their discrepancies must follow the blowup rule and realize must pass on
+them (the paper's theorem on every log terminal model)."""
+
+import hypothesis.strategies as st
+from hypothesis import given, seed, settings
+
+import resdiv as r
+from conftest import LOG_TERMINAL_NAMES, load_doc
+from oracles import (_chain_tag, blow_up_free_point, blow_up_meeting_point,
+                     blown_discrepancies)
+from resdiv.cli import random_antinef_divisor
+
+SETTINGS = settings(max_examples=40, deadline=2000)
+
+
+def _free_centres(model):
+    """The curves whose free-point blowup gets an unused label: the blowup
+    of a chain curve continues its chain, so only from its last curve."""
+    labels = set(model.labels)
+    return [i for i, label in enumerate(model.labels)
+            if (tag := _chain_tag(label)) is None
+            or "%s(%d,%d)" % (tag[0], tag[1], tag[2] + 1) not in labels]
+
+
+@st.composite
+def blown_corpus_models(draw):
+    """(graph name, blown model, its discrepancies by the blowup rule)."""
+    name = draw(st.sampled_from(LOG_TERMINAL_NAMES))
+    model = load_doc(name).model
+    b = r.discrepancies(model).b
+    for _ in range(draw(st.integers(1, 3))):
+        meets = [(i, j) for i, j, m in model.meetings if m == 1]
+        if meets and draw(st.booleans()):
+            step = blow_up_meeting_point(model, *draw(st.sampled_from(meets)))
+        else:
+            step = blow_up_free_point(
+                model, draw(st.sampled_from(_free_centres(model))))
+        model, b = step.new_model, blown_discrepancies(b, step)
+    return name, model, b
+
+
+def _renamed(model):
+    """``model`` with its curves named N1, N2, ...; realize names its chain
+    curves ``<label>(point,step)``, as the free-point blowups do."""
+    return r.ResolutionModel(
+        [r.ExcCurve("N%d" % (k + 1), c.genus, c.self_int)
+         for k, c in enumerate(model.curves)],
+        model.meetings, model.strict_curves)
+
+
+def test_meeting_point_blowup():
+    a2 = r.build_model([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 1)])
+    step = blow_up_meeting_point(a2, 0, 1)
+    assert step.new_model.labels == ("E1", "E2", "[E1,E2]")
+    assert step.new_model.matrix == ((-3, 0, 1), (0, -3, 1), (1, 1, -1))
+    assert step.sigma_pullback.columns == ((1, 0, 1), (0, 1, 1))
+    assert blown_discrepancies((0, 0), step) == (0, 0, 1)
+    assert r.discrepancies(step.new_model).b == (0, 0, 1)
+
+
+@seed(20080918)
+@SETTINGS
+@given(blown=blown_corpus_models())
+def test_blowup_rule_gives_the_discrepancies(blown):
+    name, model, b = blown
+    report = r.discrepancies(model)
+    assert report.b == b, name
+    assert report.log_terminal, name
+
+
+@seed(20080919)
+@SETTINGS
+@given(blown=blown_corpus_models(), k=st.integers(0, 99))
+def test_realize_passes_on_blown_models(blown, k):
+    name, model, _ = blown
+    model = _renamed(model)
+    f0 = random_antinef_divisor(model, "blown:%s:%d" % (name, k))
+    cert = r.realize(model, f0)
+    assert cert.passed, (name, [(c.name, c.detail) for c in cert.checks
+                                if not c.passed])

@@ -63,7 +63,7 @@ def test_zero_divisor_realizes_trivially():
     model = a2()
     cert = r.realize(model, r.Divisor.zero(model))
     assert cert.passed
-    assert cert.F_prime.is_zero()
+    assert cert.F_prime == r.Divisor.zero(cert.config.model)
 
 
 # -- verification over the corpus -------------------------------------------------
@@ -192,6 +192,76 @@ def test_tampered_epsilon_detected():
     assert not report.passed
     assert "epsilon_constraints" in [c.name for c in report.checks
                                      if not c.passed]
+
+
+# -- the certificate is bound to F0 -------------------------------------------------
+
+BOUND_GRAPHS = ("a2", "cyclic23", "d4", "e8")
+
+
+def _closure_of_sum(model):
+    """The antinef closure of the sum of the exceptional curves."""
+    closed, _ = r.antinef_closure(r.Divisor.from_coeffs(model, exc=[1] * model.u))
+    return closed
+
+
+@pytest.mark.parametrize("name", BOUND_GRAPHS)
+def test_doubled_f0_is_not_realized_by_the_certificate(name):
+    """a and e come from F0, so the chain lengths and F no longer match."""
+    model = load_doc(name).model
+    cert = r.realize(model, _closure_of_sum(model))
+    assert cert.passed
+    failed = _details(dataclasses.replace(cert, F0=cert.F0.scale(2), checks=()))
+    assert {"chain_length_rule", "closure_equals_target"} <= set(failed)
+    f = cert.F.exc[0]
+    assert failed["closure_equals_target"] == "%s: %s vs %s" % (
+        model.labels[0], r.format_rational(f), r.format_rational(2 * f))
+
+
+@pytest.mark.parametrize("name", BOUND_GRAPHS)
+@pytest.mark.parametrize("k", (1, 3))
+def test_config_missing_its_last_chain_fails_the_chain_rule(name, k):
+    """Drop the last chain from the configuration and keep everything else:
+    the checks end in a report, and the chain count names the curve."""
+    model = load_doc(name).model
+    cert = r.realize(model, _closure_of_sum(model).scale(k))
+    chains = cert.config.chains
+    short = r.GenericConfiguration(model, cert.config.model, chains[:-1])
+    report = r.verify_certificate(dataclasses.replace(cert, config=short,
+                                                      checks=()))
+    assert not report.passed
+    last = chains[-1].base
+    detail = {c.name: c.detail for c in report.checks}["chain_length_rule"]
+    assert detail == "%s: %d vs %d" % (model.labels[last], cert.e[last] - 1,
+                                       cert.e[last])
+
+
+def test_config_with_renumbered_chains_fails_the_chain_rule():
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    chains = cert.config.chains
+    assert [info.point for info in chains] == [1, 2, 3]
+    renumbered = r.GenericConfiguration(model, cert.config.model, [
+        dataclasses.replace(info, point=4 - info.point) for info in chains])
+    failed = _details(dataclasses.replace(cert, config=renumbered, checks=()))
+    assert failed == {"chain_length_rule": "E1(1,1): 3 vs 1"}
+
+
+def test_recorded_chain_lengths_cover_every_curve():
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
+    failed = _details(dataclasses.replace(cert, n=cert.n[:-1], checks=()))
+    assert failed == {"chain_length_rule": "n: 1 vs 2"}
+
+
+def test_derived_fields_follow_f0():
+    model = load_doc("cyclic23").model
+    cert = r.realize(model, _closure_of_sum(model))
+    assert cert.a == cert.F0.exc
+    assert cert.b == r.discrepancies(model).b
+    assert cert.e == tuple(-p for p in cert.F0.products())
+    assert all(type(v) is int for v in cert.e)
+    assert not {"a", "b", "e"} & {f.name for f in dataclasses.fields(cert)}
 
 
 # -- input validation -----------------------------------------------------------------
