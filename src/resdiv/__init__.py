@@ -22,9 +22,8 @@ from .linalg import NotNegativeDefinite
 from .model import (ExcCurve, MalformedGraph, ResolutionModel, StrictCurve,
                     build_model)
 from .rationals import NotRational, format_rational, parse_rational
-from .realize import (CheckResult, RealizationCertificate,
-                      VerificationReport, build_ample_negative,
-                      choose_epsilon, choose_mu, realize, verify_certificate)
+from .realize import (CheckResult, RealizationCertificate, choose_epsilon,
+                      choose_mu, realize, verify_certificate)
 
 __version__ = "0.1.0"
 
@@ -35,8 +34,7 @@ __all__ = [
     "NegDefResult", "NonIntegralInput", "NonPositiveLambda", "NotAntinef",
     "NotEffective", "NotLogTerminal", "NotNegativeDefinite", "NotRational",
     "PullbackMap", "RealizationCertificate", "ResolutionModel",
-    "StrictCurve", "TooManyCurves", "VerificationReport",
-    "antinef_closure", "build_ample_negative", "build_model",
+    "StrictCurve", "TooManyCurves", "antinef_closure", "build_model",
     "check_negative_definite", "choose_epsilon", "choose_mu",
     "discrepancies", "dual_basis", "format_divisor", "format_rational",
     "is_antinef", "multiplier_divisor", "numerical_pullback",

@@ -5,7 +5,10 @@ other exceptional curve and off every strict curve.  Blowing one up is a
 purely combinatorial update: a new (-1)-curve meeting only the center
 curve, whose self-intersection drops by one.  "Generic" chains iterate
 this, each new center on the most recent chain curve only, so no
-randomness or coordinates are involved.
+randomness or coordinates are involved.  The m-th curve of a chain at
+point p of E_i is labelled <label of E_i>(p,m); the chains over E_i take
+the lowest point numbers p for which the base model has no such label
+yet, so a blown model can itself be blown up or realized.
 
 GenericConfiguration.build lays out a whole family of chains (the e_i
 points with n_i blowups each used by the realization pipeline) in one
@@ -21,9 +24,9 @@ route (one blowup at a time, composing dense pullbacks) and the
 direct-solve check of the chain lemma in tests/oracles.py, and checks the
 one-pass build against the former.
 
-The e_i chains over E_i are identical.  quotient() keeps one (point 1)
-standing for ChainInfo.copies = e_i of them, with form P^T M P for P
-sending a class to the sum of its copies: self-intersections -2c (-c at
+The e_i chains over E_i are identical.  quotient() keeps one (the lowest
+point) standing for ChainInfo.copies = e_i of them, with form P^T M P for
+P sending a class to the sum of its copies: self-intersections -2c (-c at
 the tip) and meetings c.  A product on a representative reads c times
 the product with one copy.  expand() and compress() move divisors fixed
 by the chain permutations between the two.
@@ -31,8 +34,10 @@ by the chain permutations between the two.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 
 from .divisor import Divisor, ModelMismatch
 from .lattice import dual_basis
@@ -164,7 +169,6 @@ class GenericConfiguration:
         self.base_model = base_model
         self.model = model
         self.chains = tuple(chains)
-        self._quotient = None
 
     @classmethod
     def build(cls, base_model: ResolutionModel, e, n) -> "GenericConfiguration":
@@ -178,14 +182,21 @@ class GenericConfiguration:
         if total > MAX_BLOWN_CURVES:
             raise TooManyCurves("the blown model would have %d curves, more "
                                 "than the limit of %d" % (total, MAX_BLOWN_CURVES))
-        return cls._assemble(base_model, cls.layout(u, e, n))
+        return cls._assemble(base_model, cls.layout(base_model, e, n))
 
     @staticmethod
-    def layout(u, e, n) -> tuple:
-        """The chains of build(model, e, n) for a model of u curves: e[i]
-        chains of length n[i] over each curve i with n[i] > 0, in order."""
-        return _lay_out(u, [(i, j, n[i], 1) for i in range(u) if n[i] > 0
-                            for j in range(1, e[i] + 1)])
+    def layout(base_model, e, n) -> tuple:
+        """The chains of build(base_model, e, n): e[i] chains of length
+        n[i] over each curve i with n[i] > 0, in order, at the lowest point
+        numbers p for which no label of base_model reads <label i>(p,m)."""
+        labels = base_model.labels + base_model.strict_labels
+        taken = {(m[1], int(m[2])) for m in (re.fullmatch(
+            r"(.*)\(([1-9][0-9]*),[1-9][0-9]*\)", label) for label in labels) if m}
+        specs = []
+        for i, label in enumerate(base_model.labels):
+            free = (p for p in count(1) if (label, p) not in taken)
+            specs += [(i, p, n[i], 1) for p in islice(free, e[i]) if n[i] > 0]
+        return _lay_out(base_model.u, specs)
 
     @classmethod
     def _assemble(cls, base_model, chains) -> "GenericConfiguration":
@@ -221,14 +232,16 @@ class GenericConfiguration:
     def quotient(self) -> "GenericConfiguration":
         """The configuration with one chain per base curve, the first in
         index order, standing for all chains over that curve (cached)."""
-        if self._quotient is None:
-            over = {}
-            for info in self.chains:
-                over.setdefault(info.base, []).append(info)
-            self._quotient = self if len(over) == len(self.chains) else \
-                self._assemble(self.base_model, _lay_out(self.base_model.u, [
-                    (b, c[0].point, c[0].length, len(c)) for b, c in over.items()]))
         return self._quotient
+
+    @cached_property
+    def _quotient(self) -> "GenericConfiguration":
+        over = {}
+        for info in self.chains:
+            over.setdefault(info.base, []).append(info)
+        return self if len(over) == len(self.chains) else self._assemble(
+            self.base_model, _lay_out(self.base_model.u, [
+                (b, c[0].point, c[0].length, len(c)) for b, c in over.items()]))
 
     def expand(self, d: Divisor) -> Divisor:
         """``d`` (on the quotient) on this model, equal on every copy."""

@@ -38,6 +38,14 @@ from .report import Report
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
+def _report(command, path) -> Report:
+    """A report that opens with the command and the input file's name."""
+    rep = Report()
+    rep.add("command", command)
+    rep.add("file", Path(path).name)
+    return rep
+
+
 def _named_divisor(doc, name, path):
     if name not in doc.divisors:
         raise MalformedGraph("no divisor named %r in %s" % (name, path))
@@ -50,9 +58,7 @@ def _named_divisor(doc, name, path):
 
 def cmd_check(args) -> int:
     model = parse_graph_file(args.file).model
-    rep = Report()
-    rep.add("command", "check")
-    rep.add("file", Path(args.file).name)
+    rep = _report("check", args.file)
     rep.add("curves", model.u)
     rep.add("strict_curves", len(model.strict_curves))
     try:
@@ -75,9 +81,7 @@ def cmd_check(args) -> int:
 
 def cmd_dual_basis(args) -> int:
     model = parse_graph_file(args.file).model
-    rep = Report()
-    rep.add("command", "dual-basis")
-    rep.add("file", Path(args.file).name)
+    rep = _report("dual-basis", args.file)
     for label, dual in zip(model.labels, dual_basis(model)):
         rep.add("dual.%s" % label, dual)
     print(rep.render(), end="")
@@ -91,9 +95,7 @@ def cmd_closure(args) -> int:
         print("error: intersection form is not negative definite", file=sys.stderr)
         return 1
     closed, trace = antinef_closure(divisor)
-    rep = Report()
-    rep.add("command", "closure")
-    rep.add("file", Path(args.file).name)
+    rep = _report("closure", args.file)
     rep.add("divisor", args.divisor)
     rep.add("input", divisor)
     rep.add("closure", closed)
@@ -112,9 +114,7 @@ def cmd_multiplier(args) -> int:
     divisor = _named_divisor(doc, args.divisor, args.file)
     lam = parse_rational(args.lam)
     result = multiplier_divisor(doc.model, divisor, lam)
-    rep = Report()
-    rep.add("command", "multiplier")
-    rep.add("file", Path(args.file).name)
+    rep = _report("multiplier", args.file)
     rep.add("divisor", args.divisor)
     rep.add("lambda", lam)
     rep.add("relative_canonical", relative_canonical(doc.model))
@@ -128,9 +128,7 @@ def cmd_blowup(args) -> int:
     i = model.index_of(args.curve)
     e = [int(k == i) for k in range(model.u)]
     config = GenericConfiguration.build(model, e, [args.length * v for v in e])
-    rep = Report()
-    rep.add("command", "blowup")
-    rep.add("file", Path(args.file).name)
+    rep = _report("blowup", args.file)
     rep.add("curve", args.curve)
     rep.add("length", args.length)
     rep.add("relative_canonical_of_map", config.K_sigma)
@@ -167,9 +165,7 @@ def cmd_realize(args) -> int:
     divisor = _named_divisor(doc, args.divisor, args.file)
     cert = realize(doc.model, divisor)
     body = _certificate_report(cert)
-    rep = Report()
-    rep.add("command", "realize")
-    rep.add("file", Path(args.file).name)
+    rep = _report("realize", args.file)
     rep.add("divisor", args.divisor)
     rep.extend(body)
     print(rep.render(), end="")

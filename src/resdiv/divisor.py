@@ -144,11 +144,6 @@ class Divisor:
 
     # -- componentwise operations -----------------------------------------
 
-    def meet(self, other: "Divisor") -> "Divisor":
-        """Componentwise minimum over exceptional and strict coefficients."""
-        a, b, den = self._align(other)
-        return Divisor._of(self.model, [min(x, y) for x, y in zip(a, b)], den)
-
     def floor(self) -> "Divisor":
         return Divisor._of(self.model, [n // self.den for n in self.num], 1)
 

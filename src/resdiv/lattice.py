@@ -2,12 +2,14 @@
 
 The intersection matrix of the exceptional curves of a resolution is
 negative definite; everything in this module rests on that.  Every
-computation here goes through ``linalg.solve_columns``, the fraction-free
+elimination here goes through ``linalg.solve_columns``, the fraction-free
 symmetric elimination whose first leading minor of the wrong sign proves
 that the form is not negative definite, and reads its int numerators over
-|det M| straight into Divisors.  Definiteness is treated as an input
-validation (with an explicit witness on failure) rather than assumed,
-since the inputs here are arbitrary combinatorial models.
+|det M| straight into Divisors.  The dual basis is solved once per model
+and cached on it; the numerical pullback is read off it.  Definiteness is
+treated as an input validation (with an explicit witness on failure)
+rather than assumed, since the inputs here are arbitrary combinatorial
+models.
 """
 
 from __future__ import annotations
@@ -74,16 +76,12 @@ def dual_basis(model: ResolutionModel):
 
 def numerical_pullback(model: ResolutionModel, c: Divisor) -> Divisor:
     """Extend a strict-part divisor C to the unique divisor with
-    zero products against every exceptional curve and pushforward C."""
+    zero products against every exceptional curve and pushforward C:
+    C + sum_i (C.E_i) E*_i, over the cached dual basis."""
     u = model.u
     if any(c.num[:u]):
         raise ValueError("numerical_pullback expects a strict-part divisor")
     if not any(c.num[u:]):
         return Divisor.zero(model)
-    rhs = [0] * u
-    for s, coeff in enumerate(c.num[u:]):
-        if coeff:
-            for k, v in model.strict_sparse[s]:
-                rhs[k] -= coeff * v
-    den, (exc,) = linalg.solve_columns(model.matrix, [rhs])
-    return Divisor._of(model, exc + [den * n for n in c.num[u:]], den * c.den)
+    return sum((dual.scale(Fraction(p, c.den)) for p, dual
+                in zip(c.product_numerators(), dual_basis(model)) if p), c)

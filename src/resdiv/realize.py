@@ -19,6 +19,8 @@ A certificate holds F0, the base model and the choices made from them; a,
 b and e are derived from F0 and the base model, and the checks bind the
 rest to them: F is the pullback of F0 (closure_equals_target), and the
 chains are laid out as build lays them out for (e, n) (chain_length_rule).
+verify_certificate returns the certificate with its checks filled in; one
+whose fields live on other models than their own fails every check.
 
 Every divisor of the construction is fixed by the permutations of the
 identical chains, so realize works on the quotient configuration and
@@ -54,20 +56,16 @@ class CheckResult:
     detail: str = ""  # on failure: the first curve or scalar that broke it
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def first_failure(self):
-        for c in self.checks:
-            if not c.passed:
-                return c.name
-        return None
+# the certificate checks, in the order verify_certificate runs them
+CHECK_NAMES = (
+    "perturbation_floor_identity", "multiplier_floor_split",
+    "candidate_dominated", "pushforward_preserved",
+    "chain_top_order_equality", "dual_chain_domination",
+    "numerical_decomposition", "closure_equals_target",
+    "closure_recomputation", "epsilon_constraints", "chain_length_rule",
+    "lambda_scaling_rule", "integral_scaling_rule",
+    "pullback_plus_canonical_antinef",
+)
 
 
 @dataclass(frozen=True)
@@ -127,17 +125,6 @@ def choose_epsilon(model: ResolutionModel, f0: Divisor) -> Fraction:
     return min(candidates) / 2
 
 
-def build_ample_negative(dual_sum: Divisor) -> Divisor:
-    """Effective integral divisor A with A.E = -d < 0 for every curve.
-
-    ``dual_sum`` is the sum of the dual basis of its model (the chain
-    configurations compute it in closed form); A is that sum with
-    denominators cleared, so by duality its product with every exceptional
-    curve is minus the clearing factor.
-    """
-    return dual_sum.scale(dual_sum.den)
-
-
 def choose_mu(model: ResolutionModel, f, k_g, k_h, epsilon, a_div) -> Fraction:
     """Deterministic mu > 0 leaving the perturbed floor unchanged.
 
@@ -181,7 +168,8 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     k_f = relative_canonical(model)
     k_h = k_g + q.pullback.apply(k_f)
 
-    a_div = build_ample_negative(q.weighted_dual_sum([1] * q.model.u))
+    dual_sum = q.weighted_dual_sum([1] * q.model.u)
+    a_div = dual_sum.scale(dual_sum.den)  # A.E = -den, as dual_sum.E = -1
     mu = choose_mu(q.model, f, k_g, k_h, epsilon, a_div)
 
     scaled = f + k_g + a_div.scale(mu)
@@ -192,13 +180,11 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     candidate = (g_div.scale(lam) - k_h).floor()
     f_prime, _trace = antinef_closure(candidate)
 
-    cert = RealizationCertificate(
+    return verify_certificate(RealizationCertificate(
         base_model=model, F0=f0, epsilon=epsilon, n=n,
         config=config, F=config.expand(f), A=config.expand(a_div), mu=mu,
         N=n_factor, G=config.expand(g_div), lam=lam,
-        F_prime=config.expand(f_prime))
-    verification = verify_certificate(cert)
-    return dataclasses.replace(cert, checks=verification.checks)
+        F_prime=config.expand(f_prime)))
 
 
 def _first_break(rows) -> str:
@@ -207,28 +193,41 @@ def _first_break(rows) -> str:
                  for label, a, b, holds in rows if not holds(a, b)), "")
 
 
-def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
-    """Independently recheck a certificate, in order.
+def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
+    """Independently recheck a certificate, in order, and return it with
+    ``checks`` set.
 
     Every check recomputes from the certificate's primitive fields; a
     failure names the violated statement and, in its detail, the values
     that broke it.  The analytic checks come first, followed by
     consistency checks that pin the recorded parameters to their
     deterministic selection rules (so that any tampering with lambda, the
-    chain lengths or layout, F0, or G is always caught).
+    chain lengths or layout, F0, or G is always caught).  A field not on
+    its model (F0 and the configuration on the base model, F, A, G and F'
+    on the configuration's) fails every check, naming the field.
 
     The checks run on the quotient of ``cert.config`` when its chains cover
     its model and F, A, G and F' agree on every copy of each chain, else on
     the full configuration.
     """
-    config = cert.config
+    config, base = cert.config, cert.base_model
+    fields = [("F0", cert.F0.model, base, "on the base model"),
+              ("config", config.base_model, base, "over the base model")]
+    fields += [(name, getattr(cert, name).model, config.model,
+                "on the configuration's model")
+               for name in ("F", "A", "G", "F_prime")]
+    for name, have, want, where in fields:
+        if have is not want and have != want:  # identity first, as _align
+            detail = "%s: not %s" % (name, where)
+            return dataclasses.replace(cert, checks=tuple(
+                CheckResult(check, False, detail) for check in CHECK_NAMES))
     parts = [config.compress(d) for d in (cert.F, cert.A, cert.G, cert.F_prime)]
-    if None in parts:
-        return _run_checks(cert, config, cert.F, cert.A, cert.G, cert.F_prime)
-    return _run_checks(cert, config.quotient(), *parts)
+    checks = (_run_checks(cert, config, cert.F, cert.A, cert.G, cert.F_prime)
+              if None in parts else _run_checks(cert, config.quotient(), *parts))
+    return dataclasses.replace(cert, checks=checks)
 
 
-def _run_checks(cert, config, f, a_div, g, fp) -> VerificationReport:
+def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     """The 14 checks on ``config``, the certificate's or its quotient, with
     F, A, G and F' given on it.  A product on a chain standing for c
     copies reads c times the product with one copy."""
@@ -336,7 +335,7 @@ def _run_checks(cert, config, f, a_div, g, fp) -> VerificationReport:
            in enumerate(zip(base.labels, cert.n, cert.e))])
     # so far each E_i has its e_i chains, as counted
     if not n_break and (
-            laid := GenericConfiguration.layout(base.u, counts, cert.n)) != chains:
+            laid := GenericConfiguration.layout(base, counts, cert.n)) != chains:
         n_break = _first_break(
             ("%s(%d,1)" % (base.labels[want.base], want.point), x, y, eq)
             for have, want in zip(chains, laid)
@@ -352,4 +351,4 @@ def _run_checks(cert, config, f, a_div, g, fp) -> VerificationReport:
         (label, Fraction(p, fk.den * c), 0, le) for label, p, c in
         zip(model.labels, fk.product_numerators(), copies)))
 
-    return VerificationReport(checks=tuple(checks))
+    return tuple(checks)

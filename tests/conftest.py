@@ -43,6 +43,11 @@ def random_integral_divisor(model, rng, hi=10, strict01=True):
     return r.Divisor(model, exc, tuple(strict))
 
 
+def first_failure(cert):
+    """The name of the first failing check of a checked certificate, or None."""
+    return next((c.name for c in cert.checks if not c.passed), None)
+
+
 def single_chain(model, i, n):
     """The configuration of one generic chain of length n over curve i."""
     e = [int(k == i) for k in range(model.u)]

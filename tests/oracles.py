@@ -23,9 +23,16 @@ in the class of <base>(1,step).  closure_with_rule runs the unit-step
 closure on the dense matrix under any rule for picking the violating
 curve.
 
+random_log_terminal_model draws log terminal models by their
+classification alone: chains of rational curves of weight >= 2 (cyclic
+quotients) and stars of three such chains whose determinants d_1, d_2,
+d_3 have sum 1/d_i > 1 (the platonic triples), with a centre weight that
+makes the form negative definite by the Schur complement.
+
 RefDivisor keeps one Fraction per coefficient and does every operation
 coefficient by coefficient, with products read off the dense matrix; the
-integer-numerator Divisor is checked against it.
+integer-numerator Divisor is checked against it.  meet, the componentwise
+minimum of two Divisors, is needed by the tests alone.
 """
 
 import math
@@ -38,7 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from resdiv import (ChainInfo, Divisor, ExcCurve, GenericConfiguration,
-                    ResolutionModel, StrictCurve, dual_basis, is_antinef)
+                    ModelMismatch, ResolutionModel, StrictCurve, build_model,
+                    dual_basis, is_antinef)
 
 
 def det(matrix):
@@ -397,7 +405,70 @@ def expand_by_labels(d, full):
     return Divisor.from_coeffs(full, exc=exc, strict=list(d.strict))
 
 
+# -- log terminal models by classification ---------------------------------------
+
+# with (2, 2, k) for every k >= 2, the triples with sum 1/d_i > 1
+PLATONIC = ((2, 3, 3), (2, 3, 4), (2, 3, 5))
+
+
+def hirzebruch_jung(d, q):
+    """The weights w_1, ..., w_r with d/q = w_1 - 1/(w_2 - 1/(... w_r)),
+    each >= 2, for coprime 0 < q < d: the chain of (-w_k)-curves has
+    determinant d, and the chain less its first curve has determinant q."""
+    weights = []
+    while q:
+        w = -(-d // q)
+        weights.append(w)
+        d, q = q, w * q - d
+    return weights
+
+
+def star_model(centre, arms):
+    """A rational (-centre)-curve E1 and, for each arm (a list of weights),
+    a chain of rational curves whose first curve meets E1; the curves are
+    E1, E2, ... in order, arm by arm."""
+    curves, meetings = [("E1", 0, -centre)], []
+    for arm in arms:
+        previous = "E1"
+        for w in arm:
+            label = "E%d" % (len(curves) + 1)
+            curves.append((label, 0, -w))
+            meetings.append((previous, label, 1))
+            previous = label
+    return build_model(curves, meetings)
+
+
+def random_arms(rng):
+    """Three arms (weights, d, q) with d/q = hirzebruch_jung(d, q) and the
+    d's a platonic triple."""
+    arms = []
+    for d in rng.choice(PLATONIC + ((2, 2, rng.randint(2, 6)),)):
+        q = rng.choice([q for q in range(1, d) if math.gcd(d, q) == 1])
+        arms.append((hirzebruch_jung(d, q), d, q))
+    return arms
+
+
+def random_log_terminal_model(rng):
+    """A chain of one to five rational curves of weights 2 to 4, or a star
+    on random_arms whose centre weight is the least above sum q/d (the
+    Schur complement of the arms is then negative), or one more."""
+    if rng.random() < 0.5:
+        weights = [rng.randint(2, 4) for _ in range(rng.randint(1, 5))]
+        return star_model(weights[0], [weights[1:]])
+    arms = random_arms(rng)
+    least = math.floor(sum(Fraction(q, d) for _, d, q in arms)) + 1
+    return star_model(least + rng.randint(0, 1), [w for w, _, _ in arms])
+
+
 # -- reference divisor -----------------------------------------------------------
+
+def meet(a, b):
+    """The componentwise minimum of two divisors on one model."""
+    if a.model is not b.model and a.model != b.model:
+        raise ModelMismatch("divisors live on different models")
+    return Divisor(a.model, list(map(min, a.exc, b.exc)),
+                   list(map(min, a.strict, b.strict)))
+
 
 @dataclass(frozen=True)
 class RefDivisor:

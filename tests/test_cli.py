@@ -3,6 +3,7 @@ import importlib
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,41 @@ def test_blowup_matches_step_by_step_route(capsys, corpus_models):
                 assert out.endswith(r.serialize_model(oracle.new_model))
                 assert "relative_canonical_of_map = %s" % (
                     r.format_divisor(oracle.K_sigma),) in out.splitlines()
+
+
+def _blown_graph(capsys, tmp_path, name, curve):
+    """The model ``blowup <name> --curve <curve>`` prints, as a graph file."""
+    code, out, _ = run(capsys, "blowup", name, "--curve", curve)
+    assert code == 0
+    path = tmp_path / ("blown_%s" % Path(name).name)
+    path.write_text("".join(line + "\n" for line in out.splitlines()
+                            if " = " not in line))
+    return path
+
+
+def test_blowup_of_a_blown_model_takes_the_next_point(capsys, tmp_path):
+    blown = _blown_graph(capsys, tmp_path, graph("a2"), "E1")
+    again = _blown_graph(capsys, tmp_path, str(blown), "E1")
+    assert r.parse_graph_file(again).model.labels == (
+        "E1", "E2", "E1(1,1)", "E1(2,1)")
+
+
+def test_realize_on_blowup_output(capsys, tmp_path):
+    """The blown a2 has curves E1, E2 and E1(1,1); realize's chains over E1
+    skip the point that E1(1,1) already names."""
+    path = _blown_graph(capsys, tmp_path, graph("a2"), "E1")
+    model = r.parse_graph_file(path).model
+    assert model.labels == ("E1", "E2", "E1(1,1)")
+    closures = {"F%d" % (i + 1): r.antinef_closure(r.Divisor.curve(model, i))[0]
+                for i in range(model.u)}
+    path.write_text(r.serialize_model(model, closures))
+    for name in closures:
+        code, out, err = run(capsys, "realize", str(path), name)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert "realized = true" in lines
+        assert sum(line.startswith("check.") and line.endswith(" = pass")
+                   for line in lines) == 14
 
 
 # -- realize ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ as a loaded name, or in ``__all__``.  An import line marked
 ``# noqa: F401`` is exempt; such a name is imported so that something
 outside the package can find it there.
 
-And every name the package exports is read by one of its own modules:
-what only the tests read belongs with the tests.
+And every name the package exports, and every public method or property
+of its classes, is read by one of its own modules: what only the tests
+read belongs with the tests.  Methods are matched by attribute name, so a
+method counts as read when any attribute of that name is.
 """
 
 import ast
@@ -61,6 +63,49 @@ def test_every_export_is_read_inside_the_package():
         if module != "__init__.py":
             read |= loaded_names((SRC / module).read_text())
     assert sorted(set(resdiv.__all__) - read) == []
+
+
+# public methods that no module of the package reads, and why they stay
+UNREAD_METHODS = {
+    "Divisor.curve": "the README's library example builds a divisor with it",
+    "Divisor.products": "bench/tracer.py wraps it",
+}
+
+
+def unread_methods(sources):
+    """``Class.method`` for each public method or property defined in
+    ``sources`` whose name no attribute read in them uses."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined.update("%s.%s" % (node.name, item.name)
+                               for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+    return {name for name in defined if name.split(".")[1] not in read}
+
+
+def test_every_method_is_read_inside_the_package():
+    sources = [(SRC / module).read_text() for module in MODULES]
+    assert sorted(unread_methods(sources) - set(UNREAD_METHODS)) == []
+    for name in UNREAD_METHODS:  # the allowance names methods that exist
+        cls, method = name.split(".")
+        assert hasattr(getattr(resdiv, cls), method), name
+
+
+def test_method_detector_flags_an_unread_method():
+    source = ("class A:\n"
+              "    def used(self): pass\n"
+              "    def unused(self): pass\n"
+              "    def _private(self): pass\n"
+              "    @property\n"
+              "    def prop(self): pass\n"
+              "print(A().used(), A().prop)\n")
+    assert unread_methods([source]) == {"A.unused"}
 
 
 def test_detector_flags_an_unused_name():

@@ -1,16 +1,21 @@
 """Log terminal models beyond the corpus: one to three random blowups of
 the log-terminal corpus graphs, each at a free point of a curve or at a
-point where two curves meet once.  Blowups keep a model log terminal, so
-their discrepancies must follow the blowup rule and realize must pass on
-them (the paper's theorem on every log terminal model)."""
+point where two curves meet once, and models drawn by the classification
+(chains, and stars with platonic arms).  Blowups keep a model log
+terminal, so their discrepancies must follow the blowup rule and realize
+must pass on them (the paper's theorem on every log terminal model)."""
+
+from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given, seed, settings
 
 import resdiv as r
-from conftest import LOG_TERMINAL_NAMES, load_doc
+from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
+                      single_chain)
 from oracles import (_chain_tag, blow_up_free_point, blow_up_meeting_point,
-                     blown_discrepancies)
+                     blown_discrepancies, negdef_by_minors, random_arms,
+                     random_log_terminal_model, star_model)
 from resdiv.cli import random_antinef_divisor
 
 SETTINGS = settings(max_examples=40, deadline=2000)
@@ -42,15 +47,6 @@ def blown_corpus_models(draw):
     return name, model, b
 
 
-def _renamed(model):
-    """``model`` with its curves named N1, N2, ...; realize names its chain
-    curves ``<label>(point,step)``, as the free-point blowups do."""
-    return r.ResolutionModel(
-        [r.ExcCurve("N%d" % (k + 1), c.genus, c.self_int)
-         for k, c in enumerate(model.curves)],
-        model.meetings, model.strict_curves)
-
-
 def test_meeting_point_blowup():
     a2 = r.build_model([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 1)])
     step = blow_up_meeting_point(a2, 0, 1)
@@ -76,8 +72,48 @@ def test_blowup_rule_gives_the_discrepancies(blown):
 @given(blown=blown_corpus_models(), k=st.integers(0, 99))
 def test_realize_passes_on_blown_models(blown, k):
     name, model, _ = blown
-    model = _renamed(model)
     f0 = random_antinef_divisor(model, "blown:%s:%d" % (name, k))
     cert = r.realize(model, f0)
     assert cert.passed, (name, [(c.name, c.detail) for c in cert.checks
                                 if not c.passed])
+
+
+# -- models drawn by the classification ------------------------------------------
+
+RANDOMS = st.randoms(use_true_random=False)
+
+
+@seed(20081020)
+@SETTINGS
+@given(rng=RANDOMS, centre=st.integers(1, 4))
+def test_definite_platonic_stars_are_log_terminal(rng, centre):
+    arms = random_arms(rng)
+    model = star_model(centre, [w for w, _, _ in arms])
+    definite = negdef_by_minors(model.matrix)
+    assert definite == (centre > sum(Fraction(q, d) for _, d, q in arms))
+    if definite:
+        assert r.discrepancies(model).log_terminal, model.matrix
+
+
+@seed(20081021)
+@SETTINGS
+@given(rng=RANDOMS, k=st.integers(0, 99))
+def test_realize_passes_on_generated_models(rng, k):
+    model = random_log_terminal_model(rng)
+    f0 = random_antinef_divisor(model, "generated:%d" % k)
+    cert = r.realize(model, f0)
+    assert cert.passed, (model.matrix, first_failure(cert))
+
+
+@seed(20081022)
+@SETTINGS
+@given(rng=RANDOMS, k=st.integers(0, 99))
+def test_pullback_to_a_free_point_blowup_realizes(rng, k):
+    """F0 realizes on a model, so its pullback realizes on the blowup of a
+    free point of E_i, whose new curve E_i(1,1) the chains over E_i skip."""
+    model = random_log_terminal_model(rng)
+    f0 = random_antinef_divisor(model, "generated:%d" % k)
+    assert r.realize(model, f0).passed
+    config = single_chain(model, rng.randrange(model.u), 1)
+    cert = r.realize(config.model, config.pullback.apply(f0))
+    assert cert.passed, (model.matrix, first_failure(cert))

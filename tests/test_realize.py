@@ -1,12 +1,16 @@
 import dataclasses
+import functools
 import random
 import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed, settings
 
 import resdiv as r
-from conftest import LOG_TERMINAL_NAMES, load_doc, random_antinef
+from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
+                      random_antinef)
 from oracles import closure_with_rule, expand_by_labels
 from resdiv.cli import _certificate_report, random_antinef_divisor
 from resdiv.realize import _run_checks
@@ -76,7 +80,7 @@ def test_realize_on_random_corpus_divisors(log_terminal_models):
             cert = r.realize(model, f0)
             assert cert.passed, (name, cert)
             report = r.verify_certificate(cert)
-            assert report.passed and report.first_failure is None
+            assert report.passed and first_failure(report) is None
 
 
 def test_scaling_invariance_of_the_pair():
@@ -102,8 +106,7 @@ def test_epsilon_rule_on_strict_coefficients():
 
 def test_ample_negative_products():
     model = a2()
-    a_div = r.build_ample_negative(sum(r.dual_basis(model),
-                                       r.Divisor.zero(model)))
+    a_div = r.realize(model, r.Divisor.from_coeffs(model, exc=[3, 2])).A
     assert a_div.is_integral() and a_div.is_effective()
     prods = a_div.products()
     assert len(set(prods)) == 1 and prods[0] < 0
@@ -130,10 +133,6 @@ def test_chains_only_where_products_negative():
 
 # -- fault injection ----------------------------------------------------------------
 
-def _first_failing(cert):
-    return r.verify_certificate(cert).first_failure
-
-
 def test_tampered_lambda_detected():
     model = a1()
     cert = r.realize(model, r.Divisor.curve(model, 0))
@@ -156,8 +155,8 @@ def test_tampered_chain_length_detected():
     f = config.pullback.apply(cert.F0)
     k_g = config.K_sigma
     k_h = k_g + config.pullback.apply(r.relative_canonical(model))
-    a_div = r.build_ample_negative(
-        config.weighted_dual_sum([1] * config.model.u))
+    dual_sum = config.weighted_dual_sum([1] * config.model.u)
+    a_div = dual_sum.scale(dual_sum.den)
     mu = r.choose_mu(config.model, f, k_g, k_h, cert.epsilon, a_div)
     scaled = f + k_g + a_div.scale(mu)
     n_factor = math.lcm(*[c.denominator for c in scaled.exc])
@@ -180,8 +179,8 @@ def test_tampered_result_detected():
                               checks=())
     report = r.verify_certificate(bad)
     assert not report.passed
-    assert report.first_failure in ("candidate_dominated",
-                                    "closure_recomputation")
+    assert first_failure(report) in ("candidate_dominated",
+                                     "closure_recomputation")
 
 
 def test_tampered_epsilon_detected():
@@ -252,6 +251,64 @@ def test_recorded_chain_lengths_cover_every_curve():
     cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
     failed = _details(dataclasses.replace(cert, n=cert.n[:-1], checks=()))
     assert failed == {"chain_length_rule": "n: 1 vs 2"}
+
+
+def _all_fail_with(cert, detail):
+    checks = r.verify_certificate(cert).checks
+    assert [c.name for c in checks] == list(CHECK_NAMES)
+    assert all(not c.passed and c.detail == detail for c in checks)
+
+
+def test_config_on_another_blown_model_fails_every_check():
+    """F, A, G and F' stay on the old blown model; the checks end in a
+    report that names F, not in ModelMismatch."""
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    e = (cert.e[0] + 1,) + cert.e[1:]
+    moved = r.GenericConfiguration.build(model, e, cert.n)
+    _all_fail_with(dataclasses.replace(cert, config=moved, checks=()),
+                   "F: not on the configuration's model")
+
+
+def test_f0_on_another_model_fails_every_check():
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    foreign = r.Divisor.from_coeffs(a1(), exc=[1])
+    _all_fail_with(dataclasses.replace(cert, F0=foreign, checks=()),
+                   "F0: not on the base model")
+
+
+SWAPPED_FIELDS = ("config", "F0", "F", "A", "G", "F_prime", "n", "base_model")
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_pool():
+    """Certificates of seeded divisors on four corpus graphs (one with a
+    strict curve), no two with the same F0 on one graph."""
+    pool = []
+    for name in ("a2", "a2_branch", "cyclic23", "d4"):
+        model = load_doc(name).model
+        f0s = {random_antinef_divisor(model, "swap:%s:%d" % (name, k))
+               for k in range(3)}
+        pool += [r.realize(model, f0) for f0 in f0s]
+    return tuple(pool)
+
+
+@seed(20081018)
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data(), field=st.sampled_from(SWAPPED_FIELDS))
+def test_swapping_a_field_between_certificates_ends_in_a_failing_report(
+        data, field):
+    pool = _fuzz_pool()
+    index = st.integers(0, len(pool) - 1)
+    a, b = pool[data.draw(index)], pool[data.draw(index)]
+    bad = dataclasses.replace(a, **{field: getattr(b, field)}, checks=())
+    checked = r.verify_certificate(bad)  # never raises
+    assert tuple(c.name for c in checked.checks) == CHECK_NAMES
+    # configurations compare by their blown models, which their chains name
+    differs = (a.config.model != b.config.model if field == "config"
+               else getattr(a, field) != getattr(b, field))
+    assert checked.passed == (not differs), (field, first_failure(checked))
 
 
 def test_derived_fields_follow_f0():
@@ -355,7 +412,7 @@ def test_quotient_and_full_routes_agree(seed0_certificates):
                     dataclasses.replace(cert, mu=cert.mu * 3)):
             full = _run_checks(bad, bad.config, bad.F, bad.A, bad.G,
                                bad.F_prime)
-            assert full == r.verify_certificate(bad), name
+            assert full == r.verify_certificate(bad).checks, name
         cases += max(cert.e) >= 2
     assert cases > 200
 
@@ -399,7 +456,7 @@ def test_tampering_one_copy_takes_the_full_route():
     g = cert.G.exc[j]
     assert _details(bad)["integral_scaling_rule"] == "E1(2,1): %s vs %s" % (
         r.format_rational(g + 1), r.format_rational(g))
-    assert r.verify_certificate(bad) == _run_checks(
+    assert r.verify_certificate(bad).checks == _run_checks(
         bad, bad.config, bad.F, bad.A, bad.G, bad.F_prime)
 
 
