@@ -118,16 +118,18 @@ class _BlownModel(ResolutionModel):
 
     @cached_property
     def labels(self):
-        labels = list(self._base.labels)
-        for info in self._chains:
-            label = labels[info.base]
-            labels.extend("%s(%d,%d)" % (label, info.point, m)
-                          for m in range(1, info.length + 1))
-        return tuple(labels)
+        base = self._base.labels
+        return base + tuple("%s(%d,%d)" % (base[info.base], info.point, m)
+                            for info in self._chains
+                            for m in range(1, info.length + 1))
 
     @property
     def strict_labels(self):
         return self._base.strict_labels
+
+    @property
+    def chain_layout(self):
+        return self._base.labels, self._chains
 
     def __getattr__(self, name):  # reached only for what is not yet set
         state = vars(self)

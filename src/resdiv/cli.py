@@ -100,11 +100,10 @@ def cmd_closure(args) -> int:
     rep.add("input", divisor)
     rep.add("closure", closed)
     rep.add("steps", trace.initial_s)
-    if args.trace:
+    if args.trace:  # each recorded product is an int
         labels = doc.model.labels
-        for idx, (i, value) in enumerate(trace.steps):
-            rep.add("trace.%d" % idx,
-                    "add %s (product %s)" % (labels[i], format_rational(value)))
+        rep.extend([("trace.%d" % idx, "add %s (product %d)" % (labels[i], value))
+                    for idx, (i, value) in enumerate(trace.steps)])
     print(rep.render(), end="")
     return 0
 

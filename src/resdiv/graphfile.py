@@ -10,16 +10,22 @@ Format (one statement per line, ``#`` starts a comment):
 Rationals are written ``p`` or ``p/q``; decimals are rejected.  Names hold
 no ``=``, and a line names each curve at most once, so parsing a
 serialized model reproduces it exactly (up to whitespace normalization).
+
+format_divisor writes ``<label>=<value>`` for the nonzero coefficients in
+model order (``0`` if none), each value ``p`` or ``p/q`` in lowest terms.
+On a blown model it reads the chain layout, not the full labels: the
+terms of a chain are made once per distinct run of values and joined onto
+each copy's head, so the cost follows the distinct values, not the curves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .divisor import Divisor
 from .model import MalformedGraph, ResolutionModel, build_model
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 class GraphSyntaxError(MalformedGraph):
@@ -147,12 +153,27 @@ def parse_graph_file(path) -> GraphDoc:
 
 
 def format_divisor(d: Divisor) -> str:
-    """Nonzero coefficients in model order, or "0"."""
-    model = d.model
-    den = d.den
-    parts = ["%s=%s" % (label, format_rational(Fraction(n, den) if den > 1 else n))
-             for label, n in zip(model.labels + model.strict_labels, d.num) if n]
-    return " ".join(parts) if parts else "0"
+    """The divisor's text form (see the module docstring)."""
+    model, num, den = d.model, d.num, d.den
+    labels, chains = model.chain_layout
+
+    def value(n):
+        g = math.gcd(n, den)
+        return "%d/%d" % (n // g, den // g) if g < den else str(n // den)
+
+    parts = [" %s=%s" % (label, value(n)) for label, n in zip(labels, num) if n]
+    segments = {}
+    for info in chains:
+        seg = num[info.start:info.start + info.length]
+        if (terms := segments.get(seg)) is None:
+            terms = segments[seg] = [",%d)=%s" % (m, value(n))
+                                     for m, n in enumerate(seg, 1) if n]
+        if terms:
+            head = " %s(%d" % (labels[info.base], info.point)
+            parts.append(head + head.join(terms))
+    parts += [" %s=%s" % (label, value(n))
+              for label, n in zip(model.strict_labels, num[model.u:]) if n]
+    return "".join(parts)[1:] or "0"
 
 
 def serialize_model(model: ResolutionModel, divisors=None) -> str:

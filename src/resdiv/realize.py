@@ -320,12 +320,13 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     eps_break = _first_break(rows)
     check("epsilon_constraints", not eps_break, lambda: eps_break)
 
-    rows = []
-    for label, n_i, a_i, b_i in zip(base.labels, cert.n, cert.a, cert.b):
-        rows.append((label, n_i, math.floor((1 + b_i) / eps - (a_i + 1)), eq))
-        if n_i >= 1:
-            rows += [(label, b_i / eps - a_i, n_i, le),
-                     (label, n_i, (b_i + 1) / eps - a_i, lt)]
+    rows = [("epsilon", 0, eps, lt)]
+    if eps > 0:  # the n_i rows divide by epsilon
+        for label, n_i, a_i, b_i in zip(base.labels, cert.n, cert.a, cert.b):
+            rows.append((label, n_i, math.floor((1 + b_i) / eps - (a_i + 1)), eq))
+            if n_i >= 1:
+                rows += [(label, b_i / eps - a_i, n_i, le),
+                         (label, n_i, (b_i + 1) / eps - a_i, lt)]
     # and the chains are laid out as build lays them out for (e, n)
     chains = cert.config.chains
     counts = Counter(info.base for info in chains)

@@ -36,8 +36,10 @@ class Report:
             value += " (%s)" % detail
         self._lines.append((key, value))
 
-    def extend(self, other: "Report"):
-        self._lines.extend(other._lines[1:])
+    def extend(self, lines):
+        """Append another report's lines, or formatted (key, text) pairs."""
+        self._lines.extend(lines._lines[1:] if isinstance(lines, Report)
+                           else lines)
 
     def render(self) -> str:
         return "".join("%s = %s\n" % (k, v) for k, v in self._lines)

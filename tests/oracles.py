@@ -17,6 +17,9 @@ verify_lemma_gen checks the paper's chain lemma on one generic chain,
 with the duals from a direct solve rather than the closed form that
 GenericConfiguration.weighted_dual_sum uses.
 
+format_by_labels writes a divisor one Fraction per coefficient, reading
+the model's full label tuple, as the chain-aware format_divisor must.
+
 quotient_matrix and expand_by_labels read the quotient by identical
 chains off the labels alone: each chain curve <base>(point,step) stands
 in the class of <base>(1,step).  closure_with_rule runs the unit-step
@@ -403,6 +406,15 @@ def expand_by_labels(d, full):
     exc = {label: d.exc[d.model.index_of(_class_label(label))]
            for label in full.labels}
     return Divisor.from_coeffs(full, exc=exc, strict=list(d.strict))
+
+
+def format_by_labels(d):
+    """``label=value`` for each nonzero coefficient of ``d`` in model order,
+    the value a Fraction in lowest terms, or "0"."""
+    model = d.model
+    terms = ["%s=%s" % (label, Fraction(n, d.den)) for label, n
+             in zip(model.labels + model.strict_labels, d.num) if n]
+    return " ".join(terms) or "0"
 
 
 # -- log terminal models by classification ---------------------------------------

@@ -355,6 +355,17 @@ def test_realize_and_its_report_leave_the_blown_form_unbuilt(built_sizes):
         assert built_sizes[-1] == blown.u
 
 
+def test_report_reads_neither_the_blown_form_nor_its_labels():
+    """The certificate's divisors are written chain by chain from the
+    layout, so no curve list or full label tuple is ever set."""
+    model = load_doc("e8").model
+    cert = r.realize(model, r.Divisor.from_coeffs(
+        model, exc=[4 * v for v in E8_Z]))
+    _certificate_report(cert).render()
+    state = vars(cert.config.model)
+    assert "curves" not in state and "labels" not in state
+
+
 def test_cli_realize_leaves_the_blown_form_unbuilt(built_sizes, tmp_path,
                                                    capsys):
     model = load_doc("e8").model

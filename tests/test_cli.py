@@ -10,7 +10,7 @@ import pytest
 import resdiv as r
 import resdiv.cli
 from resdiv.cli import _certificate_report, main, random_antinef_divisor
-from conftest import CORPUS_DIR, CORPUS_NAMES
+from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
 from oracles import generic_chain
 
 
@@ -240,6 +240,23 @@ def test_seed0_certificate_reports_are_byte_identical(corpus_models):
             cases += 1
     assert cases == 350
     assert digest.hexdigest() == SEED0_REPORTS_SHA256
+
+
+# sha256 of the certificate report of realize on e8 with F0 = k Z, recorded
+# before the divisors were written chain by chain
+E8_REPORTS_SHA256 = {
+    8: "ac59e2ad8911bd903bf8246370f2ecee44ba7c54c964feed2c46b05182665c2e",
+    24: "ef9b613abe0844bfe0b09c826362808ea28892bd9be43e7445f620976c85a95d",
+}
+
+
+@pytest.mark.parametrize("k", sorted(E8_REPORTS_SHA256))
+def test_e8_ladder_certificate_reports_are_byte_identical(k):
+    model = load_doc("e8").model
+    cert = r.realize(model, r.Divisor.from_coeffs(
+        model, exc=[k * v for v in (6, 3, 4, 2, 5, 4, 3, 2)]))
+    text = _certificate_report(cert).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == E8_REPORTS_SHA256[k]
 
 
 def test_realize_a2(capsys, tmp_path):

@@ -362,6 +362,19 @@ def test_tampered_scalars_name_the_values():
     assert eps["chain_length_rule"] == "E1: 2 vs -1"
 
 
+def test_zero_epsilon_fails_the_checks_without_dividing():
+    """The chain length rule divides by epsilon; a zero epsilon ends in
+    all 14 checks, the two that read it naming it."""
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    bad = r.verify_certificate(dataclasses.replace(cert, epsilon=Fraction(0),
+                                                   checks=()))
+    assert [c.name for c in bad.checks] == list(CHECK_NAMES)
+    failed = {c.name: c.detail for c in bad.checks if not c.passed}
+    assert failed["epsilon_constraints"] == "epsilon: 0 vs 0"
+    assert failed["chain_length_rule"] == "epsilon: 0 vs 0"
+
+
 def test_tampered_divisors_name_the_curve():
     model = a2()
     cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
