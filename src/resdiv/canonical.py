@@ -52,7 +52,7 @@ def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
     """Solve the adjunction system for the discrepancy vector."""
     if model._discrepancies is None:
         rhs = [2 * c.genus - 2 - c.self_int for c in model.curves]
-        den, (num,) = linalg.solve_columns(model.matrix, [rhs])
+        den, (num,) = linalg.solve_columns(model.sparse_rows, [rhs])
         b = [Fraction(n, den) for n in num]
         offenders = tuple(i for i, v in enumerate(b) if v <= -1)
         model._discrepancies = DiscrepancyReport(

@@ -3,13 +3,13 @@
 The intersection matrix of the exceptional curves of a resolution is
 negative definite; everything in this module rests on that.  Every
 elimination here goes through ``linalg.solve_columns``, the fraction-free
-symmetric elimination whose first leading minor of the wrong sign proves
-that the form is not negative definite, and reads its int numerators over
-|det M| straight into Divisors.  The dual basis is solved once per model
-and cached on it; the numerical pullback is read off it.  Definiteness is
-treated as an input validation (with an explicit witness on failure)
-rather than assumed, since the inputs here are arbitrary combinatorial
-models.
+symmetric elimination on sparse rows whose first leading minor of the
+wrong sign, in index order, proves that the form is not negative definite,
+and reads its int numerators over |det M| straight into Divisors.  The
+dual basis is solved once per model and cached on it; the numerical
+pullback is read off it.  Definiteness is treated as an input validation
+(with an explicit witness on failure) rather than assumed, since the
+inputs here are arbitrary combinatorial models.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ def check_negative_definite(model: ResolutionModel) -> NegDefResult:
     the witness v = (w, 1, 0, ..., 0) with M[:k,:k] w = -M[:k,k], for which
     v.M.v = d >= 0; the leading block M[:k,:k] is negative definite.
     """
-    matrix = model.matrix
+    rows = model.sparse_rows
     try:
-        linalg.solve_columns(matrix, [])
+        linalg.solve_columns(rows, [])
     except linalg.NotNegativeDefinite as exc:
         k = exc.index
-        block = [row[:k] for row in matrix[:k]]
+        block = [[(j, v) for j, v in row if j < k] for row in rows[:k]]
+        column = dict(rows[k])
         den, (head,) = linalg.solve_columns(
-            block, [[-matrix[r][k] for r in range(k)]])
+            block, [[-column.get(r, 0) for r in range(k)]])
         return NegDefResult(False, tuple(
             Fraction(v, den) for v in head + [den] + [0] * (model.u - k - 1)))
     return NegDefResult(True)
@@ -67,7 +68,7 @@ def dual_basis(model: ResolutionModel):
     if model._dual_basis is None:
         n = model.u
         den, cols = linalg.solve_columns(
-            model.matrix, [[-int(i == j) for i in range(n)] for j in range(n)])
+            model.sparse_rows, [[0] * j + [-1] + [0] * (n - j - 1) for j in range(n)])
         zeros = [0] * len(model.strict_curves)
         model._dual_basis = tuple(
             Divisor._of(model, col + zeros, den) for col in cols)

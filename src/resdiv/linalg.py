@@ -1,16 +1,18 @@
 """Exact symmetric elimination for negative definite integer systems.
 
 The only elimination in the package: Bareiss's fraction-free elimination
-(Bareiss 1968) on ints, with the diagonal pivots taken in index order.
-The k-th pivot is the leading principal minor det_{k+1}, and a symmetric
-form is negative definite exactly when each det_{k+1} has sign (-1)^{k+1},
-so one routine both solves and decides definiteness.  Solutions are int
+(Bareiss 1968) on ints over sparse rows, with pivots in greedy minimum-
+degree order, which on a tree removes leaves first and creates no fill.
+The k-th pivot is the leading minor det_{k+1} of the reordered form, and
+the form is negative definite exactly when each has sign (-1)^{k+1}, so
+one routine both solves and decides definiteness.  Solutions are int
 numerators over |det M| (Cramer's rule); nothing here touches floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 class NotNegativeDefinite(ValueError):
@@ -24,47 +26,81 @@ class NotNegativeDefinite(ValueError):
                          "(pivot %s at index %d)" % (pivot, index))
 
 
-def solve_columns(matrix, columns):
+def solve_columns(rows, columns):
     """Solve ``M x = b`` exactly for each right-hand side in ``columns``.
 
-    M is symmetric; M and every b hold ints.  Returns ``(den, xs)`` with
-    ``den = |det M| >= 1`` and one int list x per b, ``M (x / den) = b``.
-    Raises NotNegativeDefinite at the first leading minor of the wrong
-    sign, so ``solve_columns(M, [])`` is the definiteness test.
+    M is symmetric and given by its rows of nonzero ``(column, value)``
+    entries, as in ``ResolutionModel.sparse_rows``; M and every b hold
+    ints.  Returns ``(den, xs)`` with ``den = |det M| >= 1`` and one int
+    list x per b, ``M (x / den) = b``.  Raises NotNegativeDefinite at the
+    first leading minor of the wrong sign in index order, so
+    ``solve_columns(rows, [])`` is the definiteness test.
     """
-    n = len(matrix)
-    rows = [list(row) + [col[i] for col in columns]
-            for i, row in enumerate(matrix)]
+    try:
+        return _eliminate(rows, columns, _min_degree_order(rows))
+    except NotNegativeDefinite:
+        # no order passes; index order names the first wrong leading minor
+        _eliminate(rows, [], range(len(rows)))
+        raise
 
-    # upper-triangle elimination: the trailing block stays symmetric, so
-    # the entry below the pivot in row i is row_k[i].  A row that step k
-    # would only rescale waits: row i is really rows[i] * prev / scale[i]
-    prev = 1
-    scale = [1] * n
+
+def _min_degree_order(rows):
+    """Greedy minimum-degree pivot order, ties broken by index."""
+    adj = [{j for j, _ in row} - {i} for i, row in enumerate(rows)]
+    heap = [(len(a), i) for i, a in enumerate(adj)]
+    heapify(heap)
+    order = []
+    while heap:
+        d, i = heappop(heap)
+        if adj[i] is not None and d == len(adj[i]):
+            order.append(i)
+            near, adj[i] = adj[i], None
+            for j in near:  # eliminating i joins its neighbours pairwise
+                adj[j] = (adj[j] | near) - {i, j}
+                heappush(heap, (len(adj[j]), j))
+    return order
+
+
+def _eliminate(rows, columns, order):
+    """Bareiss elimination with the k-th pivot on curve ``order[k]``."""
+    n = len(rows)
+    pos = sorted(range(n), key=order.__getitem__)  # curve -> position
+    # upper[k]: row order[k] at positions >= k, rhs[k]: its right-hand
+    # sides.  The trailing block stays symmetric, so the entry below pivot
+    # k in row i is upper[k][i].  A row that step k would only rescale
+    # waits: row i is really upper[i] and rhs[i] times prev / scale[i]
+    upper = [{pos[j]: v for j, v in rows[i] if pos[j] >= k}
+             for k, i in enumerate(order)]
+    by_row = list(zip(*columns)) or [()] * n
+    rhs = [by_row[i] for i in order]
+    pivots, scale, prev = [0] * n, [1] * n, 1
     for k in range(n):
-        row_k = rows[k]
-        row_k[k:] = [a * prev // scale[k] for a in row_k[k:]]
-        pivot = row_k[k]
+        for i in {k, *upper[k]}:
+            if (s := scale[i]) != prev:
+                upper[i] = {c: a * prev // s for c, a in upper[i].items()}
+                rhs[i] = [a * prev // s for a in rhs[i]]
+        row_k = upper[k]
+        pivot = pivots[k] = row_k.pop(k, 0)
         if (pivot if k % 2 else -pivot) <= 0:
             raise NotNegativeDefinite(k, Fraction(pivot, prev))
-        for i in range(k + 1, n):
-            f = row_k[i]
-            if f:
-                row_i, s = rows[i], scale[i]
-                if s != prev:
-                    row_i[i:] = [a * prev // s for a in row_i[i:]]
-                row_i[i:] = [(pivot * a - f * b) // prev
-                             for a, b in zip(row_i[i:], row_k[i:])]
-                scale[i] = pivot
+        for i, f in row_k.items():
+            upper[i] = new = {c: (pivot * a - f * row_k.get(c, 0)) // prev
+                              for c, a in upper[i].items()}
+            for c, b in row_k.items():
+                if c >= i and c not in new:  # fill
+                    new[c] = -f * b // prev
+            rhs[i] = [(pivot * a - f * b) // prev
+                      for a, b in zip(rhs[i], rhs[k])]
+            scale[i] = pivot
         prev = pivot
 
-    # back-substitution for y = |det M| x, an int vector by Cramer's rule
+    # back-substitution for the int y = |det M| x (Cramer), a row at a time
     den = abs(prev)
-    xs = [[0] * n for _ in columns]
-    for i in reversed(range(n)):
-        row_i = rows[i]
-        nonzero = [c for c in range(i + 1, n) if row_i[c]]
-        for j, y in enumerate(xs):
-            y[i] = (den * row_i[n + j]
-                    - sum(row_i[c] * y[c] for c in nonzero)) // row_i[i]
-    return den, xs
+    ys = [None] * n
+    for k in reversed(range(n)):
+        acc = [den * b for b in rhs[k]]
+        for c, a in upper[k].items():
+            acc = [t - a * y for t, y in zip(acc, ys[c])]
+        ys[k] = [t // pivots[k] for t in acc]
+    xs = zip(*(ys[k] for k in pos)) if n else [()] * len(columns)
+    return den, [list(x) for x in xs]

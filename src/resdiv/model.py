@@ -6,8 +6,8 @@ and pairwise meeting numbers, plus any tracked non-exceptional ("strict")
 curves recorded purely through their incidence numbers with the exceptional
 ones.  Models are immutable after construction, and the constructor is the
 one place that checks a model's invariants.  A model stores its form once,
-as self-intersections and meetings; sparse rows are derived from them, and
-the dense matrix is built on demand for the exact solver only.
+as self-intersections and meetings; sparse rows, which the exact solver
+eliminates, are derived from them.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class ResolutionModel:
 
     ``meetings`` are stored sorted with i < j; ``sparse_rows`` (each row's
     nonzero entries in column order) is derived from them and the
-    self-intersections, and ``matrix`` is rebuilt on each access.
-    Equality is structural.
+    self-intersections.  Equality is structural.
     """
 
     def __init__(self, curves: Sequence[ExcCurve], meetings=(),
@@ -103,15 +102,6 @@ class ResolutionModel:
         # caches filled lazily by lattice / canonical
         self._dual_basis = None
         self._discrepancies = None
-
-    @property
-    def matrix(self):
-        """The dense intersection matrix, built on each access."""
-        mat = [[0] * self.u for _ in range(self.u)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, v in row:
-                mat[i][j] = v
-        return tuple(map(tuple, mat))
 
     # -- lookup ------------------------------------------------------------
 

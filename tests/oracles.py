@@ -1,7 +1,9 @@
 """Independent reference routes used only by the tests.
 
 These deliberately avoid the package's own linear algebra and closure
-code: determinants go through memoized cofactor expansion, and the least
+code: determinants go through memoized cofactor expansion, larger systems
+through Gauss-Jordan elimination on Fractions in index order, the pivot
+order by rescanning the elimination graph at each step, and the least
 antinef divisor above a given one is found by exhaustive search over a
 coefficient box (vectorized with numpy so the full enumeration stays
 fast).
@@ -52,6 +54,15 @@ from resdiv import (ChainInfo, Divisor, ExcCurve, GenericConfiguration,
                     dual_basis, is_antinef)
 
 
+def dense_matrix(model):
+    """The dense intersection matrix of a model, read off its sparse rows."""
+    mat = [[0] * model.u for _ in range(model.u)]
+    for i, row in enumerate(model.sparse_rows):
+        for j, v in row:
+            mat[i][j] = v
+    return tuple(map(tuple, mat))
+
+
 def det(matrix):
     """Exact determinant via cofactor expansion along rows."""
     n = len(matrix)
@@ -70,6 +81,48 @@ def det(matrix):
         return total
 
     return minor(0, tuple(range(n)))
+
+
+def gauss_jordan(matrix, columns=()):
+    """Fraction Gauss-Jordan elimination of ``[M | b ...]`` in index order.
+
+    Returns ``(pivots, xs)``.  The k-th pivot is det_{k+1} / det_k, the
+    ratio of consecutive leading principal minors, so the form is negative
+    definite exactly when every pivot is negative.  Elimination stops
+    after the first pivot >= 0, and then ``xs`` is None; otherwise xs
+    holds the exact solution x of M x = b for each b.
+    """
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in columns]
+            for i, row in enumerate(matrix)]
+    pivots = []
+    for k in range(n):
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        if pivot >= 0:
+            return pivots, None
+        row_k = rows[k] = [v / pivot for v in rows[k]]
+        for i, row in enumerate(rows):
+            f = row[k]
+            if f and i != k:
+                rows[i] = [a - f * b if b else a for a, b in zip(row, row_k)]
+    return pivots, [[row[n + j] for row in rows] for j in range(len(columns))]
+
+
+def min_degree_order(model):
+    """Greedy minimum-degree elimination order, ties broken by index, by
+    rescanning the elimination graph, where removing a curve joins its
+    remaining neighbours pairwise."""
+    adj = {i: {j for j, _ in row if j != i}
+           for i, row in enumerate(model.sparse_rows)}
+    order = []
+    while adj:
+        i = min(adj, key=lambda i: (len(adj[i]), i))
+        order.append(i)
+        near = adj.pop(i)
+        for j in near:
+            adj[j] = (adj[j] | near) - {i, j}
+    return order
 
 
 def negdef_by_minors(matrix):
@@ -107,7 +160,7 @@ def closure_with_rule(model, exc, select, strict=(), trace=False):
     positive, found by rescanning every product.  Returns the exceptional
     coefficients of the closure, and with ``trace`` also the steps as
     (index, product before the step) pairs."""
-    matrix = model.matrix
+    matrix = dense_matrix(model)
     exc = [int(c) for c in exc]
     prods = [sum(c * matrix[j][i] for j, c in enumerate(exc))
              + sum(int(c) * s.incidence[i]
@@ -215,7 +268,7 @@ def blow_up_meeting_point(model, i, j):
     to E_i' + C and E_j to E_j' + C; the relative canonical divisor of the
     blowup is C.  The point lies on no strict curve.
     """
-    if model.matrix[i][j] != 1:
+    if dense_matrix(model)[i][j] != 1:
         raise ValueError("curves %d and %d do not meet once" % (i, j))
     return _blow_up_point(model, (i, j), "[%s,%s]" % (model.labels[i],
                                                       model.labels[j]))
@@ -227,7 +280,7 @@ def _blow_up_point(model, through, new_label):
     them, self-intersections included, drops by one, and each meets the
     new (-1)-curve C once and pulls back to its strict transform plus C."""
     u = model.u
-    mat = [list(row) + [0] for row in model.matrix]
+    mat = [list(row) + [0] for row in dense_matrix(model)]
     mat.append([0] * (u + 1))
     for i in through:
         for j in through:
@@ -394,7 +447,7 @@ def quotient_matrix(full, quotient):
     ``quotient`` to the sum of the curves of its class."""
     cls = [quotient.index_of(_class_label(label)) for label in full.labels]
     out = [[0] * quotient.u for _ in range(quotient.u)]
-    for i, row in enumerate(full.matrix):
+    for i, row in enumerate(dense_matrix(full)):
         for j, v in enumerate(row):
             out[cls[i]][cls[j]] += v
     return tuple(map(tuple, out))
@@ -526,7 +579,7 @@ class RefDivisor:
                                           other.exc + other.strict))
 
     def products(self):
-        matrix = self.model.matrix
+        matrix = dense_matrix(self.model)
         return tuple(
             sum((c * matrix[j][i] for j, c in enumerate(self.exc)), Fraction(0))
             + sum((c * s.incidence[i]

@@ -15,7 +15,7 @@ import resdiv as r
 from conftest import (CORPUS_NAMES, LOG_TERMINAL_NAMES, NON_LOG_TERMINAL,
                       first_failure, load_doc, random_integral_divisor,
                       single_chain)
-from oracles import brute_closure_oracle, verify_lemma_gen
+from oracles import brute_closure_oracle, dense_matrix, verify_lemma_gen
 
 
 def verdict(label, ok, detail=""):
@@ -52,7 +52,7 @@ def test_criterion_2_closure_oracle_equivalence():
         model = load_doc(name).model
         if model.u > 4:
             continue
-        oracle = brute_closure_oracle(model.matrix, box=12)
+        oracle = brute_closure_oracle(dense_matrix(model), box=12)
         for coeffs in itertools.product(range(5), repeat=model.u):
             d = r.Divisor(model, tuple(Fraction(c) for c in coeffs),
                           (Fraction(0),) * len(model.strict_curves))

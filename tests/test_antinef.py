@@ -6,7 +6,7 @@ import pytest
 
 import resdiv as r
 from conftest import random_integral_divisor
-from oracles import brute_closure_oracle, closure_with_rule
+from oracles import brute_closure_oracle, closure_with_rule, dense_matrix
 
 
 def a2():
@@ -75,7 +75,7 @@ def test_trace_records_positive_products(corpus_models):
 # -- oracle agreement (small-scale; the full box sweep is in acceptance) ---------
 
 def test_closure_matches_brute_force_on_a2():
-    oracle = brute_closure_oracle(_A2.matrix)
+    oracle = brute_closure_oracle(dense_matrix(_A2))
     for e1 in range(5):
         for e2 in range(5):
             d = r.Divisor.from_coeffs(_A2, exc=[e1, e2])

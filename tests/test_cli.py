@@ -259,6 +259,59 @@ def test_e8_ladder_certificate_reports_are_byte_identical(k):
     assert hashlib.sha256(text.encode()).hexdigest() == E8_REPORTS_SHA256[k]
 
 
+def e8_chain_graph():
+    """e8 with 2 chains of 10 over E2, 3 of 8 over E4 and 4 of 12 over E8
+    (100 curves), declared in a scrambled order, with D = 100 E1 and G the
+    pullback of the fundamental cycle."""
+    z = {"E1": 6, "E2": 3, "E3": 4, "E4": 2, "E5": 5, "E6": 4, "E7": 3,
+         "E8": 2}
+    chains = {"E2": (2, 10), "E4": (3, 8), "E8": (4, 12)}
+    curves = [(b, -2 - chains.get(b, (0, 0))[0]) for b in z]
+    meets = [("E1", "E2"), ("E1", "E3"), ("E3", "E4"), ("E1", "E5"),
+             ("E5", "E6"), ("E6", "E7"), ("E7", "E8")]
+    g = dict(z)
+    for b, (count, length) in chains.items():
+        for point in range(1, count + 1):
+            prev = b
+            for step in range(1, length + 1):
+                label = "%s(%d,%d)" % (b, point, step)
+                curves.append((label, -1 if step == length else -2))
+                meets.append((prev, label))
+                g[label] = z[b]
+                prev = label
+    assert len(curves) == 100
+    lines = ["curve %s genus=0 self=%d" % curves[37 * k % 100]
+             for k in range(100)]
+    lines += ["meet %s %s 1" % m for m in meets]
+    lines += ["divisor D E1=100",
+              "divisor G " + " ".join("%s=%d" % kv for kv in g.items())]
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the stdout of each command on ``e8_chain_graph``, recorded
+# before the exact solver eliminated in minimum-degree order
+E8_CHAIN_STDOUT_SHA256 = {
+    ("check",):
+        "dc2b65d9a1663b686dc4b45c86338b4f46418a00bdcde2e57d3f6131a4903530",
+    ("dual-basis",):
+        "3d4a94ca36738d7a8fbff2212f4a3c9ad3df99e07b85aa2f7a7f5ea515e49151",
+    ("closure", "D", "--trace"):
+        "4d6372d705e0e0b861b6f0e0c7d11df273b22fc420973c852d92baa54f397893",
+    ("multiplier", "G", "--lambda", "5/7"):
+        "f7869007e2b9b8dd1a7d047865300aa2c837e92a911c7502ec3bc7b65adf3f3d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(E8_CHAIN_STDOUT_SHA256))
+def test_e8_chain_model_reports_are_byte_identical(argv, tmp_path, capsys):
+    path = tmp_path / "e8_chains.graph"
+    path.write_text(e8_chain_graph())
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        E8_CHAIN_STDOUT_SHA256[argv]
+
+
 def test_realize_a2(capsys, tmp_path):
     cert_path = tmp_path / "cert.txt"
     code, out, _ = run(capsys, "realize", graph("a2"), "F",
@@ -402,6 +455,35 @@ def test_check_indefinite_reports_witness(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[-2:] == ["negative_definite = false",
                                      "witness = 2 1"]
+
+
+# The chain E4 - E1 - E2 - E3.  In index order the first wrong leading
+# minor is det(E1, E2) = 0, at E2.  Minimum-degree order takes E3, E2 and
+# then E1, where its first wrong pivot, 1/2, falls.  Report recorded
+# before the solver eliminated in minimum-degree order.
+LEAF_LAST = ("curve E1 genus=0 self=-1\ncurve E2 genus=0 self=-1\n"
+             "curve E3 genus=0 self=-3\ncurve E4 genus=0 self=-3\n"
+             "meet E1 E2 1\nmeet E2 E3 1\nmeet E1 E4 1\n")
+LEAF_LAST_CHECK = """\
+format_version = 1
+command = check
+file = leaf_last.graph
+curves = 4
+strict_curves = 0
+negative_definite = false
+witness = 1 1 0 0
+"""
+
+
+def test_check_witness_names_the_first_wrong_minor_in_index_order(
+        tmp_path, capsys):
+    path = tmp_path / "leaf_last.graph"
+    path.write_text(LEAF_LAST)
+    code, out, _ = run(capsys, "check", str(path))
+    assert (code, out) == (1, LEAF_LAST_CHECK)
+    with pytest.raises(r.NotNegativeDefinite) as info:
+        r.discrepancies(r.parse_graph(LEAF_LAST).model)
+    assert (info.value.index, info.value.pivot) == (1, 0)
 
 
 def test_non_utf8_graph_file_is_input_error(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import resdiv as r
 from conftest import (CORPUS_DIR, CORPUS_NAMES, LOG_TERMINAL_NAMES, load_doc,
                       single_chain)
-from oracles import format_by_labels, random_log_terminal_model
+from oracles import (dense_matrix, format_by_labels,
+                     random_log_terminal_model)
 from resdiv.cli import random_antinef_divisor
 
 SAMPLE = """\
@@ -45,7 +46,7 @@ def test_parse_sample_document():
     doc = r.parse_graph(SAMPLE)
     m = doc.model
     assert m.labels == ("E1", "E2")
-    assert m.matrix == ((-2, 1), (1, -3))
+    assert dense_matrix(m) == ((-2, 1), (1, -3))
     assert m.strict_curves[0].label == "C"
     assert m.strict_curves[0].incidence == (0, 2)
     f = doc.divisors["F"]

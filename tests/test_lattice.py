@@ -6,7 +6,7 @@ import pytest
 
 import resdiv as r
 from conftest import random_rational
-from oracles import det, negdef_by_minors
+from oracles import dense_matrix, det, negdef_by_minors
 from resdiv import linalg
 
 
@@ -23,12 +23,12 @@ def a2():
 def test_build_single_curve_model():
     m = a1()
     assert m.u == 1
-    assert m.matrix == ((-2,),)
+    assert dense_matrix(m) == ((-2,),)
 
 
 def test_build_a2_matrix():
     m = a2()
-    assert m.matrix == ((-2, 1), (1, -2))
+    assert dense_matrix(m) == ((-2, 1), (1, -2))
 
 
 def test_asymmetric_meeting_rejected():
@@ -75,7 +75,7 @@ def test_double_meeting_not_negative_definite():
     result = r.check_negative_definite(m)
     assert not result
     v = result.witness
-    total = sum(v[i] * m.matrix[i][j] * v[j]
+    total = sum(v[i] * dense_matrix(m)[i][j] * v[j]
                 for i in range(m.u) for j in range(m.u))
     assert total >= 0
 
@@ -83,7 +83,7 @@ def test_double_meeting_not_negative_definite():
 def test_negdef_agrees_with_minor_oracle_on_corpus(corpus_models):
     for model in corpus_models.values():
         assert r.check_negative_definite(model).is_negative_definite
-        assert negdef_by_minors(model.matrix)
+        assert negdef_by_minors(dense_matrix(model))
 
 
 def _random_forms():
@@ -124,11 +124,11 @@ def _leading_minor(mat, k):
 def test_solve_columns_agrees_with_minor_oracle_on_random_graphs():
     rng = random.Random(5)
     definite = 0
-    for mat, _ in _random_forms():
+    for mat, model in _random_forms():
         u = len(mat)
         if not negdef_by_minors(mat):
             with pytest.raises(linalg.NotNegativeDefinite) as info:
-                linalg.solve_columns(mat, [])
+                linalg.solve_columns(model.sparse_rows, [])
             # first leading minor det(M[:k+1,:k+1]) without sign (-1)^(k+1)
             k = info.value.index
             for j in range(k + 1):
@@ -140,11 +140,11 @@ def test_solve_columns_agrees_with_minor_oracle_on_random_graphs():
             continue
         definite += 1
         den = abs(det(tuple(map(tuple, mat))))
-        assert linalg.solve_columns(mat, []) == (den, [])
+        assert linalg.solve_columns(model.sparse_rows, []) == (den, [])
         rhs = [[random_rational(rng) for _ in range(u)] for _ in range(2)]
         scale = math.lcm(*(v.denominator for b in rhs for v in b))
         got_den, xs = linalg.solve_columns(
-            mat, [[int(v * scale) for v in b] for b in rhs])
+            model.sparse_rows, [[int(v * scale) for v in b] for b in rhs])
         assert got_den == den
         for b, x in zip(rhs, xs):
             assert all(isinstance(v, int) for v in x)
@@ -157,13 +157,13 @@ def test_solve_columns_is_exact_on_huge_int_right_hand_sides():
     """den = |det M| and M x = den b hold exactly on ints near 10^40."""
     rng = random.Random(17)
     solved = 0
-    for mat, _ in _random_forms():
+    for mat, model in _random_forms():
         if not negdef_by_minors(mat):
             continue
         u = len(mat)
         rhs = [[rng.randint(-10 ** 40, 10 ** 40) for _ in range(u)]
                for _ in range(3)]
-        den, xs = linalg.solve_columns(mat, rhs)
+        den, xs = linalg.solve_columns(model.sparse_rows, rhs)
         assert den == abs(det(tuple(map(tuple, mat))))
         for b, x in zip(rhs, xs):
             assert [sum(mat[i][j] * x[j] for j in range(u))

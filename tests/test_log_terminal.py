@@ -14,8 +14,8 @@ import resdiv as r
 from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
                       single_chain)
 from oracles import (_chain_tag, blow_up_free_point, blow_up_meeting_point,
-                     blown_discrepancies, negdef_by_minors, random_arms,
-                     random_log_terminal_model, star_model)
+                     blown_discrepancies, dense_matrix, negdef_by_minors,
+                     random_arms, random_log_terminal_model, star_model)
 from resdiv.cli import random_antinef_divisor
 
 SETTINGS = settings(max_examples=40, deadline=2000)
@@ -51,7 +51,7 @@ def test_meeting_point_blowup():
     a2 = r.build_model([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 1)])
     step = blow_up_meeting_point(a2, 0, 1)
     assert step.new_model.labels == ("E1", "E2", "[E1,E2]")
-    assert step.new_model.matrix == ((-3, 0, 1), (0, -3, 1), (1, 1, -1))
+    assert dense_matrix(step.new_model) == ((-3, 0, 1), (0, -3, 1), (1, 1, -1))
     assert step.sigma_pullback.columns == ((1, 0, 1), (0, 1, 1))
     assert blown_discrepancies((0, 0), step) == (0, 0, 1)
     assert r.discrepancies(step.new_model).b == (0, 0, 1)
@@ -89,10 +89,10 @@ RANDOMS = st.randoms(use_true_random=False)
 def test_definite_platonic_stars_are_log_terminal(rng, centre):
     arms = random_arms(rng)
     model = star_model(centre, [w for w, _, _ in arms])
-    definite = negdef_by_minors(model.matrix)
+    definite = negdef_by_minors(dense_matrix(model))
     assert definite == (centre > sum(Fraction(q, d) for _, d, q in arms))
     if definite:
-        assert r.discrepancies(model).log_terminal, model.matrix
+        assert r.discrepancies(model).log_terminal, dense_matrix(model)
 
 
 @seed(20081021)
@@ -102,7 +102,7 @@ def test_realize_passes_on_generated_models(rng, k):
     model = random_log_terminal_model(rng)
     f0 = random_antinef_divisor(model, "generated:%d" % k)
     cert = r.realize(model, f0)
-    assert cert.passed, (model.matrix, first_failure(cert))
+    assert cert.passed, (dense_matrix(model), first_failure(cert))
 
 
 @seed(20081022)
@@ -116,4 +116,4 @@ def test_pullback_to_a_free_point_blowup_realizes(rng, k):
     assert r.realize(model, f0).passed
     config = single_chain(model, rng.randrange(model.u), 1)
     cert = r.realize(config.model, config.pullback.apply(f0))
-    assert cert.passed, (model.matrix, first_failure(cert))
+    assert cert.passed, (dense_matrix(model), first_failure(cert))

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import resdiv as r
 from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
+from oracles import dense_matrix
 
 
 def assert_one_form(model):
-    matrix = model.matrix
+    matrix = dense_matrix(model)
     u = model.u
     assert len(matrix) == u and all(len(row) == u for row in matrix)
     for i in range(u):
