@@ -4,9 +4,9 @@ A divisor D is antinef when D.E_i <= 0 for every exceptional curve E_i.
 Every integral divisor has a unique smallest integral antinef divisor
 above it, its antinef closure.  The closure is computed by repeatedly
 adding one copy of the first curve whose product is still positive; on a
-negative definite model this terminates.  A min-heap of the violating
-indices spares each step a rescan of all u products; the tests compare it
-with a rescanning dense reference under several rules for picking.
+negative definite model this terminates (on any other it raises first).
+A min-heap of the violating indices spares each step a rescan of all u
+products; the tests compare it with a rescanning dense reference.
 """
 
 from __future__ import annotations
@@ -46,8 +46,12 @@ def antinef_closure(d: Divisor):
 
     Returns (closure, trace).  Each unit step adds the violating curve of
     smallest index.  Strict coefficients never change, so the pushforward
-    is preserved.
+    is preserved.  Raises NotNegativeDefinite, from the cached solve of
+    discrepancies, on a form that is not negative definite; a blown or
+    quotient model's base model decides, as blowups and P^T M P keep it so.
     """
+    from .canonical import discrepancies  # canonical imports this module
+    discrepancies(getattr(d.model, "base_model", d.model))
     if not d.is_integral():
         offender = Fraction(next(n for n in d.num if n % d.den), d.den)
         raise NonIntegralInput("non-integral coefficient %s" % (offender,))
@@ -55,15 +59,17 @@ def antinef_closure(d: Divisor):
     model = d.model
     num = list(d.num)
     prods = d.product_numerators()
-    # the violating indices; meetings are positive, so only prods[i] falls
+    # the violating indices, and ones that were, popped when they reach the
+    # top; meetings are positive, so only prods[i] falls
     heap = [i for i, p in enumerate(prods) if p > 0]
     steps = []
     while heap:
         i = heap[0]
+        if prods[i] <= 0:
+            heappop(heap)
+            continue
         steps.append((i, prods[i]))
         num[i] += 1
-        if prods[i] + model.curves[i].self_int <= 0:
-            heappop(heap)
         for k, v in model.sparse_rows[i]:
             if prods[k] <= 0 < prods[k] + v:
                 heappush(heap, k)

@@ -13,16 +13,16 @@ yet, so a blown model can itself be blown up or realized.
 GenericConfiguration.build lays out a whole family of chains (the e_i
 points with n_i blowups each used by the realization pipeline) in one
 pass (GenericConfiguration.layout gives that layout alone), and gives
-closed-form sums of dual-basis vectors.  The blown model knows its size
-and labels from the layout; its form, the composite pullback (stored as
-the sparse support of each column, read straight off the chains; it
-raises ModelMismatch on a divisor of another model) and the relative
-canonical divisor of the composition are built the first time something
-reads them.  build refuses, before allocating anything, a model of more
-than MAX_BLOWN_CURVES curves.  The test suite keeps the step-by-step
-route (one blowup at a time, composing dense pullbacks) and the
-direct-solve check of the chain lemma in tests/oracles.py, and checks the
-one-pass build against the former.
+closed-form sums of dual-basis vectors.  The blown model reads its size,
+labels and sparse rows off the layout; its curves and label index, the
+composite pullback (stored as the sparse support of each column, read
+straight off the chains; it raises ModelMismatch on a divisor of another
+model) and the relative canonical divisor of the composition are built
+the first time something reads them.  build refuses, before allocating
+anything, a model of more than MAX_BLOWN_CURVES curves.  The test suite
+keeps the step-by-step route (one blowup at a time, composing dense
+pullbacks) and the direct-solve check of the chain lemma in
+tests/oracles.py, and checks the one-pass build against the former.
 
 The e_i chains over E_i are identical.  quotient() keeps one (the lowest
 point) standing for ChainInfo.copies = e_i of them, with form P^T M P for
@@ -108,46 +108,54 @@ def _lay_out(u, specs) -> tuple:
 
 
 class _BlownModel(ResolutionModel):
-    """The model of a configuration's chains over ``base``.  Its size and
-    labels come from the chain layout; the form (a chain of c copies has
-    entries c times those of one chain) is built, and checked, by
-    ResolutionModel.__init__ the first time anything reads it."""
+    """The model of a configuration's chains over ``base_model``.  Its size,
+    labels and rows come from the chain layout (c copies of a chain lower
+    its base curve's self-intersection by c and have c times the entries of
+    one); its curves, meetings and label index are built from the rows, and
+    checked, by ResolutionModel.__init__ when anything else is read."""
 
-    def __init__(self, base, chains, u):
-        self._base, self._chains, self.u = base, chains, u
+    def __init__(self, base_model, chains, u):
+        self.base_model, self._chains, self.u = base_model, chains, u
+        self.strict_sparse = base_model.strict_sparse
 
     @cached_property
     def labels(self):
-        base = self._base.labels
+        base = self.base_model.labels
         return base + tuple("%s(%d,%d)" % (base[info.base], info.point, m)
                             for info in self._chains
                             for m in range(1, info.length + 1))
 
     @property
     def strict_labels(self):
-        return self._base.strict_labels
+        return self.base_model.strict_labels
 
     @property
     def chain_layout(self):
-        return self._base.labels, self._chains
+        return self.base_model.labels, self._chains
+
+    @cached_property
+    def sparse_rows(self):
+        rows = [list(row) for row in self.base_model.sparse_rows]
+        for info in self._chains:
+            b, c, tip = info.base, info.copies, info.start + info.length - 1
+            rows[b] = [(j, v - c if j == b else v) for j, v in rows[b]]
+            rows[b].append((info.start, c))
+            rows += [[(k - 1, c), (k, -2 * c), (k + 1, c)]
+                     for k in range(info.start, tip)]
+            rows.append([(tip - 1, c), (tip, -c)])
+            rows[info.start][0] = (b, c)  # the first curve meets the base
+        return tuple(map(tuple, rows))
 
     def __getattr__(self, name):  # reached only for what is not yet set
         state = vars(self)
         if name.startswith("__") or "curves" in state or "_chains" not in state:
             raise AttributeError(name)
-        base, labels = self._base, self.labels
-        roots = [0] * base.u
-        for info in self._chains:
-            roots[info.base] += info.copies
-        curves = [ExcCurve(c.label, c.genus, c.self_int - roots[i])
-                  for i, c in enumerate(base.curves)]
-        meetings = list(base.meetings)
-        for info in self._chains:
-            s, end, c = info.start, info.start + info.length, info.copies
-            meetings.append((info.base, s, c))
-            meetings.extend((k, k + 1, c) for k in range(s, end - 1))
-            curves.extend(ExcCurve(labels[k], 0, -c if k == end - 1 else -2 * c)
-                          for k in range(s, end))
+        base, labels, rows = self.base_model, self.labels, self.sparse_rows
+        genus = [c.genus for c in base.curves] + [0] * (self.u - base.u)
+        curves = [ExcCurve(labels[i], genus[i], dict(row)[i])
+                  for i, row in enumerate(rows)]
+        meetings = [(i, j, m) for i, row in enumerate(rows)
+                    for j, m in row if j > i]
         pad = (0,) * (self.u - base.u)
         ResolutionModel.__init__(self, curves, meetings, [
             StrictCurve(s.label, s.incidence + pad) for s in base.strict_curves])
@@ -190,11 +198,14 @@ class GenericConfiguration:
     def layout(base_model, e, n) -> tuple:
         """The chains of build(base_model, e, n): e[i] chains of length
         n[i] over each curve i with n[i] > 0, in order, at the lowest point
-        numbers p for which no label of base_model reads <label i>(p,m)."""
-        labels = base_model.labels + base_model.strict_labels
-        taken = {(m[1], int(m[2])) for m in (re.fullmatch(
-            r"(.*)\(([1-9][0-9]*),[1-9][0-9]*\)", label) for label in labels) if m}
-        specs = []
+        numbers p for which no label of base_model reads <label i>(p,m)
+        (the taken (label, p) pairs are found once per base model)."""
+        if "_taken_points" not in vars(base_model):
+            labels = base_model.labels + base_model.strict_labels
+            base_model._taken_points = {(m[1], int(m[2])) for m in (
+                re.fullmatch(r"(.*)\(([1-9][0-9]*),[1-9][0-9]*\)", label)
+                for label in labels) if m}
+        taken, specs = base_model._taken_points, []
         for i, label in enumerate(base_model.labels):
             free = (p for p in count(1) if (label, p) not in taken)
             specs += [(i, p, n[i], 1) for p in islice(free, e[i]) if n[i] > 0]
@@ -223,11 +234,6 @@ class GenericConfiguration:
         for info in self.chains:
             k_num[info.start:info.start + info.length] = range(1, info.length + 1)
         return Divisor._of(self.model, k_num, 1)
-
-    # -- index helpers ---------------------------------------------------
-
-    def chains_over(self, i: int):
-        return [info for info in self.chains if info.base == i]
 
     # -- the quotient by permutations of identical chains -------------------
 

@@ -61,15 +61,13 @@ def cmd_check(args) -> int:
     rep = _report("check", args.file)
     rep.add("curves", model.u)
     rep.add("strict_curves", len(model.strict_curves))
-    try:
-        disc = discrepancies(model)
-    except NotNegativeDefinite:
-        result = check_negative_definite(model)
-        rep.add("negative_definite", False)
+    result = check_negative_definite(model)
+    rep.add("negative_definite", result.is_negative_definite)
+    if not result:
         rep.add("witness", " ".join(format_rational(v) for v in result.witness))
         print(rep.render(), end="")
         return 1
-    rep.add("negative_definite", True)
+    disc = discrepancies(model)
     for label, value in zip(model.labels, disc.b):
         rep.add("discrepancy.%s" % label, value)
     rep.add("log_terminal", disc.log_terminal)
@@ -91,10 +89,11 @@ def cmd_dual_basis(args) -> int:
 def cmd_closure(args) -> int:
     doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
-    if not check_negative_definite(doc.model):
+    try:
+        closed, trace = antinef_closure(divisor)
+    except NotNegativeDefinite:
         print("error: intersection form is not negative definite", file=sys.stderr)
         return 1
-    closed, trace = antinef_closure(divisor)
     rep = _report("closure", args.file)
     rep.add("divisor", args.divisor)
     rep.add("input", divisor)

@@ -7,7 +7,8 @@ symmetric elimination on sparse rows whose first leading minor of the
 wrong sign, in index order, proves that the form is not negative definite,
 and reads its int numerators over |det M| straight into Divisors.  The
 dual basis is solved once per model and cached on it; the numerical
-pullback is read off it.  Definiteness is treated as an input validation
+pullback is read off it; definiteness is read off the cached solve of
+the discrepancies.  Definiteness is treated as an input validation
 (with an explicit witness on failure) rather than assumed, since the
 inputs here are arbitrary combinatorial models.
 """
@@ -19,6 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
+from .canonical import discrepancies
 from .divisor import Divisor
 from .model import ResolutionModel
 
@@ -41,13 +43,14 @@ class NegDefResult:
 def check_negative_definite(model: ResolutionModel) -> NegDefResult:
     """Decide negative definiteness of the exceptional intersection matrix.
 
-    The first rational pivot d = det_{k+1}/det_k >= 0, at index k, yields
-    the witness v = (w, 1, 0, ..., 0) with M[:k,:k] w = -M[:k,k], for which
+    The cached solve of discrepancies decides it.  Its first rational pivot
+    d = det_{k+1}/det_k >= 0 in index order, at index k, yields the witness
+    v = (w, 1, 0, ..., 0) with M[:k,:k] w = -M[:k,k], for which
     v.M.v = d >= 0; the leading block M[:k,:k] is negative definite.
     """
     rows = model.sparse_rows
     try:
-        linalg.solve_columns(rows, [])
+        discrepancies(model)
     except linalg.NotNegativeDefinite as exc:
         k = exc.index
         block = [[(j, v) for j, v in row if j < k] for row in rows[:k]]

@@ -25,8 +25,10 @@ whose fields live on other models than their own fails every check.
 Every divisor of the construction is fixed by the permutations of the
 identical chains, so realize works on the quotient configuration and
 expands F, A, G and F' onto the full blown model for the certificate.
-The full model's form is built only if something reads it; an untampered
-certificate and its report never do.
+The quotient's form is read off its chain layout and the checks run on
+ints, details worked out from closed forms, so neither model's curves
+are built unless something reads them; an untampered certificate never
+does.
 """
 
 from __future__ import annotations
@@ -193,6 +195,49 @@ def _first_break(rows) -> str:
                  for label, a, b, holds in rows if not holds(a, b)), "")
 
 
+def _first_int_break(rows) -> str:
+    """_first_break on sides given as (numerator, denominator > 0) pairs of
+    ints, compared across: only the breaking row becomes Fractions."""
+    return _first_break((label, Fraction(*a), Fraction(*b), holds)
+                        for label, a, b, holds in rows
+                        if not holds(a[0] * b[1], b[0] * a[1]))
+
+
+def _domination_break(config, base, f, fp, p_fp) -> str:
+    """The dual_chain_domination detail, '' if it holds, in closed form:
+    with the weights -F'.E_k per copy on E_i and its chains, the weighted
+    dual sum minus -(F.E_i) g*E*_i is s_i g*E*_i + v_i, for s_i the summed
+    weights plus F.E_i and v_i[m] = sum_k t_k min(m, k) on each chain over
+    E_i of weights t.  As E*_i >= 0 and E*_i[i] > 0, it is >= 0 iff s_i >= 0
+    and s_i E*_i[i] + v_i >= 0 on those chains; ints, F'.E = p_fp / fp.den."""
+    labels, q_f = config.model.labels, f.product_numerators()
+    over, total = [[] for _ in range(base.u)], p_fp[:base.u]
+    for info in config.chains:
+        seg = p_fp[info.start:info.start + info.length]
+        over[info.base].append((info, seg))
+        total[info.base] += sum(seg)
+
+    def sides(i, k, x, v=0):  # at curve k, where g*E*_i is x and v_i is v
+        return _first_break([(labels[k], Fraction(-q_f[i], f.den) * x,
+                              Fraction(-total[i], fp.den) * x + v, le)])
+
+    for i, dual in enumerate(dual_basis(base)):
+        s = q_f[i] * fp.den - total[i] * f.den  # s_i fp.den f.den
+        if s < 0:  # first at the first curve E*_i does not vanish on
+            j = next(j for j, x in enumerate(dual.num) if x)
+            return sides(i, j, Fraction(dual.num[j], dual.den))
+        for info, seg in over[i]:
+            bound, scale = info.copies * s * dual.num[i], f.den * dual.den
+            v, tail = 0, sum(seg)  # -v_i[m] fp.den c = sum of tails 1..m
+            for m, p in enumerate(seg, 1):
+                v, tail = v + tail, tail - p
+                if bound < v * scale:
+                    return sides(i, info.start + m - 1,
+                                 Fraction(dual.num[i], dual.den),
+                                 Fraction(-v, fp.den * info.copies))
+    return ""
+
+
 def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     """Independently recheck a certificate, in order, and return it with
     ``checks`` set.
@@ -230,7 +275,9 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
 def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     """The 14 checks on ``config``, the certificate's or its quotient, with
     F, A, G and F' given on it.  A product on a chain standing for c
-    copies reads c times the product with one copy."""
+    copies reads c times the product with one copy.  dual_chain_domination,
+    epsilon_constraints and chain_length_rule run on ints; a detail is
+    worked out, from the closed form, only for the first broken row."""
     checks = []
     model = config.model
     base = cert.base_model
@@ -275,29 +322,16 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
           all(fp.num[t] * f.den == f.num[t] * fp.den and f.num[t] == f.num[b]
               for t, b in tops),
           lambda: _first_break(
-              (model.curves[t].label, Fraction(d.num[t], d.den),
+              (model.labels[t], Fraction(d.num[t], d.den),
                Fraction(f.num[b], f.den), eq) for t, b in tops for d in (fp, f)))
 
-    # -F'.E_k, as ints unless F' is not integral
-    neg = [-p // c if fp.den == 1 else Fraction(-p, fp.den * c)
-           for p, c in zip(fp.product_numerators(), copies)]
-    f_prods = f.product_numerators()
-    duals_base = dual_basis(base)
-    domination_detail = None
-    for i in range(base.u):
-        weights = [0] * model.u
-        weights[i] = neg[i]
-        for info in config.chains_over(i):
-            span = slice(info.start, info.start + info.length)
-            weights[span] = neg[span]
-        lhs_div = config.weighted_dual_sum(weights)
-        rhs_div = config.pullback.apply(duals_base[i]).scale(
-            Fraction(-f_prods[i], f.den))
-        if not rhs_div.less_equal(lhs_div):
-            domination_detail = differ(rhs_div, lhs_div, le)
-            break
-    check("dual_chain_domination", domination_detail is None, domination_detail)
+    p_fp = fp.product_numerators()
+    domination = _domination_break(config, base, f, fp, p_fp)
+    check("dual_chain_domination", not domination, lambda: domination)
 
+    # -F'.E_k per copy, as ints unless F' is not integral
+    neg = [-p // c if fp.den == 1 else Fraction(-p, fp.den * c)
+           for p, c in zip(p_fp, copies)]
     strict_part = Divisor(base, (0,) * base.u, fp.strict)
     pullback_part = config.pullback.apply(numerical_pullback(base, strict_part))
     total = pullback_part + config.weighted_dual_sum(neg)
@@ -312,25 +346,30 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     recomputed, _ = antinef_closure(candidate)
     check("closure_recomputation", recomputed == fp, differ(recomputed, fp))
 
-    rows = [("epsilon", 0, eps, lt), ("epsilon", eps, Fraction(1, 2), lt)]
-    rows += [(label, eps * (a_i + 1), 1 + b_i, lt)
-             for label, a_i, b_i in zip(base.labels, cert.a, cert.b)]
-    rows += [(label, math.floor(eps * c), 0, eq)
-             for label, c in zip(base.strict_labels, cert.F0.strict)]
-    eps_break = _first_break(rows)
+    # on ints, epsilon = p / q, a_i = alpha_i / den_a, b_i = beta_i / den_b
+    p, q = eps.numerator, eps.denominator
+    alpha, den_a, beta, den_b = cert.F0.num, cert.F0.den, k_f.num, k_f.den
+    rows = [("epsilon", (0, 1), (p, q), lt), ("epsilon", (p, q), (1, 2), lt)]
+    rows += [(label, (p * (a_i + den_a), q * den_a), (b_i + den_b, den_b), lt)
+             for label, a_i, b_i in zip(base.labels, alpha, beta)]
+    rows += [(label, (p * c // (q * den_a), 1), (0, 1), eq)
+             for label, c in zip(base.strict_labels, alpha[base.u:])]
+    eps_break = _first_int_break(rows)
     check("epsilon_constraints", not eps_break, lambda: eps_break)
 
-    rows = [("epsilon", 0, eps, lt)]
-    if eps > 0:  # the n_i rows divide by epsilon
-        for label, n_i, a_i, b_i in zip(base.labels, cert.n, cert.a, cert.b):
-            rows.append((label, n_i, math.floor((1 + b_i) / eps - (a_i + 1)), eq))
+    rows = [("epsilon", (0, 1), (p, q), lt)]
+    if p > 0:  # the n_i rows divide by epsilon
+        e = p * den_b * den_a  # (b_i + 1) / epsilon - a_i = top / e
+        for label, n_i, a_i, b_i in zip(base.labels, cert.n, alpha, beta):
+            top = (b_i + den_b) * q * den_a - p * den_b * a_i
+            rows.append((label, (n_i, 1), (top // e - 1, 1), eq))
             if n_i >= 1:
-                rows += [(label, b_i / eps - a_i, n_i, le),
-                         (label, n_i, (b_i + 1) / eps - a_i, lt)]
+                rows += [(label, (top - q * den_b * den_a, e), (n_i, 1), le),
+                         (label, (n_i, 1), (top, e), lt)]
     # and the chains are laid out as build lays them out for (e, n)
     chains = cert.config.chains
     counts = Counter(info.base for info in chains)
-    n_break = _first_break(rows) or _first_break(
+    n_break = _first_int_break(rows) or _first_break(
         [("n", len(cert.n), base.u, eq)]
         + [(label, counts[i], e_i if n_i >= 1 else 0, eq) for i, (label, n_i, e_i)
            in enumerate(zip(base.labels, cert.n, cert.e))])

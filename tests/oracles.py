@@ -34,12 +34,19 @@ quotients) and stars of three such chains whose determinants d_1, d_2,
 d_3 have sum 1/d_i > 1 (the platonic triples), with a centre weight that
 makes the form negative definite by the Schur complement.
 
+dual_chain_domination_detail and epsilon_and_chain_length_details are
+three certificate checks as first written, which the integer forms in
+resdiv.realize must agree with, details included: the domination by one
+weighted dual sum per base curve, compared as whole divisors, and the
+epsilon and chain length rules by rows of Fractions.
+
 RefDivisor keeps one Fraction per coefficient and does every operation
 coefficient by coefficient, with products read off the dense matrix; the
 integer-numerator Divisor is checked against it.  meet, the componentwise
 minimum of two Divisors, is needed by the tests alone.
 """
 
+import dataclasses
 import math
 import operator
 import re
@@ -51,7 +58,7 @@ import numpy as np
 
 from resdiv import (ChainInfo, Divisor, ExcCurve, GenericConfiguration,
                     ModelMismatch, ResolutionModel, StrictCurve, build_model,
-                    dual_basis, is_antinef)
+                    dual_basis, format_rational, is_antinef)
 
 
 def dense_matrix(model):
@@ -523,6 +530,79 @@ def random_log_terminal_model(rng):
     arms = random_arms(rng)
     least = math.floor(sum(Fraction(q, d) for _, d, q in arms)) + 1
     return star_model(least + rng.randint(0, 1), [w for w, _, _ in arms])
+
+
+# -- certificate checks over Fractions ---------------------------------------------
+
+def _first_row_break(rows):
+    """'label: a vs b' for the first (label, a, b, holds) row with
+    holds(a, b) false, or ''."""
+    return next(("%s: %s vs %s" % (label, format_rational(a), format_rational(b))
+                 for label, a, b, holds in rows if not holds(a, b)), "")
+
+
+def dual_chain_domination_detail(config, base, f, fp):
+    """The dual_chain_domination detail by the per-curve loop over whole
+    divisors: for each base curve E_i in order, the weighted dual sum with
+    the weights -F'.E_k per copy on E_i and its chains, against
+    -(F.E_i) g*E*_i, compared curve by curve; '' when every E_i passes."""
+    model = config.model
+    copies = [1] * model.u
+    for info in config.chains:
+        copies[info.start:info.start + info.length] = [info.copies] * info.length
+    neg = [-p / c for p, c in zip(fp.products(), copies)]
+    f_prods = f.products()
+    duals = dual_basis(base)
+    labels = model.labels + model.strict_labels
+    for i in range(base.u):
+        weights = [0] * model.u
+        weights[i] = neg[i]
+        for info in config.chains:
+            if info.base == i:
+                span = slice(info.start, info.start + info.length)
+                weights[span] = neg[span]
+        lhs = config.weighted_dual_sum(weights)
+        rhs = config.pullback.apply(duals[i]).scale(-f_prods[i])
+        detail = _first_row_break(zip(labels, rhs.exc + rhs.strict,
+                                      lhs.exc + lhs.strict,
+                                      [operator.le] * len(labels)))
+        if detail:
+            return detail
+    return ""
+
+
+def epsilon_and_chain_length_details(cert):
+    """The epsilon_constraints and chain_length_rule details of ``cert``
+    from rows of Fractions, each '' when its check holds."""
+    base, eps = cert.base_model, cert.epsilon
+    lt, le, eq = operator.lt, operator.le, operator.eq
+    rows = [("epsilon", 0, eps, lt), ("epsilon", eps, Fraction(1, 2), lt)]
+    rows += [(label, eps * (a_i + 1), 1 + b_i, lt)
+             for label, a_i, b_i in zip(base.labels, cert.a, cert.b)]
+    rows += [(label, math.floor(eps * c), 0, eq)
+             for label, c in zip(base.strict_labels, cert.F0.strict)]
+    eps_break = _first_row_break(rows)
+
+    rows = [("epsilon", 0, eps, lt)]
+    if eps > 0:
+        for label, n_i, a_i, b_i in zip(base.labels, cert.n, cert.a, cert.b):
+            rows.append((label, n_i, math.floor((1 + b_i) / eps - (a_i + 1)), eq))
+            if n_i >= 1:
+                rows += [(label, b_i / eps - a_i, n_i, le),
+                         (label, n_i, (b_i + 1) / eps - a_i, lt)]
+    chains = cert.config.chains
+    counts = [sum(info.base == i for info in chains) for i in range(base.u)]
+    n_break = _first_row_break(rows) or _first_row_break(
+        [("n", len(cert.n), base.u, eq)]
+        + [(label, counts[i], e_i if n_i >= 1 else 0, eq) for i, (label, n_i, e_i)
+           in enumerate(zip(base.labels, cert.n, cert.e))])
+    if not n_break and (laid := GenericConfiguration.layout(
+            base, counts, cert.n)) != chains:
+        n_break = _first_row_break(
+            ("%s(%d,1)" % (base.labels[want.base], want.point), x, y, eq)
+            for have, want in zip(chains, laid)
+            for x, y in zip(dataclasses.astuple(have), dataclasses.astuple(want)))
+    return eps_break, n_break
 
 
 # -- reference divisor -----------------------------------------------------------

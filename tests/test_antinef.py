@@ -1,12 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import resdiv as r
 from conftest import random_integral_divisor
-from oracles import brute_closure_oracle, closure_with_rule, dense_matrix
+from oracles import (brute_closure_oracle, closure_with_rule, dense_matrix,
+                     negdef_by_minors)
 
 
 def a2():
@@ -175,3 +179,49 @@ def test_termination_within_dominating_bound(corpus_models):
             bound = _termination_bound(model, d)
             closed, trace = r.antinef_closure(d)
             assert len(trace.steps) <= bound
+
+
+# -- the definiteness gate ---------------------------------------------------------
+
+def test_closure_on_an_indefinite_form_raises_at_once():
+    """E1 + E2 has square 2 on two (-1)-curves meeting twice, so adding
+    curves to E1 would never end; the closure raises before its first
+    step, and so do the closures on blown and quotient models over it."""
+    model = r.build_model([("E1", 0, -1), ("E2", 0, -1)], [("E1", "E2", 2)])
+    started = time.perf_counter()
+    with pytest.raises(r.NotNegativeDefinite):
+        r.antinef_closure(r.Divisor.curve(model, 0))
+    config = r.GenericConfiguration.build(model, [2, 1], [1, 2])
+    for c in (config, config.quotient()):
+        with pytest.raises(r.NotNegativeDefinite):
+            r.antinef_closure(r.Divisor.curve(c.model, 0))
+    assert time.perf_counter() - started < 1.0
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 8 curves of self-intersection -1 to -4 with any meetings, of
+    multiplicity 1 or 2: definite and indefinite forms alike."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return r.ResolutionModel(
+        [r.ExcCurve("E%d" % i, 0, -draw(st.integers(1, 4))) for i in range(n)],
+        [(i, j, draw(st.integers(1, 2))) for i, j in chosen])
+
+
+@seed(20081022)
+@settings(max_examples=100, deadline=2000)
+@given(model=small_graphs(), data=st.data())
+def test_closure_returns_or_names_the_indefinite_form(model, data):
+    """On a random graph the closure of an effective divisor returns,
+    when the leading minors say the form is negative definite, and raises
+    NotNegativeDefinite otherwise."""
+    d = r.Divisor(model, data.draw(st.lists(
+        st.integers(0, 5), min_size=model.u, max_size=model.u)), [])
+    if negdef_by_minors(dense_matrix(model)):
+        closed, _ = r.antinef_closure(d)
+        assert r.is_antinef(closed) and d.less_equal(closed)
+    else:
+        with pytest.raises(r.NotNegativeDefinite):
+            r.antinef_closure(d)

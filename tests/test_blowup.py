@@ -5,9 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import resdiv as r
-from conftest import CORPUS_DIR, load_doc, random_integral_divisor, single_chain
+from conftest import (CORPUS_DIR, CORPUS_NAMES, load_doc,
+                      random_integral_divisor, single_chain)
 from oracles import (PreconditionViolated, blow_up_free_point, dense_matrix,
                      expand_by_labels, generic_chain, iterated_configuration,
                      quotient_matrix, verify_lemma_gen)
@@ -180,7 +183,7 @@ def test_sum_and_weighted_duals_match_reference():
 def test_chain_lookup_helpers():
     config = r.GenericConfiguration.build(a2(), e=[1, 1], n=[2, 2])
     assert len(config.chains) == 2
-    over0 = config.chains_over(0)
+    over0 = [info for info in config.chains if info.base == 0]
     assert len(over0) == 1 and over0[0].base == 0
     curves = config.model.curves
     assert curves[over0[0].start + 1].label == "E1(1,2)"
@@ -347,11 +350,14 @@ def test_realize_and_its_report_leave_the_blown_form_unbuilt(built_sizes):
             model, exc=[k * v for v in E8_Z]))
         lines = _certificate_report(cert).render().splitlines()
         blown = cert.config.model
+        quotient = cert.config.quotient().model
         assert cert.passed and "blown_curves = %d" % blown.u in lines
-        assert blown.u > cert.config.quotient().model.u
+        assert blown.u > quotient.u
         assert blown.u not in built_sizes, k
+        # the quotient's rows come from the layout, its curves never
+        assert "curves" not in vars(blown) and "curves" not in vars(quotient)
         # the count sees the form once something reads it
-        assert len(blown.sparse_rows) == blown.u
+        assert len(blown.curves) == blown.u
         assert built_sizes[-1] == blown.u
 
 
@@ -407,6 +413,39 @@ def test_form_read_later_equals_the_eager_model(log_terminal_models,
         assert full.model == iterated_configuration(model, e, n).model, name
         with_strict += bool(model.strict_curves)
     assert with_strict >= 1
+
+
+def assert_rows_come_from_the_layout(config):
+    """The rows ``config``'s model reads off its layout, before its curves
+    exist, are those of the eager model and of the model checked by
+    ResolutionModel from its curves; and so for its quotient."""
+    for c in dict.fromkeys((config, config.quotient())):
+        lazy = c.model
+        rows, strict = lazy.sparse_rows, lazy.strict_sparse
+        assert "curves" not in vars(lazy)
+        eager = eager_model(c)
+        assert (rows, strict) == (eager.sparse_rows, eager.strict_sparse)
+        checked = r.ResolutionModel(lazy.curves, lazy.meetings,
+                                    lazy.strict_curves)
+        assert (rows, strict) == (checked.sparse_rows, checked.strict_sparse)
+
+
+@seed(20081021)
+@settings(max_examples=60, deadline=2000)
+@given(data=st.data(), name=st.sampled_from(CORPUS_NAMES))
+def test_layout_rows_equal_the_checked_rows(data, name):
+    """On configurations over corpus models, their quotients (copies > 1),
+    and configurations over their blown models and those quotients."""
+    def counts(model, hi):
+        return data.draw(st.lists(st.integers(0, hi), min_size=model.u,
+                                  max_size=model.u))
+
+    model = load_doc(name).model
+    config = r.GenericConfiguration.build(model, counts(model, 3),
+                                          counts(model, 3))
+    assert_rows_come_from_the_layout(config)
+    assert_rows_come_from_the_layout(r.GenericConfiguration.build(
+        config.model, counts(config.model, 1), counts(config.model, 2)))
 
 
 def test_divisors_on_an_unbuilt_form_copy_and_pickle(built_sizes):

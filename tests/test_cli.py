@@ -486,6 +486,26 @@ def test_check_witness_names_the_first_wrong_minor_in_index_order(
     assert (info.value.index, info.value.pivot) == (1, 0)
 
 
+def test_check_on_an_indefinite_form_eliminates_three_times(
+        tmp_path, capsys, monkeypatch):
+    """discrepancies fails in minimum-degree order and again in index
+    order, and the witness solves the leading block that passed: its
+    index comes from the error, so nothing is eliminated twice."""
+    linalg = importlib.import_module("resdiv.linalg")
+    original = linalg._eliminate
+    calls = []
+
+    def counted(rows, columns, order):
+        calls.append((len(rows), len(columns)))
+        return original(rows, columns, order)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    path = tmp_path / "leaf_last.graph"
+    path.write_text(LEAF_LAST)
+    assert run(capsys, "check", str(path))[:2] == (1, LEAF_LAST_CHECK)
+    assert calls == [(4, 1), (4, 0), (1, 1)]
+
+
 def test_non_utf8_graph_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.graph"
     path.write_bytes(b"curve E1 genus=0 self=-2\xff\n")

@@ -11,9 +11,10 @@ from hypothesis import given, seed, settings
 import resdiv as r
 from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
                       random_antinef)
-from oracles import closure_with_rule, expand_by_labels
+from oracles import (closure_with_rule, dual_chain_domination_detail,
+                     epsilon_and_chain_length_details, expand_by_labels)
 from resdiv.cli import _certificate_report, random_antinef_divisor
-from resdiv.realize import _run_checks
+from resdiv.realize import _domination_break, _run_checks
 
 
 def a1():
@@ -311,6 +312,60 @@ def test_swapping_a_field_between_certificates_ends_in_a_failing_report(
     assert checked.passed == (not differs), (field, first_failure(checked))
 
 
+def _shifted(d, data, den):
+    """``d`` plus up to four drawn curves, each with a multiple of 1/den
+    from -3 to 3."""
+    num = [0] * len(d.num)
+    for k, v in data.draw(st.lists(st.tuples(
+            st.integers(0, len(num) - 1), st.integers(-3, 3)), max_size=4)):
+        num[k] += v
+    return d + r.Divisor._of(d.model, num, den)
+
+
+@seed(20081019)
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data(), quotient=st.booleans(), den=st.sampled_from([1, 1, 2, 3]))
+def test_domination_sweep_matches_the_divisor_loop(data, quotient, den):
+    """On passing and tampered F and F', integral or not, on the quotient
+    and on the full configuration, the closed-form sweep gives the detail
+    of one weighted dual sum per base curve."""
+    pool = _fuzz_pool()
+    cert = pool[data.draw(st.integers(0, len(pool) - 1))]
+    config, f, fp = cert.config, cert.F, cert.F_prime
+    if quotient:
+        config, f, fp = config.quotient(), config.compress(f), config.compress(fp)
+    fp = _shifted(fp, data, den)
+    if data.draw(st.booleans()):
+        f = _shifted(f, data, 1)
+    assert _domination_break(config, cert.base_model, f, fp,
+                             fp.product_numerators()) == \
+        dual_chain_domination_detail(config, cert.base_model, f, fp)
+
+
+@seed(20081020)
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data(), field=st.sampled_from(["epsilon", "n", "F0"]))
+def test_integer_rules_match_the_fraction_rows(data, field):
+    """epsilon_constraints and chain_length_rule on ints give the details
+    of their rows of Fractions, with epsilon (down to 0 and below), the
+    chain lengths or F0 tampered."""
+    pool = _fuzz_pool()
+    cert = pool[data.draw(st.integers(0, len(pool) - 1))]
+    if field == "epsilon":
+        value = data.draw(st.one_of(
+            st.integers(-2, 8).map(lambda k: cert.epsilon * Fraction(k, 4)),
+            st.fractions(-1, 1, max_denominator=24)))
+    elif field == "n":
+        value = tuple(n_i + data.draw(st.integers(-1, 1)) for n_i in cert.n)
+        value = value[:data.draw(st.integers(len(value) - 1, len(value)))]
+    else:
+        value = _shifted(cert.F0, data, data.draw(st.sampled_from([1, 1, 2])))
+    bad = dataclasses.replace(cert, **{field: value}, checks=())
+    details = {c.name: c.detail for c in r.verify_certificate(bad).checks}
+    assert (details["epsilon_constraints"], details["chain_length_rule"]) == \
+        epsilon_and_chain_length_details(bad)
+
+
 def test_derived_fields_follow_f0():
     model = load_doc("cyclic23").model
     cert = r.realize(model, _closure_of_sum(model))
@@ -393,6 +448,26 @@ def test_tampered_divisors_name_the_curve():
     assert moved["pullback_plus_canonical_antinef"] == "E2: 1 vs 0"
     mu = _details(dataclasses.replace(cert, mu=cert.mu * 3, checks=()))
     assert mu["perturbation_floor_identity"] == "E1(1,2): 2 vs 1"
+
+
+def test_dual_chain_domination_names_a_chain_curve():
+    """A lowered base curve makes s_1 < 0, named at E1; a lowered chain
+    curve breaks the sweep along its chain, on the quotient route and on
+    the full one (details recorded with the per-curve divisor loop)."""
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
+    blown = cert.config.model
+    for label, detail in (("E2", "E1: 1/3 vs -1/3"),
+                          ("E1(1,2)", "E1(1,2): 2/3 vs -1/3")):
+        lowered = cert.F_prime - r.Divisor.curve(blown, blown.index_of(label))
+        assert _details(dataclasses.replace(cert, F_prime=lowered, checks=()))[
+            "dual_chain_domination"] == detail
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    blown = cert.config.model
+    lowered = cert.F_prime - r.Divisor.curve(blown, blown.index_of("E1(2,2)"))
+    assert cert.config.compress(lowered) is None
+    assert _details(dataclasses.replace(cert, F_prime=lowered, checks=()))[
+        "dual_chain_domination"] == "E1(2,2): 2 vs 1"
 
 
 def test_tampered_strict_part_names_the_strict_curve():
