@@ -28,8 +28,9 @@ The e_i chains over E_i are identical.  quotient() keeps one (the lowest
 point) standing for ChainInfo.copies = e_i of them, with form P^T M P for
 P sending a class to the sum of its copies: self-intersections -2c (-c at
 the tip) and meetings c.  A product on a representative reads c times
-the product with one copy.  expand() and compress() move divisors fixed
-by the chain permutations between the two.
+the product with one copy.  The divisors of a realization are fixed by
+the chain permutations, so they live on the quotient; expand() gives one
+on the full blown model.
 """
 from __future__ import annotations
 
@@ -252,33 +253,17 @@ class GenericConfiguration:
                 (b, c[0].point, c[0].length, len(c)) for b, c in over.items()]))
 
     def expand(self, d: Divisor) -> Divisor:
-        """``d`` (on the quotient) on this model, equal on every copy."""
-        return self._carry(d, self.quotient(), self)
-
-    def compress(self, d: Divisor):
-        """``d`` on the quotient, or None if ``d`` is not on this model, the
-        chains do not cover the model, or ``d`` differs between two copies
-        of a chain."""
-        if (d.model is not self.model and d.model != self.model
-                or self.model.u != self.base_model.u
-                + sum(info.length for info in self.chains)):
-            return None
-        return self._carry(d, self, self.quotient())
-
-    @staticmethod
-    def _carry(d, src, dst):
-        """``d`` from ``src`` to ``dst``, each chain of ``dst`` taking the
-        values of the chains over its base curve in ``src`` (None if those
-        differ)."""
-        reps = {}
-        for info in src.chains:
-            seg = d.num[info.start:info.start + info.length]
-            if reps.setdefault(info.base, seg) != seg:
-                return None
-        num = list(d.num[:src.base_model.u])
-        for info in dst.chains:
+        """``d``, a divisor on the quotient, on this model: each chain takes
+        the values of the quotient's chain over its base curve."""
+        q = self.quotient()
+        if d.model is not q.model and d.model != q.model:
+            raise ModelMismatch("divisor does not live on the quotient")
+        reps = {info.base: d.num[info.start:info.start + info.length]
+                for info in q.chains}
+        num = list(d.num[:self.base_model.u])
+        for info in self.chains:
             num += reps[info.base]
-        return Divisor._of(dst.model, num + list(d.num[src.model.u:]), d.den)
+        return Divisor._of(self.model, num + list(d.num[q.model.u:]), d.den)
 
     # -- closed-form dual basis -------------------------------------------
 

@@ -146,13 +146,13 @@ def _certificate_report(cert) -> Report:
                 "a=%s b=%s e=%d n=%d" % (format_rational(a_i),
                                          format_rational(b_i), e_i, n_i))
     rep.add("blown_curves", cert.config.model.u)
-    rep.add("F", cert.F)
-    rep.add("A", cert.A)
+    rep.add("F", cert.config.expand(cert.F))
+    rep.add("A", cert.config.expand(cert.A))
     rep.add("mu", cert.mu)
     rep.add("N", cert.N)
-    rep.add("G", cert.G)
+    rep.add("G", cert.config.expand(cert.G))
     rep.add("lambda", cert.lam)
-    rep.add("F_prime", cert.F_prime)
+    rep.add("F_prime", cert.config.expand(cert.F_prime))
     for c in cert.checks:
         rep.add_check("check.%s" % c.name, c.passed, c.detail)
     rep.add("realized", cert.passed)

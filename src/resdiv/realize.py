@@ -23,12 +23,12 @@ verify_certificate returns the certificate with its checks filled in; one
 whose fields live on other models than their own fails every check.
 
 Every divisor of the construction is fixed by the permutations of the
-identical chains, so realize works on the quotient configuration and
-expands F, A, G and F' onto the full blown model for the certificate.
-The quotient's form is read off its chain layout and the checks run on
-ints, details worked out from closed forms, so neither model's curves
-are built unless something reads them; an untampered certificate never
-does.
+identical chains, so realize works on the quotient configuration, and the
+certificate's F, A, G and F' are those quotient divisors:
+config.expand gives each on the full blown model.  The quotient's form is
+read off its chain layout and the checks run on ints, details worked out
+from closed forms, so neither model's curves are built unless something
+reads them; an untampered certificate never does.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import eq, le, lt
+from operator import eq, ge, gt, le, lt
 
 from .antinef import antinef_closure, is_antinef
 from .blowup import GenericConfiguration
@@ -77,10 +77,10 @@ class RealizationCertificate:
     epsilon: Fraction
     n: tuple          # chain lengths
     config: GenericConfiguration
-    F: Divisor        # pullback of F0 to the blown model
+    F: Divisor        # pullback of F0; F, A, G, F' on config.quotient().model
     A: Divisor        # effective integral divisor, -A relatively ample
-    mu: Fraction
-    N: int
+    mu: Fraction      # > 0
+    N: int            # >= 1
     G: Divisor
     lam: Fraction
     F_prime: Divisor
@@ -184,9 +184,8 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
 
     return verify_certificate(RealizationCertificate(
         base_model=model, F0=f0, epsilon=epsilon, n=n,
-        config=config, F=config.expand(f), A=config.expand(a_div), mu=mu,
-        N=n_factor, G=config.expand(g_div), lam=lam,
-        F_prime=config.expand(f_prime)))
+        config=config, F=f, A=a_div, mu=mu, N=n_factor, G=g_div, lam=lam,
+        F_prime=f_prime))
 
 
 def _first_break(rows) -> str:
@@ -246,19 +245,20 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     failure names the violated statement and, in its detail, the values
     that broke it.  The analytic checks come first, followed by
     consistency checks that pin the recorded parameters to their
-    deterministic selection rules (so that any tampering with lambda, the
-    chain lengths or layout, F0, or G is always caught).  A field not on
-    its model (F0 and the configuration on the base model, F, A, G and F'
-    on the configuration's) fails every check, naming the field.
+    deterministic selection rules (so that tampering with lambda and N,
+    mu and A, the chain lengths or layout, F0, or G is caught; the signs
+    of N, mu and the products of A included).  A field not on its model
+    (F0 and the configuration on the base model, F, A, G and F' on the
+    configuration's quotient) fails every check, naming the field.
 
-    The checks run on the quotient of ``cert.config`` when its chains cover
-    its model and F, A, G and F' agree on every copy of each chain, else on
-    the full configuration.
+    The checks run once, on the quotient of ``cert.config``; so a
+    configuration whose quotient is not that of F, A, G and F' fails
+    every check, naming F.
     """
-    config, base = cert.config, cert.base_model
+    config, base, q = cert.config, cert.base_model, cert.config.quotient()
     fields = [("F0", cert.F0.model, base, "on the base model"),
               ("config", config.base_model, base, "over the base model")]
-    fields += [(name, getattr(cert, name).model, config.model,
+    fields += [(name, getattr(cert, name).model, q.model,
                 "on the configuration's model")
                for name in ("F", "A", "G", "F_prime")]
     for name, have, want, where in fields:
@@ -266,18 +266,17 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
             detail = "%s: not %s" % (name, where)
             return dataclasses.replace(cert, checks=tuple(
                 CheckResult(check, False, detail) for check in CHECK_NAMES))
-    parts = [config.compress(d) for d in (cert.F, cert.A, cert.G, cert.F_prime)]
-    checks = (_run_checks(cert, config, cert.F, cert.A, cert.G, cert.F_prime)
-              if None in parts else _run_checks(cert, config.quotient(), *parts))
-    return dataclasses.replace(cert, checks=checks)
+    return dataclasses.replace(cert, checks=_run_checks(
+        cert, q, cert.F, cert.A, cert.G, cert.F_prime))
 
 
 def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
-    """The 14 checks on ``config``, the certificate's or its quotient, with
-    F, A, G and F' given on it.  A product on a chain standing for c
-    copies reads c times the product with one copy.  dual_chain_domination,
-    epsilon_constraints and chain_length_rule run on ints; a detail is
-    worked out, from the closed form, only for the first broken row."""
+    """The 14 checks on ``config``, the certificate's quotient or any
+    configuration of its chains, with F, A, G and F' given on it.  A
+    product on a chain standing for c copies reads c times the product
+    with one copy.  dual_chain_domination, epsilon_constraints and
+    chain_length_rule run on ints; a detail is worked out, from the closed
+    form, only for the first broken row."""
     checks = []
     model = config.model
     base = cert.base_model
@@ -382,11 +381,17 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
             for x, y in zip(dataclasses.astuple(have), dataclasses.astuple(want)))
     check("chain_length_rule", not n_break, lambda: n_break)
 
-    check("lambda_scaling_rule", cert.lam * cert.N == one_eps, lambda: _first_break(
-        [("lambda*N", cert.lam * cert.N, one_eps, eq)]))
+    check("lambda_scaling_rule", cert.lam * cert.N == one_eps and cert.N >= 1,
+          lambda: _first_break([("lambda*N", cert.lam * cert.N, one_eps, eq),
+                                ("N", cert.N, 1, ge)]))
+    # with mu > 0 and A.E_k < 0 (same sign per copy) G is antinef, as F + K_g
     expected_g = (fk + a_div.scale(cert.mu)).scale(cert.N)
-    check("integral_scaling_rule", g == expected_g and g.is_integral(),
-          lambda: differ(g, expected_g)() or differ(g, g.floor())())
+    p_a = a_div.product_numerators()
+    check("integral_scaling_rule", g == expected_g and g.is_integral()
+          and cert.mu > 0 and all(p < 0 for p in p_a),
+          lambda: differ(g, expected_g)() or differ(g, g.floor())() or _first_break(
+              [("mu", cert.mu, 0, gt)] + [(label, Fraction(p, a_div.den * c), 0, lt)
+               for label, p, c in zip(model.labels, p_a, copies)]))
     check("pullback_plus_canonical_antinef", is_antinef(fk), lambda: _first_break(
         (label, Fraction(p, fk.den * c), 0, le) for label, p, c in
         zip(model.labels, fk.product_numerators(), copies)))

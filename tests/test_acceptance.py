@@ -15,7 +15,8 @@ import resdiv as r
 from conftest import (CORPUS_NAMES, LOG_TERMINAL_NAMES, NON_LOG_TERMINAL,
                       first_failure, load_doc, random_integral_divisor,
                       single_chain)
-from oracles import brute_closure_oracle, dense_matrix, verify_lemma_gen
+from oracles import (brute_closure_oracle, dense_matrix,
+                     random_log_terminal_model, verify_lemma_gen)
 
 
 def verdict(label, ok, detail=""):
@@ -152,7 +153,9 @@ def test_criterion_6_negative_control():
 
 
 def _tampered_certificates(cert, rng):
-    """Yield (kind, certificate) pairs with lambda, n, or G falsified."""
+    """Yield (kind, certificate) pairs with lambda, n, or G falsified, or
+    with a sign made wrong and G recomputed as N (F + K_g + mu A): N and
+    lambda negated together, A negated, A zero, or mu zero."""
     factor = Fraction(rng.randint(2, 9), rng.choice([1, 5, 7]))
     if factor == 1:
         factor = Fraction(2)
@@ -164,12 +167,57 @@ def _tampered_certificates(cert, rng):
         bad_n = tuple(v + 1 for v in cert.n)
     yield "n", dataclasses.replace(cert, n=bad_n, checks=())
 
-    noise = [0] * cert.config.model.u
+    noise = [0] * cert.G.model.u
     noise[rng.randrange(len(noise))] = rng.randint(1, 5)
-    g_bad = cert.G + r.Divisor(cert.config.model,
+    g_bad = cert.G + r.Divisor(cert.G.model,
                                tuple(Fraction(v) for v in noise),
                                (Fraction(0),) * len(cert.G.strict))
     yield "G", dataclasses.replace(cert, G=g_bad, checks=())
+
+    k_g = cert.config.quotient().K_sigma
+
+    def with_g(**fields):
+        bad = dataclasses.replace(cert, **fields, checks=())
+        return dataclasses.replace(
+            bad, G=(bad.F + k_g + bad.A.scale(bad.mu)).scale(bad.N))
+
+    yield "-N", with_g(N=-cert.N, lam=-cert.lam)
+    yield "-A", with_g(A=-cert.A)
+    yield "A=0", with_g(A=r.Divisor.zero(cert.A.model))
+    yield "mu=0", with_g(mu=Fraction(0))
+
+
+def _expected_detail(cert, kind, bad):
+    """The check that a tampering of ``kind`` fails, and its detail."""
+    fmt = r.format_rational
+    if kind == "lambda":
+        return "lambda_scaling_rule", "lambda*N: %s vs %s" % (
+            fmt(bad.lam * bad.N), fmt(1 + bad.epsilon))
+    if kind == "-N":
+        return "lambda_scaling_rule", "N: %d vs 1" % bad.N
+    if kind == "n":
+        i = next(i for i, (a, b) in enumerate(zip(bad.n, cert.n)) if a != b)
+        return "chain_length_rule", "%s: %d vs %d" % (
+            cert.base_model.labels[i], bad.n[i], cert.n[i])
+    if kind == "G":
+        j = next(j for j, (a, b) in enumerate(zip(bad.G.exc, cert.G.exc))
+                 if a != b)
+        return "integral_scaling_rule", "%s: %s vs %s" % (
+            bad.G.model.labels[j], fmt(bad.G.exc[j]), fmt(cert.G.exc[j]))
+    if kind == "mu=0":
+        return "integral_scaling_rule", "mu: 0 vs 0"
+    # A negated or zero: the row A.E_1 < 0 breaks first
+    return "integral_scaling_rule", "%s: %s vs 0" % (
+        cert.base_model.labels[0], fmt(bad.A.products()[0]))
+
+
+def _assert_tamperings_name_the_break(cert, rng):
+    assert all(c.detail == "" for c in cert.checks)
+    for kind, bad in _tampered_certificates(cert, rng):
+        details = {c.name: c.detail
+                   for c in r.verify_certificate(bad).checks if not c.passed}
+        name, detail = _expected_detail(cert, kind, bad)
+        assert details[name] == detail, kind
 
 
 def test_criterion_7_fault_injection():
@@ -195,30 +243,22 @@ def test_fault_injection_details_name_the_break():
     passing checks carry no detail."""
     model = load_doc("a2").model
     rng = random.Random(404)
-    fmt = r.format_rational
     for k in range(20):
         f0 = r.antinef_closure(random_integral_divisor(model, rng, hi=4))[0]
-        cert = r.realize(model, f0)
-        assert all(c.detail == "" for c in cert.checks)
-        for kind, bad in _tampered_certificates(cert, rng):
-            details = {c.name: c.detail
-                       for c in r.verify_certificate(bad).checks
-                       if not c.passed}
-            if kind == "lambda":
-                assert details["lambda_scaling_rule"] == "lambda*N: %s vs %s" \
-                    % (fmt(bad.lam * bad.N), fmt(1 + bad.epsilon))
-            elif kind == "n":
-                i = next(i for i, (a, b) in enumerate(zip(bad.n, cert.n))
-                         if a != b)
-                assert details["chain_length_rule"] == "%s: %d vs %d" \
-                    % (model.labels[i], bad.n[i], cert.n[i])
-            else:
-                j = next(j for j, (a, b) in enumerate(zip(bad.G.exc,
-                                                         cert.G.exc))
-                         if a != b)
-                assert details["integral_scaling_rule"] == "%s: %s vs %s" \
-                    % (cert.config.model.labels[j], fmt(bad.G.exc[j]),
-                       fmt(cert.G.exc[j]))
+        _assert_tamperings_name_the_break(r.realize(model, f0), rng)
+
+
+def test_fault_injection_on_generated_models_names_the_break():
+    """The tamperings of criterion 7 on seeded log terminal models drawn by
+    the classification (chains and stars with platonic arms)."""
+    rng = random.Random(405)
+    for _ in range(8):
+        model = random_log_terminal_model(rng)
+        for k in range(2):
+            f0 = r.antinef_closure(random_integral_divisor(model, rng, hi=3))[0]
+            cert = r.realize(model, f0)
+            assert cert.passed, model
+            _assert_tamperings_name_the_break(cert, rng)
 
 
 def test_criterion_8_batch_determinism(capsys):

@@ -199,7 +199,7 @@ def test_chain_lookup_helpers():
 
 def test_quotient_form_is_the_class_form(log_terminal_models):
     """The quotient's form is P^T M P, read off the labels by the oracle;
-    symmetric divisors compress and expand as the label oracle says, and
+    divisors on it expand as the label oracle says, and
     the quotient's weighted dual sums are those of the full model."""
     rng = random.Random(9)
     for name, model in log_terminal_models.items():
@@ -215,7 +215,6 @@ def test_quotient_form_is_the_class_form(log_terminal_models):
                       [rng.randint(0, 2) for _ in model.strict_curves])
         full = config.expand(d)
         assert full == expand_by_labels(d, config.model), name
-        assert config.compress(full) == d
         weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in range(q.model.u)]
         assert config.expand(q.weighted_dual_sum(weights)) == \
@@ -224,14 +223,14 @@ def test_quotient_form_is_the_class_form(log_terminal_models):
                 config.model).exc), name
 
 
-def test_compress_refuses_asymmetric_divisors():
+def test_expand_refuses_divisors_off_the_quotient():
     config = r.GenericConfiguration.build(a2(), e=[2, 1], n=[2, 3])
-    blown = config.model
-    second = r.Divisor.curve(blown, blown.index_of("E1(2,1)"))
-    assert config.compress(second) is None
-    assert config.compress(second + r.Divisor.curve(
-        blown, blown.index_of("E1(1,1)"))) is not None
-    assert config.compress(r.Divisor.zero(a2())) is None
+    for model in (config.model, a2()):
+        with pytest.raises(r.ModelMismatch):
+            config.expand(r.Divisor.zero(model))
+    # an equal model built anew is the quotient's
+    twin = r.GenericConfiguration.build(a2(), e=[2, 1], n=[2, 3]).quotient()
+    assert config.expand(twin.K_sigma) == config.K_sigma
 
 
 def test_build_refuses_models_past_the_limit():

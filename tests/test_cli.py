@@ -10,7 +10,7 @@ import pytest
 import resdiv as r
 import resdiv.cli
 from resdiv.cli import _certificate_report, main, random_antinef_divisor
-from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
+from conftest import CORPUS_DIR, CORPUS_NAMES, LOG_TERMINAL_NAMES, load_doc
 from oracles import generic_chain
 
 
@@ -401,6 +401,39 @@ def test_batch_verifies_each_case_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "total_cases = 4" in out.splitlines()
     assert len(calls) == 4
+
+
+def test_certificate_divisors_are_expanded_only_to_be_written(
+        tmp_path, capsys, monkeypatch):
+    """The certificate keeps F, A, G and F' on the quotient: batch expands
+    none of them onto the blown model, and realize expands each once, to
+    write its report (and the emitted certificate, from the same lines)."""
+    original = r.GenericConfiguration.expand
+    calls = []
+
+    def counted(config, d):
+        calls.append(d)
+        return original(config, d)
+
+    monkeypatch.setattr(r.GenericConfiguration, "expand", counted)
+    code, out, _ = run(capsys, "batch", "--samples", "2")
+    assert code == 0 and "total_failures = 0" in out.splitlines()
+    assert calls == []
+    # 3 E*_1 on a2: three identical chains over E1
+    source = tmp_path / "a2.graph"
+    source.write_text((CORPUS_DIR / "a2.graph").read_text()
+                      + "divisor T E1=2 E2=1\n")
+    code, out, _ = run(capsys, "realize", str(source), "T",
+                       "--emit-certificate", str(tmp_path / "cert.txt"))
+    assert code == 0 and "realized = true" in out.splitlines()
+    assert len(calls) == 4
+    for name in LOG_TERMINAL_NAMES:
+        model = load_doc(name).model
+        for k in range(2):
+            cert = r.realize(model, random_antinef_divisor(model, "q:%d" % k))
+            quotient = cert.config.quotient().model
+            assert all(d.model is quotient
+                       for d in (cert.F, cert.A, cert.G, cert.F_prime)), name
 
 
 def test_batch_negative_samples_rejected(tmp_path, capsys):

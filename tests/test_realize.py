@@ -45,7 +45,9 @@ def test_single_curve_certificate_values():
     assert cert.e == (2,)
     assert cert.n == (2,)
     assert cert.config.model.u == 5
-    assert cert.A.exc == tuple(map(Fraction, (5, 9, 11, 9, 11)))
+    assert cert.A.exc == tuple(map(Fraction, (5, 9, 11)))  # on the quotient
+    assert cert.config.expand(cert.A).exc == tuple(
+        map(Fraction, (5, 9, 11, 9, 11)))
     assert cert.mu == Fraction(1, 110)
     assert cert.N == 110
     assert cert.lam == Fraction(1, 88)
@@ -59,8 +61,10 @@ def test_certificate_matches_multiplier_divisor():
     model = a2()
     f0 = r.Divisor.from_coeffs(model, exc=[2, 2])
     cert = r.realize(model, f0)
-    direct = r.multiplier_divisor(cert.config.model, cert.G, cert.lam)
-    assert direct == cert.F
+    config = cert.config
+    assert config.model.u > config.quotient().model.u
+    direct = r.multiplier_divisor(config.model, config.expand(cert.G), cert.lam)
+    assert direct == config.expand(cert.F)
     assert cert.F_prime.pushforward().strict == f0.strict
 
 
@@ -107,7 +111,8 @@ def test_epsilon_rule_on_strict_coefficients():
 
 def test_ample_negative_products():
     model = a2()
-    a_div = r.realize(model, r.Divisor.from_coeffs(model, exc=[3, 2])).A
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[3, 2]))
+    a_div = cert.config.expand(cert.A)
     assert a_div.is_integral() and a_div.is_effective()
     prods = a_div.products()
     assert len(set(prods)) == 1 and prods[0] < 0
@@ -222,13 +227,19 @@ def test_doubled_f0_is_not_realized_by_the_certificate(name):
 @pytest.mark.parametrize("k", (1, 3))
 def test_config_missing_its_last_chain_fails_the_chain_rule(name, k):
     """Drop the last chain from the configuration and keep everything else:
-    the checks end in a report, and the chain count names the curve."""
+    the checks end in a report.  Where the quotient keeps its model (no
+    two chains over one curve), the chain count names the curve; else F is
+    not on the configuration's quotient, and every check says so."""
     model = load_doc(name).model
     cert = r.realize(model, _closure_of_sum(model).scale(k))
     chains = cert.config.chains
     short = r.GenericConfiguration(model, cert.config.model, chains[:-1])
-    report = r.verify_certificate(dataclasses.replace(cert, config=short,
-                                                      checks=()))
+    bad = dataclasses.replace(cert, config=short, checks=())
+    if short.quotient().model != cert.F.model:
+        assert max(cert.e) > 1
+        _all_fail_with(bad, "F: not on the configuration's model")
+        return
+    report = r.verify_certificate(bad)
     assert not report.passed
     last = chains[-1].base
     detail = {c.name: c.detail for c in report.checks}["chain_length_rule"]
@@ -237,14 +248,22 @@ def test_config_missing_its_last_chain_fails_the_chain_rule(name, k):
 
 
 def test_config_with_renumbered_chains_fails_the_chain_rule():
+    """Renumbering the copies of the representative chain keeps the
+    quotient, and the layout names the first moved chain; renumbering the
+    representative changes the quotient, so every check names F."""
     model = a2()
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
     chains = cert.config.chains
     assert [info.point for info in chains] == [1, 2, 3]
-    renumbered = r.GenericConfiguration(model, cert.config.model, [
-        dataclasses.replace(info, point=4 - info.point) for info in chains])
-    failed = _details(dataclasses.replace(cert, config=renumbered, checks=()))
-    assert failed == {"chain_length_rule": "E1(1,1): 3 vs 1"}
+
+    def renumbered(points):
+        return dataclasses.replace(cert, checks=(), config=r.GenericConfiguration(
+            model, cert.config.model, [dataclasses.replace(info, point=p)
+                                       for info, p in zip(chains, points)]))
+
+    assert _details(renumbered([1, 3, 2])) == {
+        "chain_length_rule": "E1(2,1): 3 vs 2"}
+    _all_fail_with(renumbered([3, 2, 1]), "F: not on the configuration's model")
 
 
 def test_recorded_chain_lengths_cover_every_curve():
@@ -312,6 +331,15 @@ def test_swapping_a_field_between_certificates_ends_in_a_failing_report(
     assert checked.passed == (not differs), (field, first_failure(checked))
 
 
+def _full_checks(cert, g=None, fp=None):
+    """The 14 checks on the full configuration, of the certificate's
+    divisors expanded, or of the full-model G or F' given instead."""
+    expand = cert.config.expand
+    return _run_checks(cert, cert.config, expand(cert.F), expand(cert.A),
+                       expand(cert.G) if g is None else g,
+                       expand(cert.F_prime) if fp is None else fp)
+
+
 def _shifted(d, data, den):
     """``d`` plus up to four drawn curves, each with a multiple of 1/den
     from -3 to 3."""
@@ -327,13 +355,14 @@ def _shifted(d, data, den):
 @given(data=st.data(), quotient=st.booleans(), den=st.sampled_from([1, 1, 2, 3]))
 def test_domination_sweep_matches_the_divisor_loop(data, quotient, den):
     """On passing and tampered F and F', integral or not, on the quotient
-    and on the full configuration, the closed-form sweep gives the detail
-    of one weighted dual sum per base curve."""
+    and on the full configuration (where a tampering may break the
+    symmetry of the copies), the closed-form sweep gives the detail of one
+    weighted dual sum per base curve."""
     pool = _fuzz_pool()
     cert = pool[data.draw(st.integers(0, len(pool) - 1))]
-    config, f, fp = cert.config, cert.F, cert.F_prime
-    if quotient:
-        config, f, fp = config.quotient(), config.compress(f), config.compress(fp)
+    config, f, fp = cert.config.quotient(), cert.F, cert.F_prime
+    if not quotient:
+        config, f, fp = cert.config, cert.config.expand(f), cert.config.expand(fp)
     fp = _shifted(fp, data, den)
     if data.draw(st.booleans()):
         f = _shifted(f, data, 1)
@@ -453,7 +482,8 @@ def test_tampered_divisors_name_the_curve():
 def test_dual_chain_domination_names_a_chain_curve():
     """A lowered base curve makes s_1 < 0, named at E1; a lowered chain
     curve breaks the sweep along its chain, on the quotient route and on
-    the full one (details recorded with the per-curve divisor loop)."""
+    the full one, where one copy is lowered (details recorded with the
+    per-curve divisor loop)."""
     model = a2()
     cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
     blown = cert.config.model
@@ -464,10 +494,11 @@ def test_dual_chain_domination_names_a_chain_curve():
             "dual_chain_domination"] == detail
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
     blown = cert.config.model
-    lowered = cert.F_prime - r.Divisor.curve(blown, blown.index_of("E1(2,2)"))
-    assert cert.config.compress(lowered) is None
-    assert _details(dataclasses.replace(cert, F_prime=lowered, checks=()))[
-        "dual_chain_domination"] == "E1(2,2): 2 vs 1"
+    lowered = cert.config.expand(cert.F_prime) - r.Divisor.curve(
+        blown, blown.index_of("E1(2,2)"))
+    checks = _full_checks(cert, fp=lowered)
+    assert {c.name: c.detail for c in checks}["dual_chain_domination"] == \
+        "E1(2,2): 2 vs 1"
 
 
 def test_tampered_strict_part_names_the_strict_curve():
@@ -492,15 +523,14 @@ def seed0_certificates():
 
 
 def test_quotient_and_full_routes_agree(seed0_certificates):
-    """realize's checks ran on the quotient; the full configuration gives
-    equal results, passing and (with lambda and mu tampered) failing."""
+    """realize's checks ran on the quotient; the full configuration, with
+    the divisors expanded, gives equal results, passing and (with lambda
+    and mu tampered) failing."""
     cases = 0
     for name, cert in seed0_certificates:
         for bad in (cert, dataclasses.replace(cert, lam=cert.lam * 2),
                     dataclasses.replace(cert, mu=cert.mu * 3)):
-            full = _run_checks(bad, bad.config, bad.F, bad.A, bad.G,
-                               bad.F_prime)
-            assert full == r.verify_certificate(bad).checks, name
+            assert _full_checks(bad) == r.verify_certificate(bad).checks, name
         cases += max(cert.e) >= 2
     assert cases > 200
 
@@ -517,7 +547,7 @@ def test_quotient_closure_expands_to_full_closure(seed0_certificates):
         checked += 1
         k_h = config.K_sigma + config.pullback.apply(
             r.relative_canonical(cert.base_model))
-        candidate = (cert.G.scale(cert.lam) - k_h).floor()
+        candidate = (cert.config.expand(cert.G).scale(cert.lam) - k_h).floor()
         full = closure_with_rule(config.model, candidate.exc, min,
                                  candidate.strict)
         q = config.quotient()
@@ -527,25 +557,27 @@ def test_quotient_closure_expands_to_full_closure(seed0_certificates):
             strict=list(candidate.strict))
         closed, _ = r.antinef_closure(q_candidate)
         assert expand_by_labels(closed, config.model).exc == full, name
-        assert cert.F_prime.exc == full, name
+        assert cert.config.expand(cert.F_prime).exc == full, name
     assert checked > 200
 
 
-def test_tampering_one_copy_takes_the_full_route():
-    """G changed on the second of three identical chains breaks the
-    symmetry, so the checks run on the full model and name that curve."""
+def test_tampering_one_copy_names_that_curve_on_the_full_model():
+    """G changed on the second of three identical chains: the checks on
+    the full model name that curve.  A certificate cannot hold such a G,
+    which is not on the quotient: every check names G."""
     model = a2()
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
     blown = cert.config.model
     j = blown.index_of("E1(2,1)")
-    bad = dataclasses.replace(cert, G=cert.G + r.Divisor.curve(blown, j),
-                              checks=())
-    assert cert.config.compress(bad.G) is None
-    g = cert.G.exc[j]
-    assert _details(bad)["integral_scaling_rule"] == "E1(2,1): %s vs %s" % (
+    g_full = cert.config.expand(cert.G)
+    bad_g = g_full + r.Divisor.curve(blown, j)
+    g = g_full.exc[j]
+    checks = {c.name: c.detail for c in _full_checks(cert, g=bad_g)}
+    assert checks["integral_scaling_rule"] == "E1(2,1): %s vs %s" % (
         r.format_rational(g + 1), r.format_rational(g))
-    assert r.verify_certificate(bad).checks == _run_checks(
-        bad, bad.config, bad.F, bad.A, bad.G, bad.F_prime)
+    for d in (bad_g, g_full):
+        _all_fail_with(dataclasses.replace(cert, G=d, checks=()),
+                       "G: not on the configuration's model")
 
 
 def test_realize_refuses_models_past_the_limit():
