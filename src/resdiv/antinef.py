@@ -47,8 +47,9 @@ def antinef_closure(d: Divisor):
     Returns (closure, trace).  Each unit step adds the violating curve of
     smallest index.  Strict coefficients never change, so the pushforward
     is preserved.  Raises NotNegativeDefinite, from the cached solve of
-    discrepancies, on a form that is not negative definite; a blown or
-    quotient model's base model decides, as blowups and P^T M P keep it so.
+    discrepancies, on a form that is not negative definite; a
+    configuration's model is decided by its base model, as blowups and
+    P^T M P keep the form so.
     """
     from .canonical import discrepancies  # canonical imports this module
     discrepancies(getattr(d.model, "base_model", d.model))

@@ -13,24 +13,22 @@ yet, so a blown model can itself be blown up or realized.
 GenericConfiguration.build lays out a whole family of chains (the e_i
 points with n_i blowups each used by the realization pipeline) in one
 pass (GenericConfiguration.layout gives that layout alone), and gives
-closed-form sums of dual-basis vectors.  The blown model reads its size,
-labels and sparse rows off the layout; its curves and label index, the
-composite pullback (stored as the sparse support of each column, read
-straight off the chains; it raises ModelMismatch on a divisor of another
-model) and the relative canonical divisor of the composition are built
-the first time something reads them.  build refuses, before allocating
-anything, a model of more than MAX_BLOWN_CURVES curves.  The test suite
-keeps the step-by-step route (one blowup at a time, composing dense
-pullbacks) and the direct-solve check of the chain lemma in
-tests/oracles.py, and checks the one-pass build against the former.
-
-The e_i chains over E_i are identical.  quotient() keeps one (the lowest
-point) standing for ChainInfo.copies = e_i of them, with form P^T M P for
-P sending a class to the sum of its copies: self-intersections -2c (-c at
-the tip) and meetings c.  A product on a representative reads c times
-the product with one copy.  The divisors of a realization are fixed by
-the chain permutations, so they live on the quotient; expand() gives one
-on the full blown model.
+closed-form sums of dual-basis vectors.  The e_i chains over E_i are
+identical, so they are laid out once: one ChainInfo stands for the chains
+at its points, and the model's form is P^T M P, for P sending a chain
+curve to the sum of its copies (self-intersections -2c, -c at the tip,
+and meetings c, for c copies).  A product on a chain curve reads c times
+the product with one copy.  With one point per curve this is the blown-up
+surface itself.  The model reads its size, labels and sparse rows off the
+layout; its curves and label index, the composite pullback (stored as the
+sparse support of each column, read straight off the chains; it raises
+ModelMismatch on a divisor of another model) and the relative canonical
+divisor of the composition are built the first time something reads
+them.  build refuses, before allocating anything, a configuration that
+stands for more than MAX_BLOWN_CURVES curves.  The test suite keeps the
+step-by-step route (one blowup at a time, composing dense pullbacks) and
+the direct-solve check of the chain lemma in tests/oracles.py, and checks
+the one-pass build against the former.
 """
 from __future__ import annotations
 
@@ -45,16 +43,17 @@ from .lattice import dual_basis
 from .model import ExcCurve, ResolutionModel, StrictCurve
 
 
-# Most curves GenericConfiguration.build makes.  The CLI's realize on e8
-# with F0 = 99 Z, the largest multiple of Z under it (98 117 curves),
-# never builds the blown form and takes about 0.4 s and 49 MB peak RSS;
-# blowup to 100 000 curves on a1, which builds and prints it, about 1.4 s
-# and 137 MB (Python 3.11, one 2-vCPU machine).
+# Most curves of the blown-up surface a configuration may stand for,
+# u + sum e_i n_i.  The CLI's realize on e8 with F0 = 99 Z, the largest
+# multiple of Z under it (98 117 curves), never builds curves and takes
+# about 0.4 s and 49 MB peak RSS; blowup to 100 000 curves on a1, which
+# builds and prints it, about 1.4 s and 137 MB (Python 3.11, one 2-vCPU
+# machine).
 MAX_BLOWN_CURVES = 100_000
 
 
 class TooManyCurves(ValueError):
-    """The blown model would have more than MAX_BLOWN_CURVES curves."""
+    """The blown-up surface would have more than MAX_BLOWN_CURVES curves."""
 
 
 @dataclass(frozen=True)
@@ -89,31 +88,22 @@ class PullbackMap:
 
 @dataclass(frozen=True)
 class ChainInfo:
-    """One chain; its curves are labelled ``<base label>(point,step)``."""
+    """The identical chains over one curve, one at each of ``points``; the
+    chain at point p has its curves labelled ``<base label>(p,step)``."""
 
-    base: int    # base-curve index the chain hangs off
-    point: int   # 1-based point number on that curve
-    start: int   # index of the first chain curve in the blown model
+    base: int      # base-curve index the chains hang off
+    points: tuple  # 1-based point numbers on that curve, one per copy
+    start: int     # index of the first chain curve in the model
     length: int
-    copies: int = 1  # identical chains it stands for, in a quotient
-
-
-def _lay_out(u, specs) -> tuple:
-    """The chains of (base, point, length, copies) specs, in order, the
-    first starting at index u."""
-    chains = []
-    for b, point, length, copies in specs:
-        chains.append(ChainInfo(b, point, u, length, copies))
-        u += length
-    return tuple(chains)
 
 
 class _BlownModel(ResolutionModel):
     """The model of a configuration's chains over ``base_model``.  Its size,
-    labels and rows come from the chain layout (c copies of a chain lower
-    its base curve's self-intersection by c and have c times the entries of
-    one); its curves, meetings and label index are built from the rows, and
-    checked, by ResolutionModel.__init__ when anything else is read."""
+    labels (at each chain's first point) and rows come from the chain layout
+    (c copies of a chain lower its base curve's self-intersection by c and
+    have c times the entries of one); its curves, meetings and label index
+    are built from the rows, and checked, by ResolutionModel.__init__ when
+    anything else is read."""
 
     def __init__(self, base_model, chains, u):
         self.base_model, self._chains, self.u = base_model, chains, u
@@ -122,7 +112,7 @@ class _BlownModel(ResolutionModel):
     @cached_property
     def labels(self):
         base = self.base_model.labels
-        return base + tuple("%s(%d,%d)" % (base[info.base], info.point, m)
+        return base + tuple("%s(%d,%d)" % (base[info.base], info.points[0], m)
                             for info in self._chains
                             for m in range(1, info.length + 1))
 
@@ -138,7 +128,7 @@ class _BlownModel(ResolutionModel):
     def sparse_rows(self):
         rows = [list(row) for row in self.base_model.sparse_rows]
         for info in self._chains:
-            b, c, tip = info.base, info.copies, info.start + info.length - 1
+            b, c, tip = info.base, len(info.points), info.start + info.length - 1
             rows[b] = [(j, v - c if j == b else v) for j, v in rows[b]]
             rows[b].append((info.start, c))
             rows += [[(k - 1, c), (k, -2 * c), (k + 1, c)]
@@ -164,11 +154,12 @@ class _BlownModel(ResolutionModel):
 
 
 class GenericConfiguration:
-    """All chains of a realization step: e[i] chains of length n[i] per curve.
+    """All chains of a realization step: e[i] chains of length n[i] per
+    curve, laid out once per curve.
 
-    Carries the blown model, the composite pullback, the relative
-    canonical divisor of the composition, and closed-form weighted sums of
-    the dual basis of the blown model, built from
+    Carries their model, the composite pullback, the relative canonical
+    divisor of the composition, and closed-form weighted sums of the dual
+    basis of the blown-up surface, built from
 
         dual(E(l))       = g* dual(E_l)
         dual(E(i,j,k))   = g* dual(E_i) + sum_m min(m, k) E(i,j,m)
@@ -183,7 +174,7 @@ class GenericConfiguration:
 
     @classmethod
     def build(cls, base_model: ResolutionModel, e, n) -> "GenericConfiguration":
-        """Construct the blown model directly, without iterating blowups."""
+        """Construct the model directly, without iterating blowups."""
         u = base_model.u
         if len(e) != u or len(n) != u:
             raise ValueError("e and n must have one entry per curve")
@@ -197,20 +188,24 @@ class GenericConfiguration:
 
     @staticmethod
     def layout(base_model, e, n) -> tuple:
-        """The chains of build(base_model, e, n): e[i] chains of length
-        n[i] over each curve i with n[i] > 0, in order, at the lowest point
-        numbers p for which no label of base_model reads <label i>(p,m)
-        (the taken (label, p) pairs are found once per base model)."""
+        """The chains of build(base_model, e, n): over each curve i with
+        e[i], n[i] > 0, in order, one ChainInfo of length n[i] at the e[i]
+        lowest point numbers p for which no label of base_model reads
+        <label i>(p,m) (the taken (label, p) pairs are found once per base
+        model)."""
         if "_taken_points" not in vars(base_model):
             labels = base_model.labels + base_model.strict_labels
             base_model._taken_points = {(m[1], int(m[2])) for m in (
                 re.fullmatch(r"(.*)\(([1-9][0-9]*),[1-9][0-9]*\)", label)
                 for label in labels) if m}
-        taken, specs = base_model._taken_points, []
+        taken, chains, start = base_model._taken_points, [], base_model.u
         for i, label in enumerate(base_model.labels):
-            free = (p for p in count(1) if (label, p) not in taken)
-            specs += [(i, p, n[i], 1) for p in islice(free, e[i]) if n[i] > 0]
-        return _lay_out(base_model.u, specs)
+            if e[i] > 0 and n[i] > 0:
+                free = (p for p in count(1) if (label, p) not in taken)
+                points = tuple(islice(free, e[i]))
+                chains.append(ChainInfo(i, points, start, n[i]))
+                start += n[i]
+        return tuple(chains)
 
     @classmethod
     def _assemble(cls, base_model, chains) -> "GenericConfiguration":
@@ -236,47 +231,19 @@ class GenericConfiguration:
             k_num[info.start:info.start + info.length] = range(1, info.length + 1)
         return Divisor._of(self.model, k_num, 1)
 
-    # -- the quotient by permutations of identical chains -------------------
-
-    def quotient(self) -> "GenericConfiguration":
-        """The configuration with one chain per base curve, the first in
-        index order, standing for all chains over that curve (cached)."""
-        return self._quotient
-
-    @cached_property
-    def _quotient(self) -> "GenericConfiguration":
-        over = {}
-        for info in self.chains:
-            over.setdefault(info.base, []).append(info)
-        return self if len(over) == len(self.chains) else self._assemble(
-            self.base_model, _lay_out(self.base_model.u, [
-                (b, c[0].point, c[0].length, len(c)) for b, c in over.items()]))
-
-    def expand(self, d: Divisor) -> Divisor:
-        """``d``, a divisor on the quotient, on this model: each chain takes
-        the values of the quotient's chain over its base curve."""
-        q = self.quotient()
-        if d.model is not q.model and d.model != q.model:
-            raise ModelMismatch("divisor does not live on the quotient")
-        reps = {info.base: d.num[info.start:info.start + info.length]
-                for info in q.chains}
-        num = list(d.num[:self.base_model.u])
-        for info in self.chains:
-            num += reps[info.base]
-        return Divisor._of(self.model, num + list(d.num[q.model.u:]), d.den)
-
     # -- closed-form dual basis -------------------------------------------
 
     def weighted_dual_sum(self, weights) -> Divisor:
-        """Exact value of sum_E weights[E] * dual(E) over all curves; the
-        weights (ints or Fractions) are summed as ints over one denominator."""
+        """Exact value of sum_E weights[E] * dual(E) over all curves, a chain
+        curve's weight going to each of its copies; the weights (ints or
+        Fractions) are summed as ints over one denominator."""
         base, u = self.base_model, self.base_model.u
         weights = list(weights)
         wden = math.lcm(*(x.denominator for x in weights))
         w = [x.numerator * (wden // x.denominator) for x in weights]
         base_w = w[:u]
         for info in self.chains:
-            base_w[info.base] += info.copies * sum(
+            base_w[info.base] += len(info.points) * sum(
                 w[info.start:info.start + info.length])
         # g* of sum_l base_w[l] dual(E_l), which is over dden * wden
         duals = dual_basis(base)

@@ -145,14 +145,15 @@ def _certificate_report(cert) -> Report:
         rep.add("curve.%s" % label,
                 "a=%s b=%s e=%d n=%d" % (format_rational(a_i),
                                          format_rational(b_i), e_i, n_i))
-    rep.add("blown_curves", cert.config.model.u)
-    rep.add("F", cert.config.expand(cert.F))
-    rep.add("A", cert.config.expand(cert.A))
+    rep.add("blown_curves", model.u + sum(len(info.points) * info.length
+                                          for info in cert.config.chains))
+    rep.add("F", cert.F)
+    rep.add("A", cert.A)
     rep.add("mu", cert.mu)
     rep.add("N", cert.N)
-    rep.add("G", cert.config.expand(cert.G))
+    rep.add("G", cert.G)
     rep.add("lambda", cert.lam)
-    rep.add("F_prime", cert.config.expand(cert.F_prime))
+    rep.add("F_prime", cert.F_prime)
     for c in cert.checks:
         rep.add_check("check.%s" % c.name, c.passed, c.detail)
     rep.add("realized", cert.passed)
@@ -164,16 +165,16 @@ def cmd_realize(args) -> int:
     divisor = _named_divisor(doc, args.divisor, args.file)
     cert = realize(doc.model, divisor)
     body = _certificate_report(cert)
-    rep = _report("realize", args.file)
-    rep.add("divisor", args.divisor)
-    rep.extend(body)
-    print(rep.render(), end="")
-    if args.emit_certificate:
+    if args.emit_certificate:  # first, so that a write error prints nothing
         full = Report()
         full.add("certificate_for", Path(args.file).name)
         full.add("divisor", format_divisor(divisor))
         full.extend(body)
         Path(args.emit_certificate).write_text(full.render(), encoding="utf-8")
+    rep = _report("realize", args.file)
+    rep.add("divisor", args.divisor)
+    rep.extend(body)
+    print(rep.render(), end="")
     return 0 if cert.passed else 1
 
 
@@ -192,7 +193,10 @@ def random_antinef_divisor(model, seed_key: str) -> Divisor:
 def cmd_batch(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be >= 0, got %d" % args.samples)
-    files = sorted(Path(args.corpus or CORPUS_DIR).glob("*.graph"))
+    corpus = Path(args.corpus or CORPUS_DIR)
+    if not corpus.is_dir():
+        raise NotADirectoryError("not a directory: %s" % corpus)
+    files = sorted(corpus.glob("*.graph"))
     rep = Report()
     rep.add("command", "batch")
     rep.add("samples", args.samples)

@@ -13,9 +13,10 @@ serialized model reproduces it exactly (up to whitespace normalization).
 
 format_divisor writes ``<label>=<value>`` for the nonzero coefficients in
 model order (``0`` if none), each value ``p`` or ``p/q`` in lowest terms.
-On a blown model it reads the chain layout, not the full labels: the
-terms of a chain are made once per distinct run of values and joined onto
-each copy's head, so the cost follows the distinct values, not the curves.
+On a configuration's model it reads the chain layout, not the full
+labels: a chain's terms are made once and joined onto the head of each of
+its points, so the text is that of the divisor on the blown-up surface,
+and the cost follows the chains, not the curves they stand for.
 """
 
 from __future__ import annotations
@@ -162,15 +163,12 @@ def format_divisor(d: Divisor) -> str:
         return "%d/%d" % (n // g, den // g) if g < den else str(n // den)
 
     parts = [" %s=%s" % (label, value(n)) for label, n in zip(labels, num) if n]
-    segments = {}
     for info in chains:
-        seg = num[info.start:info.start + info.length]
-        if (terms := segments.get(seg)) is None:
-            terms = segments[seg] = [",%d)=%s" % (m, value(n))
-                                     for m, n in enumerate(seg, 1) if n]
+        terms = [",%d)=%s" % (m, value(n)) for m, n
+                 in enumerate(num[info.start:info.start + info.length], 1) if n]
         if terms:
-            head = " %s(%d" % (labels[info.base], info.point)
-            parts.append(head + head.join(terms))
+            heads = [" %s(%d" % (labels[info.base], p) for p in info.points]
+            parts += [head + head.join(terms) for head in heads]
     parts += [" %s=%s" % (label, value(n))
               for label, n in zip(model.strict_labels, num[model.u:]) if n]
     return "".join(parts)[1:] or "0"

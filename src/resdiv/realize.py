@@ -22,13 +22,11 @@ chains are laid out as build lays them out for (e, n) (chain_length_rule).
 verify_certificate returns the certificate with its checks filled in; one
 whose fields live on other models than their own fails every check.
 
-Every divisor of the construction is fixed by the permutations of the
-identical chains, so realize works on the quotient configuration, and the
-certificate's F, A, G and F' are those quotient divisors:
-config.expand gives each on the full blown model.  The quotient's form is
-read off its chain layout and the checks run on ints, details worked out
-from closed forms, so neither model's curves are built unless something
-reads them; an untampered certificate never does.
+Every divisor of the construction is the same on each copy of a chain, so
+F, A, G and F' live on the configuration's model, which lays the copies
+out once.  Its form is read off the chain layout and the checks run on
+ints, details worked out from closed forms, so its curves are built only
+if something reads them; an untampered certificate never does.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class RealizationCertificate:
     epsilon: Fraction
     n: tuple          # chain lengths
     config: GenericConfiguration
-    F: Divisor        # pullback of F0; F, A, G, F' on config.quotient().model
+    F: Divisor        # pullback of F0; F, A, G, F' on config.model
     A: Divisor        # effective integral divisor, -A relatively ample
     mu: Fraction      # > 0
     N: int            # >= 1
@@ -164,15 +162,14 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
               for a_i, b_i in zip(f0.exc, discrepancies(model).b))
 
     config = GenericConfiguration.build(model, [-p for p in prods], n)
-    q = config.quotient()  # every divisor below is fixed by the chain copies
-    f = q.pullback.apply(f0)
-    k_g = q.K_sigma
+    f = config.pullback.apply(f0)
+    k_g = config.K_sigma
     k_f = relative_canonical(model)
-    k_h = k_g + q.pullback.apply(k_f)
+    k_h = k_g + config.pullback.apply(k_f)
 
-    dual_sum = q.weighted_dual_sum([1] * q.model.u)
+    dual_sum = config.weighted_dual_sum([1] * config.model.u)
     a_div = dual_sum.scale(dual_sum.den)  # A.E = -den, as dual_sum.E = -1
-    mu = choose_mu(q.model, f, k_g, k_h, epsilon, a_div)
+    mu = choose_mu(config.model, f, k_g, k_h, epsilon, a_div)
 
     scaled = f + k_g + a_div.scale(mu)
     n_factor = scaled.den  # the lcm of its denominators, in lowest terms
@@ -209,7 +206,7 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
     weights plus F.E_i and v_i[m] = sum_k t_k min(m, k) on each chain over
     E_i of weights t.  As E*_i >= 0 and E*_i[i] > 0, it is >= 0 iff s_i >= 0
     and s_i E*_i[i] + v_i >= 0 on those chains; ints, F'.E = p_fp / fp.den."""
-    labels, q_f = config.model.labels, f.product_numerators()
+    q_f = f.product_numerators()
     over, total = [[] for _ in range(base.u)], p_fp[:base.u]
     for info in config.chains:
         seg = p_fp[info.start:info.start + info.length]
@@ -217,7 +214,8 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
         total[info.base] += sum(seg)
 
     def sides(i, k, x, v=0):  # at curve k, where g*E*_i is x and v_i is v
-        return _first_break([(labels[k], Fraction(-q_f[i], f.den) * x,
+        label = config.model.labels[k]  # the labels are read on a break only
+        return _first_break([(label, Fraction(-q_f[i], f.den) * x,
                               Fraction(-total[i], fp.den) * x + v, le)])
 
     for i, dual in enumerate(dual_basis(base)):
@@ -226,14 +224,15 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
             j = next(j for j, x in enumerate(dual.num) if x)
             return sides(i, j, Fraction(dual.num[j], dual.den))
         for info, seg in over[i]:
-            bound, scale = info.copies * s * dual.num[i], f.den * dual.den
+            copies = len(info.points)
+            bound, scale = copies * s * dual.num[i], f.den * dual.den
             v, tail = 0, sum(seg)  # -v_i[m] fp.den c = sum of tails 1..m
             for m, p in enumerate(seg, 1):
                 v, tail = v + tail, tail - p
                 if bound < v * scale:
                     return sides(i, info.start + m - 1,
                                  Fraction(dual.num[i], dual.den),
-                                 Fraction(-v, fp.den * info.copies))
+                                 Fraction(-v, fp.den * copies))
     return ""
 
 
@@ -249,16 +248,12 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     mu and A, the chain lengths or layout, F0, or G is caught; the signs
     of N, mu and the products of A included).  A field not on its model
     (F0 and the configuration on the base model, F, A, G and F' on the
-    configuration's quotient) fails every check, naming the field.
-
-    The checks run once, on the quotient of ``cert.config``; so a
-    configuration whose quotient is not that of F, A, G and F' fails
-    every check, naming F.
+    configuration's model) fails every check, naming the field.
     """
-    config, base, q = cert.config, cert.base_model, cert.config.quotient()
+    config, base = cert.config, cert.base_model
     fields = [("F0", cert.F0.model, base, "on the base model"),
               ("config", config.base_model, base, "over the base model")]
-    fields += [(name, getattr(cert, name).model, q.model,
+    fields += [(name, getattr(cert, name).model, config.model,
                 "on the configuration's model")
                for name in ("F", "A", "G", "F_prime")]
     for name, have, want, where in fields:
@@ -267,14 +262,14 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
             return dataclasses.replace(cert, checks=tuple(
                 CheckResult(check, False, detail) for check in CHECK_NAMES))
     return dataclasses.replace(cert, checks=_run_checks(
-        cert, q, cert.F, cert.A, cert.G, cert.F_prime))
+        cert, config, cert.F, cert.A, cert.G, cert.F_prime))
 
 
 def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
-    """The 14 checks on ``config``, the certificate's quotient or any
-    configuration of its chains, with F, A, G and F' given on it.  A
-    product on a chain standing for c copies reads c times the product
-    with one copy.  dual_chain_domination, epsilon_constraints and
+    """The 14 checks on ``config``, the certificate's or any layout of its
+    chains (one point to a ChainInfo, or many), with F, A, G and F' given
+    on it.  A product on a chain standing for c copies reads c times the
+    product with one copy.  dual_chain_domination, epsilon_constraints and
     chain_length_rule run on ints; a detail is worked out, from the closed
     form, only for the first broken row."""
     checks = []
@@ -282,7 +277,8 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     base = cert.base_model
     copies = [1] * model.u
     for info in config.chains:
-        copies[info.start:info.start + info.length] = [info.copies] * info.length
+        copies[info.start:info.start + info.length] = (
+            [len(info.points)] * info.length)
 
     def check(name, passed, detail):  # detail() runs on failure only
         checks.append(CheckResult(name, bool(passed), "" if passed else detail()))
@@ -366,8 +362,9 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
                 rows += [(label, (top - q * den_b * den_a, e), (n_i, 1), le),
                          (label, (n_i, 1), (top, e), lt)]
     # and the chains are laid out as build lays them out for (e, n)
-    chains = cert.config.chains
-    counts = Counter(info.base for info in chains)
+    chains, counts = cert.config.chains, Counter()
+    for info in chains:
+        counts[info.base] += len(info.points)
     n_break = _first_int_break(rows) or _first_break(
         [("n", len(cert.n), base.u, eq)]
         + [(label, counts[i], e_i if n_i >= 1 else 0, eq) for i, (label, n_i, e_i)
@@ -375,10 +372,12 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     # so far each E_i has its e_i chains, as counted
     if not n_break and (
             laid := GenericConfiguration.layout(base, counts, cert.n)) != chains:
+        per_copy = ([(info.base, pt, info.start, info.length, len(info.points))
+                     for info in layout for pt in info.points]
+                    for layout in (chains, laid))
         n_break = _first_break(
-            ("%s(%d,1)" % (base.labels[want.base], want.point), x, y, eq)
-            for have, want in zip(chains, laid)
-            for x, y in zip(dataclasses.astuple(have), dataclasses.astuple(want)))
+            [("%s(%d,1)" % (base.labels[want[0]], want[1]), x, y, eq)
+             for have, want in zip(*per_copy) for x, y in zip(have, want)])
     check("chain_length_rule", not n_break, lambda: n_break)
 
     check("lambda_scaling_rule", cert.lam * cert.N == one_eps and cert.N >= 1,

@@ -22,11 +22,13 @@ GenericConfiguration.weighted_dual_sum uses.
 format_by_labels writes a divisor one Fraction per coefficient, reading
 the model's full label tuple, as the chain-aware format_divisor must.
 
-quotient_matrix and expand_by_labels read the quotient by identical
-chains off the labels alone: each chain curve <base>(point,step) stands
-in the class of <base>(1,step).  closure_with_rule runs the unit-step
-closure on the dense matrix under any rule for picking the violating
-curve.
+ungroup gives a configuration with one point to each ChainInfo, whose
+model is the blown-up surface itself, and expand spreads a divisor on a
+configuration's model over it; quotient_matrix and expand_by_labels read
+the class form off the labels alone: each chain curve <base>(point,step)
+stands in the class of <base>(1,step).  closure_with_rule runs the
+unit-step closure on the dense matrix under any rule for picking the
+violating curve.
 
 random_log_terminal_model draws log terminal models by their
 classification alone: chains of rational curves of weight >= 2 (cyclic
@@ -46,7 +48,6 @@ integer-numerator Divisor is checked against it.  meet, the componentwise
 minimum of two Divisors, is needed by the tests alone.
 """
 
-import dataclasses
 import math
 import operator
 import re
@@ -352,8 +353,8 @@ def generic_chain(model, i, n, point_tag=None):
 
 
 def iterated_configuration(base_model, e, n):
-    """The configuration GenericConfiguration.build(base_model, e, n)
-    should produce, built chain by chain via generic_chain."""
+    """The configuration ungroup(GenericConfiguration.build(base_model, e,
+    n)) should be, built chain by chain via generic_chain."""
     current = base_model
     pullback = identity_pullback(base_model)
     k_total = Divisor.zero(base_model)
@@ -366,7 +367,7 @@ def iterated_configuration(base_model, e, n):
                 pullback = compose(pullback, step.sigma_pullback)
                 k_total = step.sigma_pullback.apply(k_total) + step.K_sigma
                 current = step.new_model
-                chains.append(ChainInfo(base=i, point=j, start=start,
+                chains.append(ChainInfo(base=i, points=(j,), start=start,
                                         length=n[i]))
     config = GenericConfiguration(base_model, current, chains)
     # the composed maps, in place of those build reads off the chains
@@ -403,7 +404,7 @@ def verify_lemma_gen(config, d):
     combinatorial setting the chain root automatically meets only the
     base curve, so the free-point hypothesis needs no further check.)
     """
-    if len(config.chains) != 1:
+    if len(config.chains) != 1 or len(config.chains[0].points) != 1:
         raise PreconditionViolated("configuration must hold exactly one chain")
     if d.model is not config.model and d.model != config.model:
         raise PreconditionViolated("divisor does not live on the chain model")
@@ -441,7 +442,31 @@ def verify_lemma_gen(config, d):
     )
 
 
-# -- the quotient by identical chains, by labels ---------------------------------
+# -- the blown-up surface, and the class form by labels ---------------------------
+
+@lru_cache(maxsize=16)
+def ungroup(config):
+    """``config``'s chains with one point to each ChainInfo, in the order
+    of their points; its model is the blown-up surface (cached)."""
+    chains, start = [], config.base_model.u
+    for info in config.chains:
+        for p in info.points:
+            chains.append(ChainInfo(info.base, (p,), start, info.length))
+            start += info.length
+    return GenericConfiguration._assemble(config.base_model, tuple(chains))
+
+
+def expand(config, d):
+    """``d``, a divisor on ``config``'s model, on ungroup(config)'s model:
+    each copy of a chain takes the values of its class."""
+    if d.model is not config.model and d.model != config.model:
+        raise ModelMismatch("divisor does not live on the configuration")
+    num = list(d.num[:config.base_model.u])
+    for info in config.chains:
+        num += d.num[info.start:info.start + info.length] * len(info.points)
+    return Divisor._of(ungroup(config).model,
+                       num + list(d.num[config.model.u:]), d.den)
+
 
 def _class_label(label):
     """The label of the curve that stands for ``label`` in a quotient."""
@@ -549,7 +574,8 @@ def dual_chain_domination_detail(config, base, f, fp):
     model = config.model
     copies = [1] * model.u
     for info in config.chains:
-        copies[info.start:info.start + info.length] = [info.copies] * info.length
+        copies[info.start:info.start + info.length] = (
+            [len(info.points)] * info.length)
     neg = [-p / c for p, c in zip(fp.products(), copies)]
     f_prods = f.products()
     duals = dual_basis(base)
@@ -591,17 +617,20 @@ def epsilon_and_chain_length_details(cert):
                 rows += [(label, b_i / eps - a_i, n_i, le),
                          (label, n_i, (b_i + 1) / eps - a_i, lt)]
     chains = cert.config.chains
-    counts = [sum(info.base == i for info in chains) for i in range(base.u)]
+    counts = [sum(len(info.points) for info in chains if info.base == i)
+              for i in range(base.u)]
     n_break = _first_row_break(rows) or _first_row_break(
         [("n", len(cert.n), base.u, eq)]
         + [(label, counts[i], e_i if n_i >= 1 else 0, eq) for i, (label, n_i, e_i)
            in enumerate(zip(base.labels, cert.n, cert.e))])
     if not n_break and (laid := GenericConfiguration.layout(
             base, counts, cert.n)) != chains:
+        per_copy = [[(info.base, pt, info.start, info.length, len(info.points))
+                     for info in layout for pt in info.points]
+                    for layout in (chains, laid)]
         n_break = _first_row_break(
-            ("%s(%d,1)" % (base.labels[want.base], want.point), x, y, eq)
-            for have, want in zip(chains, laid)
-            for x, y in zip(dataclasses.astuple(have), dataclasses.astuple(want)))
+            [("%s(%d,1)" % (base.labels[want[0]], want[1]), x, y, eq)
+             for have, want in zip(*per_copy) for x, y in zip(have, want)])
     return eps_break, n_break
 
 

@@ -7,6 +7,7 @@ exact; the only numeric thresholds are wall-clock budgets.
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -174,7 +175,7 @@ def _tampered_certificates(cert, rng):
                                (Fraction(0),) * len(cert.G.strict))
     yield "G", dataclasses.replace(cert, G=g_bad, checks=())
 
-    k_g = cert.config.quotient().K_sigma
+    k_g = cert.config.K_sigma
 
     def with_g(**fields):
         bad = dataclasses.replace(cert, **fields, checks=())
@@ -187,9 +188,54 @@ def _tampered_certificates(cert, rng):
     yield "mu=0", with_g(mu=Fraction(0))
 
 
+def _more_tampered_certificates(cert, rng):
+    """Yield (kind, certificate) pairs with epsilon scaled, a base curve
+    added to F0 or to F', or the points of a chain moved up by one."""
+    factor = rng.choice([Fraction(1, 2), Fraction(2), Fraction(3)])
+    yield "epsilon", dataclasses.replace(cert, epsilon=cert.epsilon * factor,
+                                         checks=())
+    j = rng.randrange(cert.base_model.u)
+    yield "F0", dataclasses.replace(
+        cert, F0=cert.F0 + r.Divisor.curve(cert.base_model, j), checks=())
+    j = rng.randrange(cert.config.model.u)
+    yield "F_prime", dataclasses.replace(
+        cert, F_prime=cert.F_prime + r.Divisor.curve(cert.config.model, j),
+        checks=())
+    if cert.config.chains:
+        c = rng.randrange(len(cert.config.chains))
+        chains = list(cert.config.chains)
+        chains[c] = dataclasses.replace(
+            chains[c], points=tuple(p + 1 for p in chains[c].points))
+        yield "points", dataclasses.replace(cert, checks=(), config=(
+            r.GenericConfiguration(cert.base_model, cert.config.model, chains)))
+
+
 def _expected_detail(cert, kind, bad):
     """The check that a tampering of ``kind`` fails, and its detail."""
     fmt = r.format_rational
+    if kind == "epsilon":  # n_i = floor((1 + b_i) / epsilon - (a_i + 1)) moves
+        return "chain_length_rule", "%s: %d vs %d" % (
+            cert.base_model.labels[0], cert.n[0],
+            math.floor((1 + cert.b[0]) / bad.epsilon - (cert.a[0] + 1)))
+    if kind == "F0":  # F is no longer the pullback, first at the added curve
+        j = next(j for j, (a, b) in enumerate(zip(cert.F0.exc, bad.F0.exc))
+                 if a != b)
+        return "closure_equals_target", "%s: %s vs %s" % (
+            cert.base_model.labels[j], fmt(cert.F.exc[j]),
+            fmt(cert.F.exc[j] + 1))
+    if kind == "F_prime":
+        j = next(j for j, (a, b) in enumerate(zip(cert.F_prime.exc,
+                                                  bad.F_prime.exc)) if a != b)
+        return "candidate_dominated", "%s: %s vs %s" % (
+            cert.config.model.labels[j], fmt(bad.F_prime.exc[j]),
+            fmt(cert.F.exc[j]))
+    if kind == "points":  # the first point of the moved chain
+        info = next(have for have, want in zip(bad.config.chains,
+                                               cert.config.chains)
+                    if have != want)
+        p = info.points[0] - 1
+        return "chain_length_rule", "%s(%d,1): %d vs %d" % (
+            cert.base_model.labels[info.base], p, p + 1, p)
     if kind == "lambda":
         return "lambda_scaling_rule", "lambda*N: %s vs %s" % (
             fmt(bad.lam * bad.N), fmt(1 + bad.epsilon))
@@ -211,9 +257,10 @@ def _expected_detail(cert, kind, bad):
         cert.base_model.labels[0], fmt(bad.A.products()[0]))
 
 
-def _assert_tamperings_name_the_break(cert, rng):
+def _assert_tamperings_name_the_break(cert, rng,
+                                      tamperings=_tampered_certificates):
     assert all(c.detail == "" for c in cert.checks)
-    for kind, bad in _tampered_certificates(cert, rng):
+    for kind, bad in tamperings(cert, rng):
         details = {c.name: c.detail
                    for c in r.verify_certificate(bad).checks if not c.passed}
         name, detail = _expected_detail(cert, kind, bad)
@@ -249,9 +296,11 @@ def test_fault_injection_details_name_the_break():
 
 
 def test_fault_injection_on_generated_models_names_the_break():
-    """The tamperings of criterion 7 on seeded log terminal models drawn by
-    the classification (chains and stars with platonic arms)."""
+    """The tamperings of criterion 7, and of epsilon, F0, F' and the chain
+    points, on seeded log terminal models drawn by the classification
+    (chains and stars with platonic arms)."""
     rng = random.Random(405)
+    moved = 0
     for _ in range(8):
         model = random_log_terminal_model(rng)
         for k in range(2):
@@ -259,6 +308,10 @@ def test_fault_injection_on_generated_models_names_the_break():
             cert = r.realize(model, f0)
             assert cert.passed, model
             _assert_tamperings_name_the_break(cert, rng)
+            _assert_tamperings_name_the_break(cert, rng,
+                                              _more_tampered_certificates)
+            moved += bool(cert.config.chains)
+    assert moved >= 8
 
 
 def test_criterion_8_batch_determinism(capsys):

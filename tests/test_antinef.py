@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import resdiv as r
 from conftest import random_integral_divisor
 from oracles import (brute_closure_oracle, closure_with_rule, dense_matrix,
-                     negdef_by_minors)
+                     negdef_by_minors, ungroup)
 
 
 def a2():
@@ -143,7 +143,7 @@ def test_trace_matches_rescanning_oracle_on_100_curve_chain_model(
     e, n = [0] * base.u, [0] * base.u
     for label, count, length in (("E2", 2, 10), ("E4", 3, 8), ("E8", 4, 12)):
         e[base.index_of(label)], n[base.index_of(label)] = count, length
-    model = r.GenericConfiguration.build(base, e, n).model
+    model = ungroup(r.GenericConfiguration.build(base, e, n)).model
     assert model.u == 100
     d = r.Divisor.curve(model, 0).scale(400)
     closed, trace = r.antinef_closure(d)
@@ -186,13 +186,14 @@ def test_termination_within_dominating_bound(corpus_models):
 def test_closure_on_an_indefinite_form_raises_at_once():
     """E1 + E2 has square 2 on two (-1)-curves meeting twice, so adding
     curves to E1 would never end; the closure raises before its first
-    step, and so do the closures on blown and quotient models over it."""
+    step, and so do the closures on the blown-up surface over it and on
+    the model of its chain classes."""
     model = r.build_model([("E1", 0, -1), ("E2", 0, -1)], [("E1", "E2", 2)])
     started = time.perf_counter()
     with pytest.raises(r.NotNegativeDefinite):
         r.antinef_closure(r.Divisor.curve(model, 0))
     config = r.GenericConfiguration.build(model, [2, 1], [1, 2])
-    for c in (config, config.quotient()):
+    for c in (ungroup(config), config):
         with pytest.raises(r.NotNegativeDefinite):
             r.antinef_closure(r.Divisor.curve(c.model, 0))
     assert time.perf_counter() - started < 1.0

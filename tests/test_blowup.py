@@ -12,8 +12,9 @@ import resdiv as r
 from conftest import (CORPUS_DIR, CORPUS_NAMES, load_doc,
                       random_integral_divisor, single_chain)
 from oracles import (PreconditionViolated, blow_up_free_point, dense_matrix,
-                     expand_by_labels, generic_chain, iterated_configuration,
-                     quotient_matrix, verify_lemma_gen)
+                     expand, expand_by_labels, generic_chain,
+                     iterated_configuration, quotient_matrix, ungroup,
+                     verify_lemma_gen)
 from resdiv.cli import _certificate_report, main
 
 
@@ -127,7 +128,7 @@ def test_build_matches_iterated_route(log_terminal_models):
     for model in log_terminal_models.values():
         e = [rng.randint(0, 2) for _ in range(model.u)]
         n = [rng.randint(1, 3) for _ in range(model.u)]
-        fast = r.GenericConfiguration.build(model, e, n)
+        fast = ungroup(r.GenericConfiguration.build(model, e, n))
         slow = iterated_configuration(model, e, n)
         assert fast.model == slow.model
         assert fast.pullback.support == slow.pullback.support
@@ -156,7 +157,7 @@ def test_production_pullback_projection_formula(log_terminal_models):
 
 def test_configuration_duals_match_direct_solve():
     model = a2()
-    config = r.GenericConfiguration.build(model, e=[2, 1], n=[2, 3])
+    config = ungroup(r.GenericConfiguration.build(model, e=[2, 1], n=[2, 3]))
     duals = r.dual_basis(config.model)
     for idx in range(config.model.u):
         unit = [int(k == idx) for k in range(config.model.u)]
@@ -165,7 +166,7 @@ def test_configuration_duals_match_direct_solve():
 
 def test_sum_and_weighted_duals_match_reference():
     model = a2()
-    config = r.GenericConfiguration.build(model, e=[1, 2], n=[3, 1])
+    config = ungroup(r.GenericConfiguration.build(model, e=[1, 2], n=[3, 1]))
     duals = r.dual_basis(config.model)
     total = r.Divisor.zero(config.model)
     for v in duals:
@@ -195,42 +196,37 @@ def test_chain_lookup_helpers():
             assert config.weighted_dual_sum(unit) == duals[idx]
 
 
-# -- the quotient by identical chains ------------------------------------------------
+# -- identical chains, laid out once ---------------------------------------------------
 
 def test_quotient_form_is_the_class_form(log_terminal_models):
-    """The quotient's form is P^T M P, read off the labels by the oracle;
-    divisors on it expand as the label oracle says, and
-    the quotient's weighted dual sums are those of the full model."""
+    """build lays the copies of a chain out once, and its form is P^T M P
+    for the blown-up surface's M, read off the labels by the oracle;
+    divisors on it expand as the label oracle says, and its weighted dual
+    sums are those of the blown-up surface."""
     rng = random.Random(9)
     for name, model in log_terminal_models.items():
         e = [rng.randint(0, 3) for _ in range(model.u)]
         n = [rng.randint(0, 3) for _ in range(model.u)]
         config = r.GenericConfiguration.build(model, e, n)
-        q = config.quotient()
-        assert q is config.quotient()
-        assert dense_matrix(q.model) == quotient_matrix(config.model, q.model), name
-        assert [(i.base, i.point, i.length, i.copies) for i in q.chains] == [
-            (i, 1, n[i], e[i]) for i in range(model.u) if e[i] and n[i]]
-        d = r.Divisor(q.model, [rng.randint(-3, 6) for _ in range(q.model.u)],
+        full = ungroup(config)
+        assert dense_matrix(config.model) == quotient_matrix(full.model,
+                                                             config.model), name
+        assert [(i.base, i.points, i.length) for i in config.chains] == [
+            (i, tuple(range(1, e[i] + 1)), n[i])
+            for i in range(model.u) if e[i] and n[i]]
+        assert [(i.base, i.points) for i in full.chains] == [
+            (i.base, (p,)) for i in config.chains for p in i.points]
+        d = r.Divisor(config.model,
+                      [rng.randint(-3, 6) for _ in range(config.model.u)],
                       [rng.randint(0, 2) for _ in model.strict_curves])
-        full = config.expand(d)
-        assert full == expand_by_labels(d, config.model), name
+        assert expand(config, d) == expand_by_labels(d, full.model), name
         weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                   for _ in range(q.model.u)]
-        assert config.expand(q.weighted_dual_sum(weights)) == \
-            config.weighted_dual_sum(expand_by_labels(
-                r.Divisor(q.model, weights, [0] * len(model.strict_curves)),
-                config.model).exc), name
-
-
-def test_expand_refuses_divisors_off_the_quotient():
-    config = r.GenericConfiguration.build(a2(), e=[2, 1], n=[2, 3])
-    for model in (config.model, a2()):
-        with pytest.raises(r.ModelMismatch):
-            config.expand(r.Divisor.zero(model))
-    # an equal model built anew is the quotient's
-    twin = r.GenericConfiguration.build(a2(), e=[2, 1], n=[2, 3]).quotient()
-    assert config.expand(twin.K_sigma) == config.K_sigma
+                   for _ in range(config.model.u)]
+        assert expand(config, config.weighted_dual_sum(weights)) == \
+            full.weighted_dual_sum(expand_by_labels(
+                r.Divisor(config.model, weights,
+                          [0] * len(model.strict_curves)),
+                full.model).exc), name
 
 
 def test_build_refuses_models_past_the_limit():
@@ -320,6 +316,12 @@ def built_sizes(monkeypatch):
     return sizes
 
 
+def represented_curves(config):
+    """The curves of the blown-up surface ``config`` stands for."""
+    return config.base_model.u + sum(len(info.points) * info.length
+                                     for info in config.chains)
+
+
 def eager_model(config):
     """The model of ``config``'s chains, built at once from their layout:
     c copies of a chain lower their base curve's self-intersection by c,
@@ -327,13 +329,13 @@ def eager_model(config):
     base = config.base_model
     curves, meetings = list(base.curves), list(base.meetings)
     for info in config.chains:
-        c, b = info.copies, curves[info.base]
+        c, b = len(info.points), curves[info.base]
         assert info.start == len(curves)
         curves[info.base] = r.ExcCurve(b.label, b.genus, b.self_int - c)
         previous = info.base
         for m in range(1, info.length + 1):
             curves.append(r.ExcCurve(
-                "%s(%d,%d)" % (base.labels[info.base], info.point, m), 0,
+                "%s(%d,%d)" % (base.labels[info.base], info.points[0], m), 0,
                 -c if m == info.length else -2 * c))
             meetings.append((previous, len(curves) - 1, c))
             previous = len(curves) - 1
@@ -349,12 +351,12 @@ def test_realize_and_its_report_leave_the_blown_form_unbuilt(built_sizes):
             model, exc=[k * v for v in E8_Z]))
         lines = _certificate_report(cert).render().splitlines()
         blown = cert.config.model
-        quotient = cert.config.quotient().model
-        assert cert.passed and "blown_curves = %d" % blown.u in lines
-        assert blown.u > quotient.u
+        represented = represented_curves(cert.config)
+        assert cert.passed and "blown_curves = %d" % represented in lines
+        assert represented > blown.u
         assert blown.u not in built_sizes, k
-        # the quotient's rows come from the layout, its curves never
-        assert "curves" not in vars(blown) and "curves" not in vars(quotient)
+        # the rows come from the layout, the curves never
+        assert "curves" not in vars(blown)
         # the count sees the form once something reads it
         assert len(blown.curves) == blown.u
         assert built_sizes[-1] == blown.u
@@ -377,11 +379,12 @@ def test_cli_realize_leaves_the_blown_form_unbuilt(built_sizes, tmp_path,
     f0 = r.Divisor.from_coeffs(model, exc=[3 * v for v in E8_Z])
     path = tmp_path / "e8_3z.graph"
     path.write_text(r.serialize_model(model, {"F": f0}))
-    blown = r.realize(model, f0).config.model.u
+    config = r.realize(model, f0).config
     built_sizes.clear()
     assert main(["realize", str(path), "F"]) == 0
-    assert "blown_curves = %d" % blown in capsys.readouterr().out.splitlines()
-    assert built_sizes and blown not in built_sizes
+    assert "blown_curves = %d" % represented_curves(config) in \
+        capsys.readouterr().out.splitlines()
+    assert built_sizes and config.model.u not in built_sizes
 
 
 def test_form_read_later_equals_the_eager_model(log_terminal_models,
@@ -391,13 +394,12 @@ def test_form_read_later_equals_the_eager_model(log_terminal_models,
     for name, model in log_terminal_models.items():
         e = [rng.randint(0, 3) for _ in range(model.u)]
         n = [rng.randint(1, 3) for _ in range(model.u)]
-        full = r.GenericConfiguration.build(model, e, n)
-        for config in (full, full.quotient()):
+        grouped = r.GenericConfiguration.build(model, e, n)
+        for config in (grouped, ungroup(grouped)):
             lazy = config.model
-            if config is full:
-                built_sizes.clear()
-                assert repr(lazy).startswith("ResolutionModel(")
-                assert built_sizes == [], name
+            built_sizes.clear()
+            assert repr(lazy).startswith("ResolutionModel(")
+            assert built_sizes == [], name
             eager = eager_model(config)
             assert lazy.labels == eager.labels, name
             assert lazy.strict_labels == eager.strict_labels, name
@@ -409,7 +411,8 @@ def test_form_read_later_equals_the_eager_model(log_terminal_models,
             assert lazy.curves == eager.curves, name
             assert lazy.strict_curves == eager.strict_curves, name
             assert lazy.labels == tuple(c.label for c in lazy.curves), name
-        assert full.model == iterated_configuration(model, e, n).model, name
+        assert ungroup(grouped).model == \
+            iterated_configuration(model, e, n).model, name
         with_strict += bool(model.strict_curves)
     assert with_strict >= 1
 
@@ -417,8 +420,8 @@ def test_form_read_later_equals_the_eager_model(log_terminal_models,
 def assert_rows_come_from_the_layout(config):
     """The rows ``config``'s model reads off its layout, before its curves
     exist, are those of the eager model and of the model checked by
-    ResolutionModel from its curves; and so for its quotient."""
-    for c in dict.fromkeys((config, config.quotient())):
+    ResolutionModel from its curves; and so for the blown-up surface."""
+    for c in (config, ungroup(config)):
         lazy = c.model
         rows, strict = lazy.sparse_rows, lazy.strict_sparse
         assert "curves" not in vars(lazy)
@@ -433,8 +436,8 @@ def assert_rows_come_from_the_layout(config):
 @settings(max_examples=60, deadline=2000)
 @given(data=st.data(), name=st.sampled_from(CORPUS_NAMES))
 def test_layout_rows_equal_the_checked_rows(data, name):
-    """On configurations over corpus models, their quotients (copies > 1),
-    and configurations over their blown models and those quotients."""
+    """On configurations over corpus models (copies > 1), the blown-up
+    surfaces they stand for, and configurations over those surfaces."""
     def counts(model, hi):
         return data.draw(st.lists(st.integers(0, hi), min_size=model.u,
                                   max_size=model.u))
@@ -443,14 +446,15 @@ def test_layout_rows_equal_the_checked_rows(data, name):
     config = r.GenericConfiguration.build(model, counts(model, 3),
                                           counts(model, 3))
     assert_rows_come_from_the_layout(config)
+    blown = ungroup(config).model
     assert_rows_come_from_the_layout(r.GenericConfiguration.build(
-        config.model, counts(config.model, 1), counts(config.model, 2)))
+        blown, counts(blown, 1), counts(blown, 2)))
 
 
 def test_divisors_on_an_unbuilt_form_copy_and_pickle(built_sizes):
     config = r.GenericConfiguration.build(
         r.parse_graph_file(CORPUS_DIR / "a2_branch.graph").model, [3, 2], [2, 3])
-    for c in (config, config.quotient()):
+    for c in (config, ungroup(config)):
         k = c.K_sigma
         built_sizes.clear()
         twins = [copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))]
@@ -467,4 +471,4 @@ def test_unknown_attribute_of_a_blown_model_is_an_attribute_error():
     for _ in range(2):  # before and after the form is built
         with pytest.raises(AttributeError):
             model.no_such_attribute
-    assert model.u == 6 and len(model.curves) == 6
+    assert model.u == 4 and len(model.curves) == 4

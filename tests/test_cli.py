@@ -341,6 +341,17 @@ def test_emitted_certificate_repeats_the_report(capsys, tmp_path):
     assert saved[3:] == head[4:] and saved[3].startswith("epsilon = ")
 
 
+def test_unwritable_certificate_path_prints_no_report(capsys, tmp_path):
+    """The certificate is written first: a path that cannot be written
+    exits 2, naming it, with nothing on stdout."""
+    target = tmp_path / "missing" / "cert.txt"
+    code, out, err = run(capsys, "realize", graph("a2"), "F",
+                         "--emit-certificate", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_realize_not_log_terminal(capsys, tmp_path):
     src = (CORPUS_DIR / "elliptic_minus2.graph").read_text()
     target = tmp_path / "bad.graph"
@@ -403,37 +414,46 @@ def test_batch_verifies_each_case_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 4
 
 
-def test_certificate_divisors_are_expanded_only_to_be_written(
-        tmp_path, capsys, monkeypatch):
-    """The certificate keeps F, A, G and F' on the quotient: batch expands
-    none of them onto the blown model, and realize expands each once, to
-    write its report (and the emitted certificate, from the same lines)."""
-    original = r.GenericConfiguration.expand
+def test_one_configuration_per_realization(capsys, monkeypatch):
+    """batch builds one GenericConfiguration per realization, and the
+    certificate's F, A, G and F' live on its model: there is no second
+    layout to regroup them onto, or to spread them back over."""
+    assert not hasattr(r.GenericConfiguration, "quotient")
+    assert not hasattr(r.GenericConfiguration, "expand")
+    init = r.GenericConfiguration.__init__
     calls = []
 
-    def counted(config, d):
-        calls.append(d)
-        return original(config, d)
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(r.GenericConfiguration, "expand", counted)
+    monkeypatch.setattr(r.GenericConfiguration, "__init__", counted)
     code, out, _ = run(capsys, "batch", "--samples", "2")
-    assert code == 0 and "total_failures = 0" in out.splitlines()
-    assert calls == []
-    # 3 E*_1 on a2: three identical chains over E1
-    source = tmp_path / "a2.graph"
-    source.write_text((CORPUS_DIR / "a2.graph").read_text()
-                      + "divisor T E1=2 E2=1\n")
-    code, out, _ = run(capsys, "realize", str(source), "T",
-                       "--emit-certificate", str(tmp_path / "cert.txt"))
-    assert code == 0 and "realized = true" in out.splitlines()
-    assert len(calls) == 4
+    lines = out.splitlines()
+    assert code == 0 and "total_failures = 0" in lines
+    assert "total_cases = %d" % len(calls) in lines and len(calls) > 20
     for name in LOG_TERMINAL_NAMES:
         model = load_doc(name).model
         for k in range(2):
             cert = r.realize(model, random_antinef_divisor(model, "q:%d" % k))
-            quotient = cert.config.quotient().model
-            assert all(d.model is quotient
+            assert all(d.model is cert.config.model
                        for d in (cert.F, cert.A, cert.G, cert.F_prime)), name
+
+
+def test_batch_on_a_missing_directory_or_a_file_is_an_io_error(tmp_path,
+                                                               capsys):
+    """Either path is named and nothing is printed; an existing directory
+    with no graph files is an empty batch."""
+    missing, plain = tmp_path / "missing", tmp_path / "plain.graph"
+    plain.write_text((CORPUS_DIR / "a1.graph").read_text())
+    for path in (missing, plain):
+        code, out, err = run(capsys, "batch", str(path), "--samples", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, _ = run(capsys, "batch", str(empty), "--samples", "1")
+    assert code == 0 and "total_cases = 0" in out.splitlines()
 
 
 def test_batch_negative_samples_rejected(tmp_path, capsys):

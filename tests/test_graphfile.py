@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import resdiv as r
 from conftest import (CORPUS_DIR, CORPUS_NAMES, LOG_TERMINAL_NAMES, load_doc,
                       single_chain)
-from oracles import (dense_matrix, format_by_labels,
-                     random_log_terminal_model)
+from oracles import (dense_matrix, expand, format_by_labels,
+                     random_log_terminal_model, ungroup)
 from resdiv.cli import random_antinef_divisor
 
 SAMPLE = """\
@@ -118,12 +118,13 @@ def test_format_divisor():
        den=st.integers(1, 6))
 @example(name="a2_branch", blown=True, rng=random.Random(0), den=4)
 def test_format_divisor_matches_the_label_oracle(name, blown, rng, den):
-    """F0 and the divisors of its realization on the full blown model, each
-    also over ``den`` and, on the blown model, with one chain copy changed
-    so that the copies disagree; and zero.  The model is a corpus graph
-    (a1_branch and a2_branch have strict curves) or a generated log
-    terminal one; when ``blown``, a chain over E_i is blown up first, so
-    the realization's chains over E_i skip the point that chain takes."""
+    """F0 and the divisors of its realization, which read as their
+    expansions onto the blown-up surface; each also over ``den`` and, on the
+    blown-up surface, with one chain copy changed so that the copies
+    disagree; and zero.  The model is a corpus graph (a1_branch and
+    a2_branch have strict curves) or a generated log terminal one; when
+    ``blown``, a chain over E_i is blown up first, so the realization's
+    chains over E_i skip the point that chain takes."""
     model = (random_log_terminal_model(rng) if name == "generated"
              else load_doc(name).model)
     f0 = random_antinef_divisor(model, "format:%d" % rng.randrange(100))
@@ -131,16 +132,21 @@ def test_format_divisor_matches_the_label_oracle(name, blown, rng, den):
         config = single_chain(model, rng.randrange(model.u), rng.randint(1, 2))
         model, f0 = config.model, config.pullback.apply(f0)
     cert = r.realize(model, f0)
-    full, chains = cert.config.model, cert.config.chains
-    for d in (f0, cert.F, cert.A, cert.G, cert.F_prime, r.Divisor.zero(full)):
-        variants = [d, d.scale(Fraction(-1, den))]
-        if chains and d.model is full:
-            info = rng.choice(chains)
-            variants.append(d + r.Divisor.curve(
-                full, info.start + rng.randrange(info.length)))
-        for v in variants:
-            assert r.format_divisor(v) == format_by_labels(v)
-    assert r.format_divisor(r.Divisor.zero(full)) == "0"
+    config, full = cert.config, ungroup(cert.config)
+    for d in (f0, cert.F, cert.A, cert.G, cert.F_prime,
+              r.Divisor.zero(config.model)):
+        for v in (d, d.scale(Fraction(-1, den))):
+            if v.model is not config.model:
+                assert r.format_divisor(v) == format_by_labels(v)
+                continue
+            w = expand(config, v)
+            assert r.format_divisor(v) == format_by_labels(w)
+            if full.chains:
+                info = rng.choice(full.chains)
+                w += r.Divisor.curve(full.model,
+                                     info.start + rng.randrange(info.length))
+                assert r.format_divisor(w) == format_by_labels(w)
+    assert r.format_divisor(r.Divisor.zero(config.model)) == "0"
 
 
 def test_corpus_files_are_negative_definite():

@@ -65,8 +65,8 @@ def test_meeting_declaration_order_does_not_matter():
 
 def test_build_memory_is_linear_in_curves():
     model = load_doc("e8").model
-    e = [0] * 7 + [16]
-    n = [0] * 7 + [161]
+    e = [0] * 7 + [1]  # one chain, so the model is the blown-up surface
+    n = [0] * 7 + [2576]
     tracemalloc.start()
     try:
         config = r.GenericConfiguration.build(model, e, n)
@@ -81,8 +81,8 @@ def test_form_build_memory_is_linear_in_curves():
     """The same bound with the blown model's form and the pullback read,
     which are built on first read."""
     model = load_doc("e8").model
-    e = [0] * 7 + [16]
-    n = [0] * 7 + [161]
+    e = [0] * 7 + [1]  # one chain, so the model is the blown-up surface
+    n = [0] * 7 + [2576]
     tracemalloc.start()
     try:
         config = r.GenericConfiguration.build(model, e, n)
@@ -91,7 +91,7 @@ def test_form_build_memory_is_linear_in_curves():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 2584 and len(support[7]) == 1 + 16 * 161
+    assert len(rows) == 2584 and len(support[7]) == 1 + 2576
     assert peak < 16 * 2 ** 20
 
 

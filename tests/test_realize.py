@@ -12,7 +12,8 @@ import resdiv as r
 from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
                       random_antinef)
 from oracles import (closure_with_rule, dual_chain_domination_detail,
-                     epsilon_and_chain_length_details, expand_by_labels)
+                     epsilon_and_chain_length_details, expand,
+                     expand_by_labels, ungroup)
 from resdiv.cli import _certificate_report, random_antinef_divisor
 from resdiv.realize import _domination_break, _run_checks
 
@@ -44,9 +45,9 @@ def test_single_curve_certificate_values():
     assert cert.epsilon == Fraction(1, 4)
     assert cert.e == (2,)
     assert cert.n == (2,)
-    assert cert.config.model.u == 5
-    assert cert.A.exc == tuple(map(Fraction, (5, 9, 11)))  # on the quotient
-    assert cert.config.expand(cert.A).exc == tuple(
+    assert ungroup(cert.config).model.u == 5
+    assert cert.A.exc == tuple(map(Fraction, (5, 9, 11)))  # one chain class
+    assert expand(cert.config, cert.A).exc == tuple(
         map(Fraction, (5, 9, 11, 9, 11)))
     assert cert.mu == Fraction(1, 110)
     assert cert.N == 110
@@ -62,9 +63,10 @@ def test_certificate_matches_multiplier_divisor():
     f0 = r.Divisor.from_coeffs(model, exc=[2, 2])
     cert = r.realize(model, f0)
     config = cert.config
-    assert config.model.u > config.quotient().model.u
-    direct = r.multiplier_divisor(config.model, config.expand(cert.G), cert.lam)
-    assert direct == config.expand(cert.F)
+    full = ungroup(config).model
+    assert full.u > config.model.u
+    direct = r.multiplier_divisor(full, expand(config, cert.G), cert.lam)
+    assert direct == expand(config, cert.F)
     assert cert.F_prime.pushforward().strict == f0.strict
 
 
@@ -112,7 +114,7 @@ def test_epsilon_rule_on_strict_coefficients():
 def test_ample_negative_products():
     model = a2()
     cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[3, 2]))
-    a_div = cert.config.expand(cert.A)
+    a_div = expand(cert.config, cert.A)
     assert a_div.is_integral() and a_div.is_effective()
     prods = a_div.products()
     assert len(set(prods)) == 1 and prods[0] < 0
@@ -226,44 +228,42 @@ def test_doubled_f0_is_not_realized_by_the_certificate(name):
 @pytest.mark.parametrize("name", BOUND_GRAPHS)
 @pytest.mark.parametrize("k", (1, 3))
 def test_config_missing_its_last_chain_fails_the_chain_rule(name, k):
-    """Drop the last chain from the configuration and keep everything else:
-    the checks end in a report.  Where the quotient keeps its model (no
-    two chains over one curve), the chain count names the curve; else F is
-    not on the configuration's quotient, and every check says so."""
+    """Drop the last chain, with all its copies, from the configuration and
+    keep everything else: the checks end in a report, and the chain count
+    names the curve."""
     model = load_doc(name).model
     cert = r.realize(model, _closure_of_sum(model).scale(k))
     chains = cert.config.chains
     short = r.GenericConfiguration(model, cert.config.model, chains[:-1])
-    bad = dataclasses.replace(cert, config=short, checks=())
-    if short.quotient().model != cert.F.model:
-        assert max(cert.e) > 1
-        _all_fail_with(bad, "F: not on the configuration's model")
-        return
-    report = r.verify_certificate(bad)
+    report = r.verify_certificate(dataclasses.replace(cert, config=short,
+                                                      checks=()))
     assert not report.passed
     last = chains[-1].base
     detail = {c.name: c.detail for c in report.checks}["chain_length_rule"]
-    assert detail == "%s: %d vs %d" % (model.labels[last], cert.e[last] - 1,
-                                       cert.e[last])
+    assert detail == "%s: 0 vs %d" % (model.labels[last], cert.e[last])
 
 
 def test_config_with_renumbered_chains_fails_the_chain_rule():
-    """Renumbering the copies of the representative chain keeps the
-    quotient, and the layout names the first moved chain; renumbering the
-    representative changes the quotient, so every check names F."""
+    """Renumbering the points of a chain, or splitting its copies into two
+    chains, keeps the model, and the layout names the first copy that
+    differs; dropping the chain names the count."""
     model = a2()
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
-    chains = cert.config.chains
-    assert [info.point for info in chains] == [1, 2, 3]
+    (info,) = cert.config.chains
+    assert info.points == (1, 2, 3)
 
-    def renumbered(points):
+    def laid_out(*chains):
         return dataclasses.replace(cert, checks=(), config=r.GenericConfiguration(
-            model, cert.config.model, [dataclasses.replace(info, point=p)
-                                       for info, p in zip(chains, points)]))
+            model, cert.config.model, chains))
 
-    assert _details(renumbered([1, 3, 2])) == {
+    assert _details(laid_out(dataclasses.replace(info, points=(1, 3, 2)))) == {
         "chain_length_rule": "E1(2,1): 3 vs 2"}
-    _all_fail_with(renumbered([3, 2, 1]), "F: not on the configuration's model")
+    assert _details(laid_out(dataclasses.replace(info, points=(3, 2, 1)))) == {
+        "chain_length_rule": "E1(1,1): 3 vs 1"}
+    split = laid_out(dataclasses.replace(info, points=(1,)),
+                     dataclasses.replace(info, points=(2, 3)))
+    assert _details(split)["chain_length_rule"] == "E1(1,1): 1 vs 3"
+    assert _details(laid_out())["chain_length_rule"] == "E1: 0 vs 3"
 
 
 def test_recorded_chain_lengths_cover_every_curve():
@@ -332,12 +332,14 @@ def test_swapping_a_field_between_certificates_ends_in_a_failing_report(
 
 
 def _full_checks(cert, g=None, fp=None):
-    """The 14 checks on the full configuration, of the certificate's
-    divisors expanded, or of the full-model G or F' given instead."""
-    expand = cert.config.expand
-    return _run_checks(cert, cert.config, expand(cert.F), expand(cert.A),
-                       expand(cert.G) if g is None else g,
-                       expand(cert.F_prime) if fp is None else fp)
+    """The 14 checks on the blown-up surface, one point to a chain, of the
+    certificate's divisors expanded, or of the full-model G or F' given
+    instead."""
+    config = cert.config
+    return _run_checks(cert, ungroup(config), expand(config, cert.F),
+                       expand(config, cert.A),
+                       expand(config, cert.G) if g is None else g,
+                       expand(config, cert.F_prime) if fp is None else fp)
 
 
 def _shifted(d, data, den):
@@ -352,17 +354,17 @@ def _shifted(d, data, den):
 
 @seed(20081019)
 @settings(max_examples=150, deadline=2000)
-@given(data=st.data(), quotient=st.booleans(), den=st.sampled_from([1, 1, 2, 3]))
-def test_domination_sweep_matches_the_divisor_loop(data, quotient, den):
-    """On passing and tampered F and F', integral or not, on the quotient
-    and on the full configuration (where a tampering may break the
-    symmetry of the copies), the closed-form sweep gives the detail of one
-    weighted dual sum per base curve."""
+@given(data=st.data(), grouped=st.booleans(), den=st.sampled_from([1, 1, 2, 3]))
+def test_domination_sweep_matches_the_divisor_loop(data, grouped, den):
+    """On passing and tampered F and F', integral or not, on the
+    certificate's configuration and on the blown-up surface (where a
+    tampering may break the symmetry of the copies), the closed-form sweep
+    gives the detail of one weighted dual sum per base curve."""
     pool = _fuzz_pool()
     cert = pool[data.draw(st.integers(0, len(pool) - 1))]
-    config, f, fp = cert.config.quotient(), cert.F, cert.F_prime
-    if not quotient:
-        config, f, fp = cert.config, cert.config.expand(f), cert.config.expand(fp)
+    config, f, fp = cert.config, cert.F, cert.F_prime
+    if not grouped:
+        config, f, fp = ungroup(config), expand(config, f), expand(config, fp)
     fp = _shifted(fp, data, den)
     if data.draw(st.booleans()):
         f = _shifted(f, data, 1)
@@ -481,8 +483,8 @@ def test_tampered_divisors_name_the_curve():
 
 def test_dual_chain_domination_names_a_chain_curve():
     """A lowered base curve makes s_1 < 0, named at E1; a lowered chain
-    curve breaks the sweep along its chain, on the quotient route and on
-    the full one, where one copy is lowered (details recorded with the
+    curve breaks the sweep along its chain, on the configuration and on
+    the blown-up surface, where one copy is lowered (details recorded with the
     per-curve divisor loop)."""
     model = a2()
     cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
@@ -493,8 +495,8 @@ def test_dual_chain_domination_names_a_chain_curve():
         assert _details(dataclasses.replace(cert, F_prime=lowered, checks=()))[
             "dual_chain_domination"] == detail
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
-    blown = cert.config.model
-    lowered = cert.config.expand(cert.F_prime) - r.Divisor.curve(
+    blown = ungroup(cert.config).model
+    lowered = expand(cert.config, cert.F_prime) - r.Divisor.curve(
         blown, blown.index_of("E1(2,2)"))
     checks = _full_checks(cert, fp=lowered)
     assert {c.name: c.detail for c in checks}["dual_chain_domination"] == \
@@ -511,7 +513,7 @@ def test_tampered_strict_part_names_the_strict_curve():
     assert _details(bad)["pushforward_preserved"] == "C: 2 vs 1"
 
 
-# -- the quotient route and the full route ---------------------------------------------
+# -- the configuration and the blown-up surface ---------------------------------------------
 
 @pytest.fixture(scope="module")
 def seed0_certificates():
@@ -523,9 +525,9 @@ def seed0_certificates():
 
 
 def test_quotient_and_full_routes_agree(seed0_certificates):
-    """realize's checks ran on the quotient; the full configuration, with
-    the divisors expanded, gives equal results, passing and (with lambda
-    and mu tampered) failing."""
+    """realize's checks ran on the chain classes; the blown-up surface,
+    with the divisors expanded, gives equal results, passing and (with
+    lambda and mu tampered) failing."""
     cases = 0
     for name, cert in seed0_certificates:
         for bad in (cert, dataclasses.replace(cert, lam=cert.lam * 2),
@@ -536,40 +538,40 @@ def test_quotient_and_full_routes_agree(seed0_certificates):
 
 
 def test_quotient_closure_expands_to_full_closure(seed0_certificates):
-    """The closure of the candidate on the quotient, expanded by labels,
-    is the closure of the candidate on the full model, found by the
-    rescanning oracle."""
+    """The closure of the candidate on the chain classes, expanded by
+    labels, is the closure of the candidate on the blown-up surface, found
+    by the rescanning oracle."""
     checked = 0
     for name, cert in seed0_certificates:
-        config = cert.config
-        if config.model.u > 150:
+        config, blown = cert.config, ungroup(cert.config)
+        if blown.model.u > 150:
             continue
         checked += 1
-        k_h = config.K_sigma + config.pullback.apply(
+        k_h = blown.K_sigma + blown.pullback.apply(
             r.relative_canonical(cert.base_model))
-        candidate = (cert.config.expand(cert.G).scale(cert.lam) - k_h).floor()
-        full = closure_with_rule(config.model, candidate.exc, min,
+        candidate = (expand(config, cert.G).scale(cert.lam) - k_h).floor()
+        full = closure_with_rule(blown.model, candidate.exc, min,
                                  candidate.strict)
-        q = config.quotient()
         q_candidate = r.Divisor.from_coeffs(
-            q.model, exc={label: candidate.exc[config.model.index_of(label)]
-                          for label in q.model.labels},
+            config.model,
+            exc={label: candidate.exc[blown.model.index_of(label)]
+                 for label in config.model.labels},
             strict=list(candidate.strict))
         closed, _ = r.antinef_closure(q_candidate)
-        assert expand_by_labels(closed, config.model).exc == full, name
-        assert cert.config.expand(cert.F_prime).exc == full, name
+        assert expand_by_labels(closed, blown.model).exc == full, name
+        assert expand(config, cert.F_prime).exc == full, name
     assert checked > 200
 
 
 def test_tampering_one_copy_names_that_curve_on_the_full_model():
     """G changed on the second of three identical chains: the checks on
     the full model name that curve.  A certificate cannot hold such a G,
-    which is not on the quotient: every check names G."""
+    which is not on the configuration's model: every check names G."""
     model = a2()
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
-    blown = cert.config.model
+    blown = ungroup(cert.config).model
     j = blown.index_of("E1(2,1)")
-    g_full = cert.config.expand(cert.G)
+    g_full = expand(cert.config, cert.G)
     bad_g = g_full + r.Divisor.curve(blown, j)
     g = g_full.exc[j]
     checks = {c.name: c.detail for c in _full_checks(cert, g=bad_g)}
