@@ -53,6 +53,8 @@ def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
     if model._discrepancies is None:
         rhs = [2 * c.genus - 2 - c.self_int for c in model.curves]
         den, (num,) = linalg.solve_columns(model.sparse_rows, [rhs])
+        model._relative_canonical = Divisor._of(
+            model, num + [0] * len(model.strict_curves), den)
         b = [Fraction(n, den) for n in num]
         offenders = tuple(i for i, v in enumerate(b) if v <= -1)
         model._discrepancies = DiscrepancyReport(
@@ -61,9 +63,10 @@ def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
 
 
 def relative_canonical(model: ResolutionModel) -> Divisor:
-    """The rational divisor sum_i b_i E_i."""
-    report = discrepancies(model)
-    return Divisor(model, report.b, (0,) * len(model.strict_curves))
+    """The rational divisor sum_i b_i E_i, built once per model from the
+    discrepancy solve and cached on the model with it."""
+    discrepancies(model)
+    return model._relative_canonical
 
 
 def check_ideal_divisor(model: ResolutionModel, d: Divisor) -> list:

@@ -27,7 +27,7 @@ class ModelMismatch(Exception):
 @dataclass(frozen=True, init=False, repr=False)
 class Divisor:
     """``Divisor(model, exc, strict)`` takes one int or Fraction per
-    exceptional curve and one per strict curve."""
+    exceptional and per strict curve; all-int input skips the Fraction step."""
 
     model: ResolutionModel
     num: tuple  # ints: exceptional coefficients, then strict ones
@@ -36,7 +36,10 @@ class Divisor:
     def __new__(cls, model: ResolutionModel, exc, strict):
         if len(exc) != model.u or len(strict) != len(model.strict_curves):
             raise ModelMismatch("coefficient vector lengths do not match the model")
-        values = [as_rational(v) for v in (*exc, *strict)]
+        values = (*exc, *strict)
+        if all(type(v) is int for v in values):
+            return cls._of(model, values, 1)
+        values = [as_rational(v) for v in values]
         den = math.lcm(*(v.denominator for v in values))
         return cls._of(model, [v.numerator * (den // v.denominator)
                                for v in values], den)

@@ -19,14 +19,13 @@ A certificate holds F0, the base model and the choices made from them; a,
 b and e are derived from F0 and the base model, and the checks bind the
 rest to them: F is the pullback of F0 (closure_equals_target), and the
 chains are laid out as build lays them out for (e, n) (chain_length_rule).
-verify_certificate returns the certificate with its checks filled in; one
-whose fields live on other models than their own fails every check.
 
 Every divisor of the construction is the same on each copy of a chain, so
 F, A, G and F' live on the configuration's model, which lays the copies
-out once.  Its form is read off the chain layout and the checks run on
-ints, details worked out from closed forms, so its curves are built only
-if something reads them; an untampered certificate never does.
+out once; its form is read off the chain layout.  realize and the checks
+run on int numerators (see _run_checks), Fractions made for the scalars
+and for the first broken row of a check alone, so the model's curves are
+built only if something reads them; an untampered certificate never does.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .canonical import (NotLogTerminal, check_ideal_divisor,
 from .divisor import Divisor
 from .lattice import dual_basis, numerical_pullback
 from .model import ResolutionModel
-from .rationals import format_rational
+from .rationals import as_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -111,41 +110,40 @@ def choose_epsilon(model: ResolutionModel, f0: Divisor) -> Fraction:
     epsilon = (1/2) * min(1/2, min_i (1+b_i)/(a_i+1), 1/c_max), where a_i
     are the exceptional coefficients of F0 and c_max its largest strict
     coefficient (the last term only when c_max > 0).  Halving the minimum
-    keeps every required inequality strict.
+    keeps every required inequality strict.  The terms are compared as
+    (numerator, denominator > 0) pairs of ints.
     """
     report = discrepancies(model)
     if not report.log_terminal:
         raise NotLogTerminal(report.offenders, report.b)
-    candidates = [Fraction(1, 2)]
-    for a_i, b_i in zip(f0.exc, report.b):
-        candidates.append((1 + b_i) / (a_i + 1))
-    c_max = max(f0.strict, default=0)
-    if c_max > 0:
-        candidates.append(1 / c_max)
-    return min(candidates) / 2
+    k_f, u, best = relative_canonical(model), model.u, (1, 2)
+    d_a, d_b = f0.den, k_f.den  # a_i = alpha_i / d_a, b_i = beta_i / d_b
+    for top, bot in [((d_b + beta) * d_a, d_b * (alpha + d_a)) for alpha, beta
+                     in zip(f0.num[:u], k_f.num)] + [(d_a, max((0, *f0.num[u:])))]:
+        top, bot = (-top, -bot) if bot < 0 else (top, bot)
+        if top * best[1] < best[0] * bot:  # a term x/0, x > 0, never wins
+            best = (top, bot)
+    return Fraction(best[0], 2 * best[1])
 
 
-def choose_mu(model: ResolutionModel, f, k_g, k_h, epsilon, a_div) -> Fraction:
-    """Deterministic mu > 0 leaving the perturbed floor unchanged.
-
-    mu = (1/2) * min over curves with A-coefficient alpha > 0 of
-    (1 - frac(c)) / ((1+epsilon) * alpha), where c is the coefficient of
-    (1+epsilon)(F + K_g) - K_h along the curve.  The resulting floor
-    identity is verified exactly by the certificate checks, never assumed.
-    """
-    base = (f + k_g).scale(1 + epsilon) - k_h
-    # with alpha = p / a_div.den and c = q / den, the term is h * a_div.den /
-    # (den * (1+epsilon) * p) for h = den - q % den: minimize h / p
-    den = base.den
-    best = None
-    for p, q in zip(a_div.num[:model.u], base.num):
-        if p > 0:
-            h = den - q % den
-            if best is None or h * best[1] < best[0] * p:
-                best = (h, p)
+def choose_mu(fk, k_h, den, epsilon, a) -> Fraction:
+    """Deterministic mu > 0 leaving the perturbed floor unchanged, from the
+    ints fk of F + K_g and a of A and the numerators k_h over den of K_h:
+    (1/2) * min over curves with alpha = a_k > 0 of (1 - frac(c)) /
+    ((1+epsilon) alpha), for c the coefficient of (1+epsilon)(F + K_g) - K_h.
+    The certificate checks verify the floor identity exactly."""
+    # with epsilon = p / q, c = top / (q den); the term is h / (q den
+    # (1+epsilon) alpha) for h = q den - top % (q den): minimize h / alpha
+    p, q = epsilon.numerator, epsilon.denominator
+    cden, best = q * den, None
+    for alpha, x, y in zip(a, fk, k_h):
+        if alpha > 0:
+            h = cden - ((p + q) * x * den - q * y) % cden
+            if best is None or h * best[1] < best[0] * alpha:
+                best = (h, alpha)
     if best is None:
         raise ValueError("A has no positive coefficient")
-    return Fraction(best[0] * a_div.den, den * best[1]) / (1 + epsilon) / 2
+    return Fraction(best[0] * q, 2 * cden * best[1] * (p + q))
 
 
 def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
@@ -158,45 +156,43 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     """
     prods = check_ideal_divisor(model, f0)
     epsilon = choose_epsilon(model, f0)
-    n = tuple(math.floor((1 + b_i) / epsilon - (a_i + 1))
-              for a_i, b_i in zip(f0.exc, discrepancies(model).b))
-
-    config = GenericConfiguration.build(model, [-p for p in prods], n)
-    f = config.pullback.apply(f0)
-    k_g = config.K_sigma
     k_f = relative_canonical(model)
-    k_h = k_g + config.pullback.apply(k_f)
+    p, q, d_b = epsilon.numerator, epsilon.denominator, k_f.den
+    # n_i = floor((1 + b_i) / epsilon - (a_i + 1)), F0 integral, b_i = beta_i / d_b
+    n = tuple(((d_b + beta) * q - p * d_b * (alpha + 1)) // (p * d_b)
+              for alpha, beta in zip(f0.num[:model.u], k_f.num))
 
+    config = GenericConfiguration.build(model, [-x for x in prods], n)
+    f, k_g = config.pullback.apply(f0), config.K_sigma.num
     dual_sum = config.weighted_dual_sum([1] * config.model.u)
-    a_div = dual_sum.scale(dual_sum.den)  # A.E = -den, as dual_sum.E = -1
-    mu = choose_mu(config.model, f, k_g, k_h, epsilon, a_div)
+    a_div = Divisor._of(config.model, dual_sum.num, 1)  # A.E = -den: dual_sum.E = -1
+    # F, K_g and A are integral, K_h = K_g + g*K_f is over d_b
+    fk = [x + y for x, y in zip(f.num, k_g)]
+    k_h = [x * d_b + y for x, y in zip(k_g, config.pullback.apply(k_f).num)]
+    mu = choose_mu(fk, k_h, d_b, epsilon, a_div.num)
 
-    scaled = f + k_g + a_div.scale(mu)
-    n_factor = scaled.den  # the lcm of its denominators, in lowest terms
-    g_div = scaled.scale(n_factor)
-    lam = (1 + epsilon) / n_factor
-
-    candidate = (g_div.scale(lam) - k_h).floor()
-    f_prime, _trace = antinef_closure(candidate)
+    # G = N (F + K_g + mu A), N the denominator of the sum in lowest terms
+    m, s = mu.numerator, mu.denominator
+    scaled = [x * s + m * y for x, y in zip(fk, a_div.num)]
+    c = math.gcd(s, *scaled)
+    n_factor, g = s // c, [x // c for x in scaled]
+    lam, qn = Fraction(p + q, q * n_factor), q * n_factor
+    f_prime, _trace = antinef_closure(Divisor._of(config.model, [  # floor(lambda G - K_h)
+        ((p + q) * d_b * x - qn * y) // (qn * d_b) for x, y in zip(g, k_h)], 1))
 
     return verify_certificate(RealizationCertificate(
         base_model=model, F0=f0, epsilon=epsilon, n=n,
-        config=config, F=f, A=a_div, mu=mu, N=n_factor, G=g_div, lam=lam,
-        F_prime=f_prime))
+        config=config, F=f, A=a_div, mu=mu, N=n_factor,
+        G=Divisor._of(config.model, g, 1), lam=lam, F_prime=f_prime))
 
 
 def _first_break(rows) -> str:
-    """First (label, a, b, holds) row with holds(a, b) false, as 'label: a vs b'."""
-    return next(("%s: %s vs %s" % (label, format_rational(a), format_rational(b))
-                 for label, a, b, holds in rows if not holds(a, b)), "")
-
-
-def _first_int_break(rows) -> str:
-    """_first_break on sides given as (numerator, denominator > 0) pairs of
-    ints, compared across: only the breaking row becomes Fractions."""
-    return _first_break((label, Fraction(*a), Fraction(*b), holds)
-                        for label, a, b, holds in rows
-                        if not holds(a[0] * b[1], b[0] * a[1]))
+    """'label: a vs b' for the first (label, a, b, holds) row with holds false,
+    the sides (num, den > 0) pairs compared across; Fractions for that row only."""
+    return next(("%s: %s vs %s" % (label, format_rational(Fraction(*a)),
+                                   format_rational(Fraction(*b)))
+                 for label, a, b, holds in rows
+                 if not holds(a[0] * b[1], b[0] * a[1])), "")
 
 
 def _domination_break(config, base, f, fp, p_fp) -> str:
@@ -213,16 +209,15 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
         over[info.base].append((info, seg))
         total[info.base] += sum(seg)
 
-    def sides(i, k, x, v=0):  # at curve k, where g*E*_i is x and v_i is v
-        label = config.model.labels[k]  # the labels are read on a break only
-        return _first_break([(label, Fraction(-q_f[i], f.den) * x,
-                              Fraction(-total[i], fp.den) * x + v, le)])
+    def sides(i, k, xn, xd, vn=0, vd=1):  # at curve k, g*E*_i = xn/xd, v_i = vn/vd
+        return _first_break([(config.model.labels[k], (-q_f[i] * xn, f.den * xd),
+                              (vn * fp.den * xd - total[i] * xn * vd, fp.den * xd * vd), le)])
 
     for i, dual in enumerate(dual_basis(base)):
         s = q_f[i] * fp.den - total[i] * f.den  # s_i fp.den f.den
         if s < 0:  # first at the first curve E*_i does not vanish on
             j = next(j for j, x in enumerate(dual.num) if x)
-            return sides(i, j, Fraction(dual.num[j], dual.den))
+            return sides(i, j, dual.num[j], dual.den)
         for info, seg in over[i]:
             copies = len(info.points)
             bound, scale = copies * s * dual.num[i], f.den * dual.den
@@ -230,9 +225,8 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
             for m, p in enumerate(seg, 1):
                 v, tail = v + tail, tail - p
                 if bound < v * scale:
-                    return sides(i, info.start + m - 1,
-                                 Fraction(dual.num[i], dual.den),
-                                 Fraction(-v, fp.den * copies))
+                    return sides(i, info.start + m - 1, dual.num[i], dual.den,
+                                 -v, fp.den * copies)
     return ""
 
 
@@ -247,18 +241,18 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     deterministic selection rules (so that tampering with lambda and N,
     mu and A, the chain lengths or layout, F0, or G is caught; the signs
     of N, mu and the products of A included).  A field not on its model
-    (F0 and the configuration on the base model, F, A, G and F' on the
-    configuration's model) fails every check, naming the field.
+    (F0 and config on the base model, F, A, G and F' on config's model),
+    or a chain of config without points, fails every check, naming it.
     """
     config, base = cert.config, cert.base_model
-    fields = [("F0", cert.F0.model, base, "on the base model"),
-              ("config", config.base_model, base, "over the base model")]
-    fields += [(name, getattr(cert, name).model, config.model,
-                "on the configuration's model")
+    fields = [("F0: not on the base model", cert.F0.model, base),
+              ("config: not over the base model", config.base_model, base),
+              ("config: a chain without points", all(i.points for i in config.chains), True)]
+    fields += [("%s: not on the configuration's model" % name,
+                getattr(cert, name).model, config.model)
                for name in ("F", "A", "G", "F_prime")]
-    for name, have, want, where in fields:
+    for detail, have, want in fields:
         if have is not want and have != want:  # identity first, as _align
-            detail = "%s: not %s" % (name, where)
             return dataclasses.replace(cert, checks=tuple(
                 CheckResult(check, False, detail) for check in CHECK_NAMES))
     return dataclasses.replace(cert, checks=_run_checks(
@@ -269,9 +263,11 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     """The 14 checks on ``config``, the certificate's or any layout of its
     chains (one point to a ChainInfo, or many), with F, A, G and F' given
     on it.  A product on a chain standing for c copies reads c times the
-    product with one copy.  dual_chain_domination, epsilon_constraints and
-    chain_length_rule run on ints; a detail is worked out, from the closed
-    form, only for the first broken row."""
+    product with one copy.  The floor identities and integral_scaling_rule
+    run row by row on ints over one denominator of F, A, G, K_g and g*K_f,
+    floors by // and the scalars crossed in as numerator and denominator;
+    dual_chain_domination and the epsilon, chain length and lambda rules
+    run on ints too.  A detail is made for the first broken row only."""
     checks = []
     model = config.model
     base = cert.base_model
@@ -283,29 +279,41 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     def check(name, passed, detail):  # detail() runs on failure only
         checks.append(CheckResult(name, bool(passed), "" if passed else detail()))
 
-    def differ(lhs, rhs, holds=eq):  # divisors, coefficientwise
+    def breaks(lhs, rhs, lden=1, rden=1, holds=eq):  # numerators over lden, rden
         return lambda: _first_break(zip(
-            model.labels + model.strict_labels, lhs.exc + lhs.strict,
-            rhs.exc + rhs.strict, repeat(holds)))
+            model.labels + model.strict_labels, zip(lhs, repeat(lden)),
+            zip(rhs, repeat(rden)), repeat(holds)))
 
-    k_g = config.K_sigma
-    fk = f + k_g
-    k_f = relative_canonical(base)
+    def differ(lhs, rhs, holds=eq):  # divisors, coefficientwise
+        return breaks(lhs.num, rhs.num, lhs.den, rhs.den, holds)
+
+    k_g, k_f = config.K_sigma, relative_canonical(base)
     g_k_f = config.pullback.apply(k_f)
-    k_h = k_g + g_k_f
-    eps = cert.epsilon
-    one_eps = 1 + eps
+    eps, mu, lam, n_f = cert.epsilon, *map(as_rational, (cert.mu, cert.lam, cert.N))
+    (p, q), (mn, md), (ln, ld), (nn, nd) = (
+        (x.numerator, x.denominator) for x in (eps, mu, lam, n_f))
+
+    # per curve: floor((1+epsilon)(F + K_g + mu A) - K_h) and that without
+    # mu A, floor(lambda G - K_h), F + floor(epsilon (F + K_g) - g*K_f) over
+    # den, and N (F + K_g + mu A) over nd md den
+    den = math.lcm(f.den, a_div.den, g.den, g_k_f.den)
+    over = [d.num if d.den == den else [x * (den // d.den) for x in d.num]
+            for d in (f, a_div, g, k_g, g_k_f)]
+    lhs, rhs, candidate, split, expected_g = [], [], [], [], []
+    for f_k, a_k, g_k, kg_k, gkf_k in zip(*over):
+        fk, kh = f_k + kg_k, kg_k + gkf_k
+        s = fk * md + mn * a_k
+        lhs.append(((p + q) * s - q * md * kh) // (q * md * den))
+        rhs.append(((p + q) * fk - q * kh) // (q * den))
+        candidate.append((ln * g_k - ld * kh) // (ld * den))
+        split.append(f_k + den * ((p * fk - q * gkf_k) // (q * den)))
+        expected_g.append(nn * s)
 
     # perturbing by mu*A must not move the floor
-    lhs = ((fk + a_div.scale(cert.mu)).scale(one_eps) - k_h).floor()
-    rhs = (fk.scale(one_eps) - k_h).floor()
-    check("perturbation_floor_identity", lhs == rhs, differ(lhs, rhs))
-
+    check("perturbation_floor_identity", lhs == rhs, breaks(lhs, rhs))
     # floor(lambda G - K_h) = F + floor(epsilon (F + K_g) - g*K_f)
-    candidate = (g.scale(cert.lam) - k_h).floor()
-    split = f + (fk.scale(eps) - g_k_f).floor()
-    check("multiplier_floor_split", candidate == split,
-          differ(candidate, split))
+    check("multiplier_floor_split", [x * den for x in candidate] == split,
+          breaks(candidate, split, 1, den))
 
     check("candidate_dominated", fp.less_equal(f), differ(fp, f, le))
     check("pushforward_preserved", fp.strict == f.strict,
@@ -317,8 +325,8 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
           all(fp.num[t] * f.den == f.num[t] * fp.den and f.num[t] == f.num[b]
               for t, b in tops),
           lambda: _first_break(
-              (model.labels[t], Fraction(d.num[t], d.den),
-               Fraction(f.num[b], f.den), eq) for t, b in tops for d in (fp, f)))
+              (model.labels[t], (d.num[t], d.den), (f.num[b], f.den), eq)
+              for t, b in tops for d in (fp, f)))
 
     p_fp = fp.product_numerators()
     domination = _domination_break(config, base, f, fp, p_fp)
@@ -327,7 +335,7 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     # -F'.E_k per copy, as ints unless F' is not integral
     neg = [-p // c if fp.den == 1 else Fraction(-p, fp.den * c)
            for p, c in zip(p_fp, copies)]
-    strict_part = Divisor(base, (0,) * base.u, fp.strict)
+    strict_part = Divisor._of(base, (0,) * base.u + fp.num[model.u:], fp.den)
     pullback_part = config.pullback.apply(numerical_pullback(base, strict_part))
     total = pullback_part + config.weighted_dual_sum(neg)
     check("numerical_decomposition", total == fp, differ(total, fp))
@@ -338,18 +346,17 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
           lambda: differ(fp, f)() or differ(f, target)())
 
     # consistency of recorded parameters with the deterministic rules
-    recomputed, _ = antinef_closure(candidate)
+    recomputed, _ = antinef_closure(Divisor._of(model, candidate, 1))
     check("closure_recomputation", recomputed == fp, differ(recomputed, fp))
 
     # on ints, epsilon = p / q, a_i = alpha_i / den_a, b_i = beta_i / den_b
-    p, q = eps.numerator, eps.denominator
     alpha, den_a, beta, den_b = cert.F0.num, cert.F0.den, k_f.num, k_f.den
     rows = [("epsilon", (0, 1), (p, q), lt), ("epsilon", (p, q), (1, 2), lt)]
     rows += [(label, (p * (a_i + den_a), q * den_a), (b_i + den_b, den_b), lt)
              for label, a_i, b_i in zip(base.labels, alpha, beta)]
     rows += [(label, (p * c // (q * den_a), 1), (0, 1), eq)
              for label, c in zip(base.strict_labels, alpha[base.u:])]
-    eps_break = _first_int_break(rows)
+    eps_break = _first_break(rows)
     check("epsilon_constraints", not eps_break, lambda: eps_break)
 
     rows = [("epsilon", (0, 1), (p, q), lt)]
@@ -365,10 +372,10 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     chains, counts = cert.config.chains, Counter()
     for info in chains:
         counts[info.base] += len(info.points)
-    n_break = _first_int_break(rows) or _first_break(
-        [("n", len(cert.n), base.u, eq)]
-        + [(label, counts[i], e_i if n_i >= 1 else 0, eq) for i, (label, n_i, e_i)
-           in enumerate(zip(base.labels, cert.n, cert.e))])
+    n_break = _first_break(rows) or _first_break(
+        [("n", (len(cert.n), 1), (base.u, 1), eq)]
+        + [(label, (counts[i], 1), (e_i if n_i >= 1 else 0, 1), eq)
+           for i, (label, n_i, e_i) in enumerate(zip(base.labels, cert.n, cert.e))])
     # so far each E_i has its e_i chains, as counted
     if not n_break and (
             laid := GenericConfiguration.layout(base, counts, cert.n)) != chains:
@@ -376,23 +383,25 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
                      for info in layout for pt in info.points]
                     for layout in (chains, laid))
         n_break = _first_break(
-            [("%s(%d,1)" % (base.labels[want[0]], want[1]), x, y, eq)
+            [("%s(%d,1)" % (base.labels[want[0]], want[1]), (x, 1), (y, 1), eq)
              for have, want in zip(*per_copy) for x, y in zip(have, want)])
     check("chain_length_rule", not n_break, lambda: n_break)
 
-    check("lambda_scaling_rule", cert.lam * cert.N == one_eps and cert.N >= 1,
-          lambda: _first_break([("lambda*N", cert.lam * cert.N, one_eps, eq),
-                                ("N", cert.N, 1, ge)]))
+    lam_break = _first_break([("lambda*N", (ln * nn, ld * nd), (p + q, q), eq),
+                              ("N", (nn, nd), (1, 1), ge)])
+    check("lambda_scaling_rule", not lam_break, lambda: lam_break)
     # with mu > 0 and A.E_k < 0 (same sign per copy) G is antinef, as F + K_g
-    expected_g = (fk + a_div.scale(cert.mu)).scale(cert.N)
     p_a = a_div.product_numerators()
-    check("integral_scaling_rule", g == expected_g and g.is_integral()
-          and cert.mu > 0 and all(p < 0 for p in p_a),
-          lambda: differ(g, expected_g)() or differ(g, g.floor())() or _first_break(
-              [("mu", cert.mu, 0, gt)] + [(label, Fraction(p, a_div.den * c), 0, lt)
+    check("integral_scaling_rule",
+          [x * nd * md for x in over[2]] == expected_g and g.den == 1
+          and mu > 0 and all(p < 0 for p in p_a),
+          lambda: breaks(over[2], expected_g, den, nd * md * den)()
+          or differ(g, g.floor())() or _first_break(
+              [("mu", (mn, md), (0, 1), gt)] + [(label, (p, a_div.den * c), (0, 1), lt)
                for label, p, c in zip(model.labels, p_a, copies)]))
+    fk = f + k_g
     check("pullback_plus_canonical_antinef", is_antinef(fk), lambda: _first_break(
-        (label, Fraction(p, fk.den * c), 0, le) for label, p, c in
+        (label, (p, fk.den * c), (0, 1), le) for label, p, c in
         zip(model.labels, fk.product_numerators(), copies)))
 
     return tuple(checks)

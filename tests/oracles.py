@@ -36,11 +36,15 @@ quotients) and stars of three such chains whose determinants d_1, d_2,
 d_3 have sum 1/d_i > 1 (the platonic triples), with a centre weight that
 makes the form negative definite by the Schur complement.
 
-dual_chain_domination_detail and epsilon_and_chain_length_details are
-three certificate checks as first written, which the integer forms in
-resdiv.realize must agree with, details included: the domination by one
-weighted dual sum per base curve, compared as whole divisors, and the
-epsilon and chain length rules by rows of Fractions.
+dual_chain_domination_detail, epsilon_and_chain_length_details and
+divisor_chain_details are certificate checks as first written, which the
+integer forms in resdiv.realize must agree with, details included: the
+domination by one weighted dual sum per base curve, compared as whole
+divisors, the epsilon and chain length rules by rows of Fractions, and
+the floor identities, the lambda and integral scaling rules and the
+antinef check of F + K_g by chains of whole Divisors.
+choose_epsilon_by_fractions and chain_lengths_by_fractions are realize's
+choice of epsilon and n, one Fraction expression per curve.
 
 RefDivisor keeps one Fraction per coefficient and does every operation
 coefficient by coefficient, with products read off the dense matrix; the
@@ -59,7 +63,7 @@ import numpy as np
 
 from resdiv import (ChainInfo, Divisor, ExcCurve, GenericConfiguration,
                     ModelMismatch, ResolutionModel, StrictCurve, build_model,
-                    dual_basis, format_rational, is_antinef)
+                    discrepancies, dual_basis, format_rational, is_antinef)
 
 
 def dense_matrix(model):
@@ -632,6 +636,73 @@ def epsilon_and_chain_length_details(cert):
             [("%s(%d,1)" % (base.labels[want[0]], want[1]), x, y, eq)
              for have, want in zip(*per_copy) for x, y in zip(have, want)])
     return eps_break, n_break
+
+
+def divisor_chain_details(cert, config, f, a_div, g):
+    """The details of perturbation_floor_identity, multiplier_floor_split,
+    lambda_scaling_rule, integral_scaling_rule and
+    pullback_plus_canonical_antinef on ``config`` with F, A and G given on
+    it, by chains of whole Divisors; each '' when its check holds."""
+    model, base = config.model, cert.base_model
+    labels = model.labels + model.strict_labels
+    copies = [1] * model.u
+    for info in config.chains:
+        copies[info.start:info.start + info.length] = (
+            [len(info.points)] * info.length)
+
+    def differ(lhs, rhs):
+        return _first_row_break(zip(labels, lhs.exc + lhs.strict,
+                                    rhs.exc + rhs.strict,
+                                    [operator.eq] * len(labels)))
+
+    k_f = Divisor(base, discrepancies(base).b, (0,) * len(base.strict_curves))
+    k_g = config.K_sigma
+    fk = f + k_g
+    g_k_f = config.pullback.apply(k_f)
+    k_h = k_g + g_k_f
+    eps, one_eps = cert.epsilon, 1 + cert.epsilon
+    perturbed = ((fk + a_div.scale(cert.mu)).scale(one_eps) - k_h).floor()
+    unperturbed = (fk.scale(one_eps) - k_h).floor()
+    candidate = (g.scale(cert.lam) - k_h).floor()
+    split = f + (fk.scale(eps) - g_k_f).floor()
+    expected_g = (fk + a_div.scale(cert.mu)).scale(cert.N)
+    a_prods = a_div.products()
+    scaling = ""
+    if not (g == expected_g and g.is_integral() and cert.mu > 0
+            and all(p < 0 for p in a_prods)):
+        scaling = differ(g, expected_g) or differ(g, g.floor()) or \
+            _first_row_break([("mu", cert.mu, 0, operator.gt)] + [
+                (label, p / c, 0, operator.lt)
+                for label, p, c in zip(model.labels, a_prods, copies)])
+    return {
+        "perturbation_floor_identity": differ(perturbed, unperturbed),
+        "multiplier_floor_split": differ(candidate, split),
+        "lambda_scaling_rule": _first_row_break([
+            ("lambda*N", cert.lam * cert.N, one_eps, operator.eq),
+            ("N", cert.N, 1, operator.ge)]),
+        "integral_scaling_rule": scaling,
+        "pullback_plus_canonical_antinef": _first_row_break(
+            (label, p / c, 0, operator.le)
+            for label, p, c in zip(model.labels, fk.products(), copies)),
+    }
+
+
+def choose_epsilon_by_fractions(model, f0):
+    """(1/2) min(1/2, min_i (1+b_i)/(a_i+1), 1/c_max), one Fraction per
+    term, the last only when the largest strict coefficient c_max > 0."""
+    candidates = [Fraction(1, 2)]
+    for a_i, b_i in zip(f0.exc, discrepancies(model).b):
+        candidates.append((1 + b_i) / (a_i + 1))
+    c_max = max(f0.strict, default=0)
+    if c_max > 0:
+        candidates.append(1 / c_max)
+    return min(candidates) / 2
+
+
+def chain_lengths_by_fractions(model, f0, epsilon):
+    """n_i = floor((1 + b_i) / epsilon - (a_i + 1)) per exceptional curve."""
+    return tuple(math.floor((1 + b_i) / epsilon - (a_i + 1))
+                 for a_i, b_i in zip(f0.exc, discrepancies(model).b))
 
 
 # -- reference divisor -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -7,6 +8,7 @@ import pytest
 
 import resdiv as r
 from conftest import NON_LOG_TERMINAL, random_antinef
+from oracles import random_log_terminal_model
 
 
 def a1():
@@ -57,6 +59,24 @@ def test_adjunction_identity(corpus_models):
 def test_relative_canonical_has_zero_strict_part(corpus_models):
     for model in corpus_models.values():
         assert not any(r.relative_canonical(model).strict)
+
+
+def test_relative_canonical_is_read_off_the_discrepancy_solve_once(
+        corpus_models):
+    """One cached Divisor per model, equal to the discrepancies with a zero
+    strict part, asked before or after discrepancies, and on a model that
+    went through pickle."""
+    rng = random.Random(20081023)
+    models = list(corpus_models.values()) + [
+        random_log_terminal_model(rng) for _ in range(8)]
+    fresh = r.build_model([("E1", 0, -3)], strict=[("C", {"E1": 1})])
+    assert r.relative_canonical(fresh).num == (-1, 0)  # before discrepancies
+    models += [fresh, pickle.loads(pickle.dumps(fresh))]
+    for model in models:
+        k_f = r.relative_canonical(model)
+        assert k_f is r.relative_canonical(model) and k_f.model is model
+        assert k_f == r.Divisor(model, r.discrepancies(model).b,
+                                (0,) * len(model.strict_curves))
 
 
 # -- multiplier_divisor ---------------------------------------------------------

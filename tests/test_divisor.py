@@ -199,6 +199,20 @@ def test_scaled_half_equals_whole():
     assert (whole.num, whole.den) == ((1, 1), 1)
 
 
+def test_all_int_coefficients_take_no_fraction_step(monkeypatch):
+    """Ints are the numerators over 1 as they stand; a bool, or any value
+    that is not an int, still goes through as_rational."""
+    model = r.build_model([("E1", 0, -2)], strict=[("C", {"E1": 1})])
+    fractions = r.Divisor(model, (Fraction(4),), (Fraction(6),))
+    monkeypatch.setattr("resdiv.divisor.as_rational", None)
+    ints = r.Divisor(model, (4,), (6,))
+    assert ints == fractions and (ints.num, ints.den) == ((4, 6), 1)
+    with pytest.raises(TypeError):
+        r.Divisor(model, (True,), (0,))
+    monkeypatch.undo()
+    assert r.Divisor(model, (True,), (0,)) == r.Divisor(model, (1,), (0,))
+
+
 def test_divisors_copy_and_pickle():
     div = d(Fraction(3, 2), -1)
     assert copy.copy(div) == div and copy.deepcopy(div) == div

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import functools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -11,9 +13,11 @@ from hypothesis import given, seed, settings
 import resdiv as r
 from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
                       random_antinef)
-from oracles import (closure_with_rule, dual_chain_domination_detail,
+from oracles import (chain_lengths_by_fractions, choose_epsilon_by_fractions,
+                     closure_with_rule, divisor_chain_details,
+                     dual_chain_domination_detail,
                      epsilon_and_chain_length_details, expand,
-                     expand_by_labels, ungroup)
+                     expand_by_labels, random_log_terminal_model, ungroup)
 from resdiv.cli import _certificate_report, random_antinef_divisor
 from resdiv.realize import _domination_break, _run_checks
 
@@ -151,29 +155,15 @@ def test_tampered_lambda_detected():
                                      if not c.passed]
 
 
-def test_tampered_chain_length_detected():
-    """Rebuild the whole pipeline with chains one curve too short: the
+def test_tampered_chain_length_detected(monkeypatch):
+    """Run the whole pipeline with chains one curve too short: the
     analytic checks may still pass, but the length rule pins it down."""
-    import math
-
     model = a1()
+    build = r.GenericConfiguration.build
+    monkeypatch.setattr(r.GenericConfiguration, "build", lambda base, e, n: build(
+        base, e, tuple(v - 1 for v in n)))
     cert = r.realize(model, r.Divisor.curve(model, 0))
-    short = tuple(v - 1 for v in cert.n)
-    config = r.GenericConfiguration.build(model, cert.e, short)
-    f = config.pullback.apply(cert.F0)
-    k_g = config.K_sigma
-    k_h = k_g + config.pullback.apply(r.relative_canonical(model))
-    dual_sum = config.weighted_dual_sum([1] * config.model.u)
-    a_div = dual_sum.scale(dual_sum.den)
-    mu = r.choose_mu(config.model, f, k_g, k_h, cert.epsilon, a_div)
-    scaled = f + k_g + a_div.scale(mu)
-    n_factor = math.lcm(*[c.denominator for c in scaled.exc])
-    g_div = scaled.scale(n_factor)
-    lam = (1 + cert.epsilon) / n_factor
-    f_prime, _ = r.antinef_closure((g_div.scale(lam) - k_h).floor())
-    bad = dataclasses.replace(
-        cert, n=short, config=config, F=f, A=a_div, mu=mu, N=n_factor,
-        G=g_div, lam=lam, F_prime=f_prime, checks=())
+    bad = dataclasses.replace(cert, n=tuple(v - 1 for v in cert.n), checks=())
     report = r.verify_certificate(bad)
     assert not report.passed
     assert "chain_length_rule" in [c.name for c in report.checks
@@ -298,6 +288,23 @@ def test_f0_on_another_model_fails_every_check():
                    "F0: not on the base model")
 
 
+@pytest.mark.parametrize("appended", (False, True))
+def test_config_with_a_chain_without_points_fails_every_check(appended):
+    """A chain with no points, on the certificate's own model, emptied or
+    appended, ends in a report naming config (it raised ZeroDivisionError
+    from the copy count 0)."""
+    model = a1()
+    cert = r.realize(model, r.Divisor.curve(model, 0))
+    chains = cert.config.chains
+    if appended:
+        chains += (r.ChainInfo(0, (), cert.config.model.u, 2),)
+    else:
+        chains = (dataclasses.replace(chains[0], points=()),) + chains[1:]
+    config = r.GenericConfiguration(model, cert.config.model, chains)
+    _all_fail_with(dataclasses.replace(cert, config=config, checks=()),
+                   "config: a chain without points")
+
+
 SWAPPED_FIELDS = ("config", "F0", "F", "A", "G", "F_prime", "n", "base_model")
 
 
@@ -397,6 +404,82 @@ def test_integer_rules_match_the_fraction_rows(data, field):
         epsilon_and_chain_length_details(bad)
 
 
+@functools.lru_cache(maxsize=None)
+def _int_rows_pool():
+    """The fuzz pool and eight certificates of seeded divisors on generated
+    log terminal models, each blown-up surface under 400 curves (so that
+    the Divisor chains on it stay quick)."""
+    rng, pool, made = random.Random(20081021), list(_fuzz_pool()), 0
+    while made < 8:
+        model = random_log_terminal_model(rng)
+        cert = r.realize(model, random_antinef(model, rng, hi=3))
+        if model.u + sum(len(info.points) * info.length
+                         for info in cert.config.chains) < 400:
+            pool.append(cert)
+            made += 1
+    return tuple(pool)
+
+
+@seed(20081021)
+@settings(max_examples=200, deadline=2000)
+@given(data=st.data(), grouped=st.booleans(), field=st.sampled_from(
+    ["none", "mu", "lam", "N", "lam_N", "G", "A", "epsilon", "F"]))
+def test_int_rows_match_the_divisor_chains(data, grouped, field):
+    """The floor identities, the scaling rules and the antinef check of
+    F + K_g, run on ints, give the verdicts and details of their chains of
+    whole Divisors: on passing certificates and with mu, lambda, N (alone,
+    an int or not, or N = 1 with lambda = 1 + epsilon), epsilon, or G, A or
+    F shifted on a few curves or scaled (integral or not, negated too), on
+    the configuration and on the blown-up surface (where a tampering may
+    break the symmetry of the copies)."""
+    pool = _int_rows_pool()
+    cert = pool[data.draw(st.integers(0, len(pool) - 1))]
+    factor = st.one_of(st.integers(-2, 8).map(lambda k: Fraction(k, 4)),
+                       st.fractions(-1, 2, max_denominator=24))
+    change = {}
+    if field in ("mu", "lam", "epsilon"):
+        change[field] = getattr(cert, field) * data.draw(factor)
+    elif field == "N":
+        change["N"] = data.draw(st.one_of(st.integers(-2, 3),
+                                          st.fractions(-2, 3, max_denominator=4)))
+    elif field == "lam_N":
+        change.update(N=1, lam=1 + cert.epsilon)
+    bad = dataclasses.replace(cert, **change, checks=())
+    config, divisors = bad.config, [bad.F, bad.A, bad.G, bad.F_prime]
+    if not grouped:
+        config, divisors = ungroup(config), [expand(config, d) for d in divisors]
+    if field in ("F", "A", "G"):
+        k = "FAG".index(field)
+        divisors[k] = (_shifted(divisors[k], data,
+                                data.draw(st.sampled_from([1, 1, 2, 3])))
+                       if data.draw(st.booleans())
+                       else divisors[k].scale(data.draw(factor)))
+    want = divisor_chain_details(bad, config, *divisors[:3])
+    got = {c.name: (c.passed, c.detail)
+           for c in _run_checks(bad, config, *divisors) if c.name in want}
+    assert got == {name: (not detail, detail) for name, detail in want.items()}
+
+
+@seed(20081022)
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data())
+def test_epsilon_and_chain_lengths_match_the_fraction_formulas(data):
+    """realize's epsilon and n are the Fraction formulas; choose_epsilon on
+    ints is its formula on any divisor with a_i != -1 as well: integral or
+    not, with strict coefficients, and a_i < -1 (a negative term)."""
+    pool = _int_rows_pool()
+    cert = pool[data.draw(st.integers(0, len(pool) - 1))]
+    model = cert.base_model
+    assert cert.epsilon == choose_epsilon_by_fractions(model, cert.F0)
+    assert cert.n == chain_lengths_by_fractions(model, cert.F0, cert.epsilon)
+    coeff = st.fractions(-3, 12, max_denominator=6).filter(lambda x: x != -1)
+    f0 = r.Divisor(model, data.draw(st.lists(coeff, min_size=model.u,
+                                             max_size=model.u)),
+                   data.draw(st.lists(coeff, min_size=len(model.strict_curves),
+                                      max_size=len(model.strict_curves))))
+    assert r.choose_epsilon(model, f0) == choose_epsilon_by_fractions(model, f0)
+
+
 def test_derived_fields_follow_f0():
     model = load_doc("cyclic23").model
     cert = r.realize(model, _closure_of_sum(model))
@@ -459,6 +542,86 @@ def test_zero_epsilon_fails_the_checks_without_dividing():
     failed = {c.name: c.detail for c in bad.checks if not c.passed}
     assert failed["epsilon_constraints"] == "epsilon: 0 vs 0"
     assert failed["chain_length_rule"] == "epsilon: 0 vs 0"
+
+
+def test_epsilon_one_half_breaks_the_strict_bound():
+    model = a1()
+    cert = r.realize(model, r.Divisor.curve(model, 0))
+    assert _details(dataclasses.replace(cert, epsilon=Fraction(1, 2), checks=())) == {
+        "multiplier_floor_split": "E1(1,1): 1 vs 2",
+        "epsilon_constraints": "epsilon: 1/2 vs 1/2",
+        "chain_length_rule": "E1: 2 vs 0",
+        "lambda_scaling_rule": "lambda*N: 5/4 vs 3/2"}
+
+
+def test_n_one_with_lambda_one_plus_epsilon_passes_the_lambda_rule():
+    """N = 1 is the least N the lambda rule allows; G, no longer N times
+    F + K_g + mu A, fails the scaling rule and the floor split."""
+    model = a1()
+    cert = r.realize(model, r.Divisor.curve(model, 0))
+    assert _details(dataclasses.replace(cert, N=1, lam=1 + cert.epsilon,
+                                        checks=())) == {
+        "multiplier_floor_split": "E1: 143 vs 1",
+        "closure_recomputation": "E1: 143 vs 1",
+        "integral_scaling_rule": "E1: 115 vs 23/22"}
+
+
+def test_non_integral_f_prime_decomposes_and_names_the_curve():
+    """F' plus half a curve, on a base curve and on a chain class of three
+    copies, is its numerical decomposition (the Fraction weights); the
+    checks against F and the closure name that curve."""
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[1, 1]))
+    half = r.Divisor.curve(cert.config.model, 0).scale(Fraction(1, 2))
+    assert _details(dataclasses.replace(cert, F_prime=cert.F_prime + half,
+                                        checks=())) == {
+        "candidate_dominated": "E1: 3/2 vs 1",
+        "dual_chain_domination": "E1: 1/3 vs 1/6",
+        "closure_equals_target": "E1: 3/2 vs 1",
+        "closure_recomputation": "E1: 1 vs 3/2"}
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    blown = cert.config.model
+    half = r.Divisor.curve(blown, blown.index_of("E1(1,1)")).scale(Fraction(1, 2))
+    assert _details(dataclasses.replace(cert, F_prime=cert.F_prime + half,
+                                        checks=())) == {
+        "candidate_dominated": "E1(1,1): 5/2 vs 2",
+        "closure_equals_target": "E1(1,1): 5/2 vs 2",
+        "closure_recomputation": "E1(1,1): 2 vs 5/2"}
+
+
+def test_f_lowered_on_a_chain_class_names_the_product_per_copy():
+    """F less the first curve of a class of three chains: F + K_g has
+    product 2 with each copy (6 with the class), and the rows that compare
+    coefficients name the class curve."""
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    blown = cert.config.model
+    f = cert.F - r.Divisor.curve(blown, blown.index_of("E1(1,1)"))
+    assert _details(dataclasses.replace(cert, F=f, checks=())) == {
+        "multiplier_floor_split": "E1(1,1): 2 vs 1",
+        "candidate_dominated": "E1(1,1): 2 vs 1",
+        "dual_chain_domination": "E1: 4 vs 2",
+        "closure_equals_target": "E1(1,1): 2 vs 1",
+        "integral_scaling_rule": "E1(1,1): 556 vs 374",
+        "pullback_plus_canonical_antinef": "E1(1,1): 2 vs 0"}
+
+
+def test_copied_certificates_pass_on_equal_models():
+    """Through pickle or deepcopy, alone or mixed with the original's
+    fields, the models are equal but not the same objects: every check
+    still passes."""
+    model = load_doc("cyclic23").model
+    cert = r.realize(model, _closure_of_sum(model))
+    pickled = pickle.loads(pickle.dumps(cert))
+    copied = copy.deepcopy(cert)
+    for other in (pickled, copied):
+        assert other.base_model is not model and other.base_model == model
+        mixed = dataclasses.replace(cert, base_model=other.base_model,
+                                    config=other.config, A=other.A)
+        for c in (other, mixed):
+            checked = r.verify_certificate(dataclasses.replace(c, checks=()))
+            assert [(x.name, x.passed, x.detail) for x in checked.checks] == [
+                (name, True, "") for name in CHECK_NAMES]
 
 
 def test_tampered_divisors_name_the_curve():
