@@ -13,7 +13,8 @@ relatively globally generated for large N is assumed via the antinef
 divisor / integrally closed ideal correspondence and is not a numerical
 computation, so it is recorded as an assumption rather than checked.
 The construction asserts nothing on the way: each property of it (F + K_g
-antinef among them) is established once, by a named certificate check.
+antinef among them) is established once, by a named certificate check;
+F' records the claim F' = F, which closure_recomputation establishes.
 
 A certificate holds F0, the base model and the choices made from them; a,
 b and e are derived from F0 and the base model, and the checks bind the
@@ -80,7 +81,7 @@ class RealizationCertificate:
     N: int            # >= 1
     G: Divisor
     lam: Fraction
-    F_prime: Divisor
+    F_prime: Divisor  # the claim F' = F; closure_recomputation establishes it
     checks: tuple = ()
 
     @property
@@ -130,19 +131,19 @@ def choose_mu(fk, k_h, den, epsilon, a) -> Fraction:
     """Deterministic mu > 0 leaving the perturbed floor unchanged, from the
     ints fk of F + K_g and a of A and the numerators k_h over den of K_h:
     (1/2) * min over curves with alpha = a_k > 0 of (1 - frac(c)) /
-    ((1+epsilon) alpha), for c the coefficient of (1+epsilon)(F + K_g) - K_h.
+    ((1+epsilon) alpha), for c the coefficient of (1+epsilon)(F + K_g) - K_h,
+    and 1/2 when no alpha is positive (no exceptional curve, so A = 0).
     The certificate checks verify the floor identity exactly."""
     # with epsilon = p / q, c = top / (q den); the term is h / (q den
     # (1+epsilon) alpha) for h = q den - top % (q den): minimize h / alpha
     p, q = epsilon.numerator, epsilon.denominator
-    cden, best = q * den, None
+    cden = q * den
+    best = (cden * (p + q), q)  # mu = 1/2; every term is less, as h <= cden
     for alpha, x, y in zip(a, fk, k_h):
         if alpha > 0:
             h = cden - ((p + q) * x * den - q * y) % cden
-            if best is None or h * best[1] < best[0] * alpha:
+            if h * best[1] < best[0] * alpha:
                 best = (h, alpha)
-    if best is None:
-        raise ValueError("A has no positive coefficient")
     return Fraction(best[0] * q, 2 * cden * best[1] * (p + q))
 
 
@@ -176,14 +177,10 @@ def realize(model: ResolutionModel, f0: Divisor) -> RealizationCertificate:
     scaled = [x * s + m * y for x, y in zip(fk, a_div.num)]
     c = math.gcd(s, *scaled)
     n_factor, g = s // c, [x // c for x in scaled]
-    lam, qn = Fraction(p + q, q * n_factor), q * n_factor
-    f_prime, _trace = antinef_closure(Divisor._of(config.model, [  # floor(lambda G - K_h)
-        ((p + q) * d_b * x - qn * y) // (qn * d_b) for x, y in zip(g, k_h)], 1))
-
-    return verify_certificate(RealizationCertificate(
-        base_model=model, F0=f0, epsilon=epsilon, n=n,
-        config=config, F=f, A=a_div, mu=mu, N=n_factor,
-        G=Divisor._of(config.model, g, 1), lam=lam, F_prime=f_prime))
+    return verify_certificate(RealizationCertificate(  # F' = F is the claim
+        base_model=model, F0=f0, epsilon=epsilon, n=n, config=config, F=f,
+        A=a_div, mu=mu, N=n_factor, G=Divisor._of(config.model, g, 1),
+        lam=Fraction(p + q, q * n_factor), F_prime=f))
 
 
 def _first_break(rows) -> str:
@@ -364,10 +361,8 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
         e = p * den_b * den_a  # (b_i + 1) / epsilon - a_i = top / e
         for label, n_i, a_i, b_i in zip(base.labels, cert.n, alpha, beta):
             top = (b_i + den_b) * q * den_a - p * den_b * a_i
+            # this row gives n_i < (1+b_i)/eps - a_i, and b_i/eps - a_i <= n_i as eps < 1/2
             rows.append((label, (n_i, 1), (top // e - 1, 1), eq))
-            if n_i >= 1:
-                rows += [(label, (top - q * den_b * den_a, e), (n_i, 1), le),
-                         (label, (n_i, 1), (top, e), lt)]
     # and the chains are laid out as build lays them out for (e, n)
     chains, counts = cert.config.chains, Counter()
     for info in chains:

@@ -40,3 +40,16 @@ def test_tracer_counts_rows_solved_by_dual_basis():
         "assert d1.exc == (Fraction(2, 3), Fraction(1, 3)), d1\n"
         "assert tracer_.counters['linalg.rows_solved'] == 2, tracer_.counters\n"
         "assert tracer_.calls['linalg.solve_columns'] == 1, tracer_.calls\n")
+
+
+def test_tracer_counts_one_closure_per_realization():
+    run_with_tracer(
+        "from resdiv import cli\n"
+        "a2 = resdiv.build_model([('E1', 0, -2), ('E2', 0, -2)],\n"
+        "                        [('E1', 'E2', 1)])\n"
+        "cert = cli.realize(a2, resdiv.Divisor.from_coeffs(a2, exc=[2, 2]))\n"
+        "assert cert.passed, cert.checks\n"
+        "counters = tracer_.counters\n"
+        "assert counters['antinef.realize_closures'] == 1, counters\n"
+        "assert counters['realize.max_coeff_bits'] > 0, counters\n"
+        "assert counters['antinef.closure_steps'] >= 0, counters\n")

@@ -352,6 +352,16 @@ def test_unwritable_certificate_path_prints_no_report(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("divisor", ["Z", "F"])
+def test_realize_without_exceptional_curves(capsys, tmp_path, divisor):
+    path = tmp_path / "strict.graph"
+    path.write_text("strict C meets\ndivisor Z 0\ndivisor F C=2\n")
+    code, out, err = run(capsys, "realize", str(path), divisor)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "mu = 1/2" in lines and "realized = true" in lines
+
+
 def test_realize_not_log_terminal(capsys, tmp_path):
     src = (CORPUS_DIR / "elliptic_minus2.graph").read_text()
     target = tmp_path / "bad.graph"

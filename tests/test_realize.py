@@ -57,8 +57,9 @@ def test_single_curve_certificate_values():
     assert cert.N == 110
     assert cert.lam == Fraction(1, 88)
     assert cert.G.is_integral()
-    assert cert.F_prime == cert.F
     assert cert.passed
+    assert r.multiplier_divisor(ungroup(cert.config).model, expand(
+        cert.config, cert.G), cert.lam) == expand(cert.config, cert.F)
     assert tuple(c.name for c in cert.checks) == CHECK_NAMES
 
 
@@ -78,7 +79,21 @@ def test_zero_divisor_realizes_trivially():
     model = a2()
     cert = r.realize(model, r.Divisor.zero(model))
     assert cert.passed
-    assert cert.F_prime == r.Divisor.zero(cert.config.model)
+    full = ungroup(cert.config).model
+    assert r.multiplier_divisor(full, expand(cert.config, cert.G),
+                                cert.lam) == r.Divisor.zero(full)
+
+
+@pytest.mark.parametrize("strict", [{}, {"C": 2}])
+def test_model_without_exceptional_curves_realizes(strict):
+    """With no exceptional curve A = 0, and mu is 1/2 by its rule."""
+    model = r.build_model([], strict=[("C", {})])
+    f0 = r.Divisor.from_coeffs(model, exc=[], strict=strict)
+    cert = r.realize(model, f0)
+    assert cert.passed
+    assert (cert.mu, cert.N, cert.lam) == (Fraction(1, 2), 1, Fraction(5, 4))
+    assert cert.F.strict == f0.strict
+    assert r.multiplier_divisor(cert.config.model, cert.G, cert.lam) == cert.F
 
 
 # -- verification over the corpus -------------------------------------------------
@@ -102,6 +117,20 @@ def test_scaling_invariance_of_the_pair():
                                  lam=cert.lam / 2, checks=())
     report = r.verify_certificate(scaled)
     assert report.passed
+
+
+def test_integral_scaling_rule_reads_the_denominator_of_n():
+    """On a1, F0 = 0 gives N = 5 and G = 2 E1: halving both (N = 5/2, G
+    integral) keeps integral_scaling_rule, which compares G nd with N's
+    numerator times the sum; only lambda N moves, until lambda doubles."""
+    model = a1()
+    cert = r.realize(model, r.Divisor.zero(model))
+    assert (cert.N, cert.G.num) == (5, (2,))
+    for lam, failed in ((cert.lam, ["lambda_scaling_rule"]), (2 * cert.lam, [])):
+        halved = dataclasses.replace(cert, N=Fraction(5, 2), G=cert.G.scale(
+            Fraction(1, 2)), lam=lam, checks=())
+        assert [c.name for c in r.verify_certificate(halved).checks
+                if not c.passed] == failed
 
 
 # -- deterministic selection rules -------------------------------------------------
