@@ -20,15 +20,16 @@ curve to the sum of its copies (self-intersections -2c, -c at the tip,
 and meetings c, for c copies).  A product on a chain curve reads c times
 the product with one copy.  With one point per curve this is the blown-up
 surface itself.  The model reads its size, labels and sparse rows off the
-layout; its curves and label index, the composite pullback (stored as the
-sparse support of each column, read straight off the chains; it raises
-ModelMismatch on a divisor of another model) and the relative canonical
-divisor of the composition are built the first time something reads
-them.  build refuses, before allocating anything, a configuration that
-stands for more than MAX_BLOWN_CURVES curves.  The test suite keeps the
-step-by-step route (one blowup at a time, composing dense pullbacks) and
-the direct-solve check of the chain lemma in tests/oracles.py, and checks
-the one-pass build against the former.
+layout; its curves and label index and the relative canonical divisor of
+the composition are built the first time something reads them.  The
+composite pullback and the dual sums read the layout too: on generic
+chains at free points, g* E_i is E_i plus every curve of the chains over
+it, each with coefficient 1, so no table of the map is stored (apply
+raises ModelMismatch on a divisor of another model).  build refuses,
+before allocating anything, a configuration that stands for more than
+MAX_BLOWN_CURVES curves.  The test suite keeps the step-by-step route (one
+blowup at a time, composing dense pullbacks) and the direct-solve check of
+the chain lemma in tests/oracles.py, and checks build against the former.
 """
 from __future__ import annotations
 
@@ -58,28 +59,23 @@ class TooManyCurves(ValueError):
 
 @dataclass(frozen=True)
 class PullbackMap:
-    """Integral linear map sending divisors on ``source`` to ``target``.
-
-    ``support[j]`` lists the (target curve index, coefficient) pairs, in
-    index order and with nonzero coefficients, of the pullback of the j-th
-    source curve.  Strict coefficients pass through unchanged (centers
-    always avoid strict curves).
-    """
+    """The composite pullback of the chains ``chains``, sending divisors on
+    ``source`` to ``target``: E_i goes to E_i plus every curve of the chains
+    over it, each with coefficient 1.  Strict coefficients pass through
+    unchanged (centers always avoid strict curves)."""
 
     source: ResolutionModel
     target: ResolutionModel
-    support: tuple  # per source curve, a tuple of (index, int) pairs
+    chains: tuple
 
     def apply(self, d: Divisor) -> Divisor:
         if d.model is not self.source and d.model != self.source:
             raise ModelMismatch("divisor does not live on the source model")
-        out = [0] * self.target.u
-        for c, support in zip(d.num, self.support):
-            if c:
-                for k, v in support:
-                    out[k] += c * v
-        return Divisor._of(self.target, out + list(d.num[self.source.u:]),
-                           d.den)
+        u, num = self.source.u, d.num
+        out = list(num[:u]) + [0] * (self.target.u - u)
+        for info in self.chains:
+            out[info.start:info.start + info.length] = [num[info.base]] * info.length
+        return Divisor._of(self.target, out + list(num[u:]), d.den)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +210,8 @@ class GenericConfiguration:
 
     @cached_property
     def pullback(self) -> PullbackMap:
-        """The composite pullback, read off the chains on first use."""
-        support = [[(l, 1)] for l in range(self.base_model.u)]
-        for info in self.chains:
-            support[info.base].extend(
-                (k, 1) for k in range(info.start, info.start + info.length))
-        return PullbackMap(self.base_model, self.model,
-                           tuple(map(tuple, support)))
+        """The composite pullback, which reads the chains."""
+        return PullbackMap(self.base_model, self.model, self.chains)
 
     @cached_property
     def K_sigma(self) -> Divisor:
@@ -236,7 +227,8 @@ class GenericConfiguration:
     def weighted_dual_sum(self, weights) -> Divisor:
         """Exact value of sum_E weights[E] * dual(E) over all curves, a chain
         curve's weight going to each of its copies; the weights (ints or
-        Fractions) are summed as ints over one denominator."""
+        Fractions) are summed as ints over one denominator, and the pullback
+        and chain terms are written in one pass, over dden * wden."""
         base, u = self.base_model, self.base_model.u
         weights = list(weights)
         wden = math.lcm(*(x.denominator for x in weights))
@@ -245,27 +237,22 @@ class GenericConfiguration:
         for info in self.chains:
             base_w[info.base] += len(info.points) * sum(
                 w[info.start:info.start + info.length])
-        # g* of sum_l base_w[l] dual(E_l), which is over dden * wden
+        # sum_l base_w[l] dual(E_l) on the base curves
         duals = dual_basis(base)
         dden = math.lcm(*(v.den for v in duals))
-        combo = [0] * (u + len(base.strict_curves))
+        out = [0] * (self.model.u + len(base.strict_curves))
         for c, dual in zip(base_w, duals):
             if c:
                 c *= dden // dual.den
                 for k, v in enumerate(dual.num[:u]):
-                    combo[k] += c * v
-        pulled = self.pullback.apply(Divisor._of(base, combo, dden * wden))
-        vec = [0] * len(pulled.num)
+                    out[k] += c * v
         for info in self.chains:
-            L = info.length
-            t = w[info.start:info.start + L]
-            if not any(t):
-                continue
-            # coefficient at chain position m is sum_k t_k * min(m, k)
-            prefix = 0          # sum_{k<=m} k t_k
-            suffix = sum(t)     # sum_{k>m} t_k
-            for m in range(1, L + 1):
-                prefix += m * t[m - 1]
-                suffix -= t[m - 1]
-                vec[info.start + m - 1] = prefix + m * suffix
-        return pulled + Divisor._of(self.model, vec, wden)
+            # g* gives chain position m the base coefficient, and the chain
+            # adds sum_k t_k * min(m, k) for its weights t
+            t = w[info.start:info.start + info.length]
+            prefix, suffix, at_base = 0, sum(t), out[info.base]
+            for m, x in enumerate(t, 1):
+                prefix += m * x  # sum_{k<=m} k t_k
+                suffix -= x      # sum_{k>m} t_k
+                out[info.start + m - 1] = at_base + dden * (prefix + m * suffix)
+        return Divisor._of(self.model, out, dden * wden)

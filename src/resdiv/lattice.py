@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import linalg
 from .canonical import discrepancies
-from .divisor import Divisor
+from .divisor import Divisor, ModelMismatch
 from .model import ResolutionModel
 
 
@@ -66,9 +66,12 @@ def dual_basis(model: ResolutionModel):
     """The effective rational divisors E*_i with E*_i . E_j = -delta_ij.
 
     Solved exactly, as int numerators over |det M|, by one elimination
-    against the negated identity; results are cached on the model.
+    against the negated identity; results are cached on the model.  A
+    model of chain classes, one standing for several chains, has none.
     """
     if model._dual_basis is None:
+        if any(len(info.points) > 1 for info in model.chain_layout[1]):
+            raise ModelMismatch("a model of chain classes is not a resolution")
         n = model.u
         den, cols = linalg.solve_columns(
             model.sparse_rows, [[0] * j + [-1] + [0] * (n - j - 1) for j in range(n)])

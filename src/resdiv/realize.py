@@ -239,12 +239,18 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     mu and A, the chain lengths or layout, F0, or G is caught; the signs
     of N, mu and the products of A included).  A field not on its model
     (F0 and config on the base model, F, A, G and F' on config's model),
-    or a chain of config without points, fails every check, naming it.
+    or a chain of config without points or outside its model (as fits
+    reads it), fails every check, naming it.
     """
     config, base = cert.config, cert.base_model
+    fits = all(type(i.points) is tuple
+               and all(type(x) is int for x in (i.base, i.start, i.length, *i.points))
+               and 0 <= i.base < base.u <= i.start < i.start + i.length <= config.model.u
+               and min(i.points) >= 1 for i in config.chains if i.points)
     fields = [("F0: not on the base model", cert.F0.model, base),
               ("config: not over the base model", config.base_model, base),
-              ("config: a chain without points", all(i.points for i in config.chains), True)]
+              ("config: a chain without points", all(i.points for i in config.chains), True),
+              ("config: a chain outside its model", fits, True)]
     fields += [("%s: not on the configuration's model" % name,
                 getattr(cert, name).model, config.model)
                for name in ("F", "A", "G", "F_prime")]

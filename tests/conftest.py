@@ -48,6 +48,14 @@ def first_failure(cert):
     return next((c.name for c in cert.checks if not c.passed), None)
 
 
+def e8_twice_z():
+    """The certificate of F0 = 2Z on e8, Z the fundamental cycle: one chain
+    class over E8, standing for 2 chains."""
+    model = load_doc("e8").model
+    z, _ = r.antinef_closure(r.Divisor.from_coeffs(model, exc=[1] * model.u))
+    return r.realize(model, z.scale(2))
+
+
 def single_chain(model, i, n):
     """The configuration of one generic chain of length n over curve i."""
     e = [int(k == i) for k in range(model.u)]

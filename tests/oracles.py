@@ -200,12 +200,6 @@ class DensePullback:
     target: ResolutionModel
     columns: tuple
 
-    @property
-    def support(self):
-        """The sparse form PullbackMap stores: nonzero (index, value) pairs."""
-        return tuple(tuple((k, v) for k, v in enumerate(col) if v)
-                     for col in self.columns)
-
     def apply(self, d):
         exc = [sum((c * col[k] for c, col in zip(d.exc, self.columns)),
                    Fraction(0)) for k in range(self.target.u)]

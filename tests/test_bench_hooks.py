@@ -43,6 +43,8 @@ def test_tracer_counts_rows_solved_by_dual_basis():
 
 
 def test_tracer_counts_one_closure_per_realization():
+    """Also, each wrapped blowup and verify name counts a call when the
+    CLI's realize runs, so none of them wraps a name nothing calls."""
     run_with_tracer(
         "from resdiv import cli\n"
         "a2 = resdiv.build_model([('E1', 0, -2), ('E2', 0, -2)],\n"
@@ -52,4 +54,9 @@ def test_tracer_counts_one_closure_per_realization():
         "counters = tracer_.counters\n"
         "assert counters['antinef.realize_closures'] == 1, counters\n"
         "assert counters['realize.max_coeff_bits'] > 0, counters\n"
-        "assert counters['antinef.closure_steps'] >= 0, counters\n")
+        "assert counters['antinef.closure_steps'] >= 0, counters\n"
+        "for name in ('blowup.PullbackMap.apply',\n"
+        "             'blowup.GenericConfiguration.weighted_dual_sum',\n"
+        "             'blowup.GenericConfiguration.build',\n"
+        "             'realize.verify_certificate'):\n"
+        "    assert tracer_.calls[name] >= 1, (name, tracer_.calls)\n")

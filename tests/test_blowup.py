@@ -124,14 +124,24 @@ def test_second_chain_gets_fresh_point_tag():
 # -- configurations ----------------------------------------------------------------
 
 def test_build_matches_iterated_route(log_terminal_models):
+    """The pullback read off the chains agrees with the composed dense
+    pullbacks on each base curve and on a divisor with a strict part: each
+    model gains a strict curve S."""
     rng = random.Random(6)
-    for model in log_terminal_models.values():
-        e = [rng.randint(0, 2) for _ in range(model.u)]
-        n = [rng.randint(1, 3) for _ in range(model.u)]
+    for base in log_terminal_models.values():
+        e = [rng.randint(0, 2) for _ in range(base.u)]
+        n = [rng.randint(1, 3) for _ in range(base.u)]
+        at = rng.randrange(base.u)
+        s = r.StrictCurve("S", tuple(int(k == at) for k in range(base.u)))
+        model = r.ResolutionModel(base.curves, base.meetings,
+                                  base.strict_curves + (s,))
         fast = ungroup(r.GenericConfiguration.build(model, e, n))
         slow = iterated_configuration(model, e, n)
         assert fast.model == slow.model
-        assert fast.pullback.support == slow.pullback.support
+        mixed = r.Divisor(model, [rng.randint(-3, 3) for _ in range(model.u)],
+                          [rng.randint(1, 3) for _ in model.strict_curves])
+        for d in [r.Divisor.curve(model, i) for i in range(model.u)] + [mixed]:
+            assert fast.pullback.apply(d) == slow.pullback.apply(d)
         assert fast.K_sigma.exc == slow.K_sigma.exc
         assert fast.chains == slow.chains
 

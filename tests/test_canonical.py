@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import resdiv as r
-from conftest import NON_LOG_TERMINAL, random_antinef
-from oracles import random_log_terminal_model
+from conftest import NON_LOG_TERMINAL, e8_twice_z, random_antinef
+from oracles import expand, random_log_terminal_model, ungroup
 
 
 def a1():
@@ -169,3 +169,41 @@ def test_rejects_non_rational_lambda(bad):
     g = r.Divisor.curve(model, 0).scale(2)
     with pytest.raises(r.NotRational, match=re.escape(repr(bad))):
         r.multiplier_divisor(model, g, bad)
+
+
+# -- models of chain classes ---------------------------------------------------
+
+CLASS_MODEL_ENTRIES = {
+    "discrepancies": lambda m, cert: r.discrepancies(m),
+    "dual_basis": lambda m, cert: r.dual_basis(m),
+    "relative_canonical": lambda m, cert: r.relative_canonical(m),
+    "check_negative_definite": lambda m, cert: r.check_negative_definite(m),
+    "multiplier_divisor": lambda m, cert: r.multiplier_divisor(m, cert.G, cert.lam),
+    "realize": lambda m, cert: r.realize(m, cert.F),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CLASS_MODEL_ENTRIES))
+def test_a_model_of_chain_classes_is_refused(entry):
+    """Its form is P^T M P, not a surface's: solved as one, it gave
+    b = -252, -126, ... on e8 and a multiplier divisor other than F."""
+    cert = e8_twice_z()
+    assert [len(info.points) for info in cert.config.chains] == [2]
+    with pytest.raises(r.ModelMismatch, match="chain classes"):
+        CLASS_MODEL_ENTRIES[entry](cert.config.model, cert)
+
+
+def test_one_point_layouts_are_resolutions():
+    """ungroup lays each chain out on its own: the blown-up surface, where
+    the chain over E8 reads b = 1, 2, 3, ... and the multiplier divisor of
+    (G, lambda) is F."""
+    cert = e8_twice_z()
+    blown = ungroup(cert.config)
+    (info, _) = blown.chains
+    b = r.discrepancies(blown.model).b
+    assert b[:8] == (0,) * 8
+    assert b[info.start:info.start + info.length] == tuple(range(1, 22))
+    assert r.check_negative_definite(blown.model)
+    assert len(r.dual_basis(blown.model)) == blown.model.u
+    assert r.multiplier_divisor(blown.model, expand(cert.config, cert.G),
+                                cert.lam) == expand(cert.config, cert.F)

@@ -78,8 +78,8 @@ def test_build_memory_is_linear_in_curves():
 
 
 def test_form_build_memory_is_linear_in_curves():
-    """The same bound with the blown model's form and the pullback read,
-    which are built on first read."""
+    """The same bound with the blown model's form, built on first read, and
+    the pullback of E8 (itself and the whole chain) read."""
     model = load_doc("e8").model
     e = [0] * 7 + [1]  # one chain, so the model is the blown-up surface
     n = [0] * 7 + [2576]
@@ -87,11 +87,11 @@ def test_form_build_memory_is_linear_in_curves():
     try:
         config = r.GenericConfiguration.build(model, e, n)
         rows = config.model.sparse_rows
-        support = config.pullback.support
+        pulled = config.pullback.apply(r.Divisor.curve(model, 7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 2584 and len(support[7]) == 1 + 2576
+    assert len(rows) == 2584 and sum(map(bool, pulled.num)) == 1 + 2576
     assert peak < 16 * 2 ** 20
 
 

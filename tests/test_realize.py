@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, seed, settings
 
 import resdiv as r
-from conftest import (LOG_TERMINAL_NAMES, first_failure, load_doc,
-                      random_antinef)
+from conftest import (LOG_TERMINAL_NAMES, e8_twice_z, first_failure,
+                      load_doc, random_antinef)
 from oracles import (chain_lengths_by_fractions, choose_epsilon_by_fractions,
                      closure_with_rule, divisor_chain_details,
                      dual_chain_domination_detail,
@@ -332,6 +332,61 @@ def test_config_with_a_chain_without_points_fails_every_check(appended):
     config = r.GenericConfiguration(model, cert.config.model, chains)
     _all_fail_with(dataclasses.replace(cert, config=config, checks=()),
                    "config: a chain without points")
+
+
+@pytest.mark.parametrize("field, value", (
+    ("start", 9), ("start", 7), ("length", 22), ("length", 0), ("base", 99),
+    ("base", -1), ("points", ("a", "b")), ("points", (0, 1)), ("points", 2)))
+def test_config_with_a_chain_outside_its_model_fails_every_check(field, value):
+    """e8 with F0 = 2Z has one class of 2 chains over E8, at points 1 and 2,
+    on curves 8 to 28 of its 29.  Moved past the model's end or onto a base
+    curve, lengthened or emptied, hung off no base curve, or at points that
+    are not a tuple of ints >= 1, it ends in a report naming config (the
+    start 9, length 22 and base 99 raised IndexError, and the points
+    ('a', 'b') and 2 TypeError)."""
+    cert = e8_twice_z()
+    (info,) = cert.config.chains
+    assert (info.base, info.points, info.start, info.length) == (7, (1, 2), 8, 21)
+    assert cert.config.model.u == 29
+    config = r.GenericConfiguration(cert.base_model, cert.config.model,
+                                    [dataclasses.replace(info, **{field: value})])
+    _all_fail_with(dataclasses.replace(cert, config=config, checks=()),
+                   "config: a chain outside its model")
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_pool():
+    """Certificates with one chain class or several, of 1 to 3 points."""
+    a2_model, d4 = a2(), load_doc("d4").model
+    return (e8_twice_z(), r.realize(a2_model, r.dual_basis(a2_model)[0].scale(3)),
+            r.realize(d4, _closure_of_sum(d4).scale(2)))
+
+
+@seed(20081025)
+@settings(max_examples=200, deadline=2000)
+@given(data=st.data(),
+       field=st.sampled_from(("base", "start", "length", "points", "duplicate")))
+def test_tampered_chain_fields_end_in_a_report(data, field):
+    """A chain's fields set to negatives, out-of-range values or duplicated
+    points, or the chain itself repeated: verify_certificate never raises,
+    and passes only on the certificate's own layout."""
+    pool = _chain_pool()
+    cert = pool[data.draw(st.integers(0, len(pool) - 1))]
+    chains = list(cert.config.chains)
+    k = data.draw(st.integers(0, len(chains) - 1))
+    if field == "duplicate":
+        chains.insert(data.draw(st.integers(0, len(chains))), chains[k])
+    elif field == "points":
+        chains[k] = dataclasses.replace(chains[k], points=tuple(data.draw(
+            st.lists(st.integers(-2, 4), min_size=1, max_size=4))))
+    else:
+        value = data.draw(st.integers(-3, cert.config.model.u + 3))
+        chains[k] = dataclasses.replace(chains[k], **{field: value})
+    config = r.GenericConfiguration(cert.base_model, cert.config.model, chains)
+    checked = r.verify_certificate(dataclasses.replace(cert, config=config,
+                                                       checks=()))
+    assert tuple(c.name for c in checked.checks) == CHECK_NAMES
+    assert checked.passed == (tuple(chains) == cert.config.chains)
 
 
 SWAPPED_FIELDS = ("config", "F0", "F", "A", "G", "F_prime", "n", "base_model")
