@@ -14,6 +14,7 @@ get 0 or 1, and the result is replaced by its antinef closure.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -29,7 +30,7 @@ from .graphfile import format_divisor, parse_graph_file, serialize_model
 from .lattice import check_negative_definite, dual_basis
 from .linalg import NotNegativeDefinite
 from .model import MalformedGraph
-from .rationals import format_rational, parse_rational
+from .rationals import digit_limit, format_rational, parse_rational
 # batch never calls verify_certificate (realize already did), but
 # bench/tracer.py wraps this name when it traces a run.
 from .realize import realize, verify_certificate  # noqa: F401
@@ -239,6 +240,7 @@ def cmd_batch(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resdiv",
@@ -249,59 +251,51 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a graph file and report "
                                      "definiteness and discrepancies")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dual-basis", help="print the dual basis")
     p.add_argument("file")
-    p.set_defaults(func=cmd_dual_basis)
 
     p = sub.add_parser("closure", help="antinef closure of a named divisor")
     p.add_argument("file")
     p.add_argument("divisor")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("multiplier", help="multiplier-ideal divisor")
     p.add_argument("file")
     p.add_argument("divisor")
     p.add_argument("--lambda", dest="lam", required=True, metavar="p/q")
-    p.set_defaults(func=cmd_multiplier)
 
     p = sub.add_parser("blowup", help="generic blowup chain over a curve")
     p.add_argument("file")
     p.add_argument("--curve", required=True)
     p.add_argument("--length", type=int, default=1)
-    p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("realize", help="realize a divisor as multiplier-ideal "
                                        "data and verify the certificate")
     p.add_argument("file")
     p.add_argument("divisor")
     p.add_argument("--emit-certificate", metavar="PATH")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("batch", help="run seeded realizations over a corpus")
     p.add_argument("corpus", nargs="?", default=None,
                    help="directory of .graph files (default: bundled corpus)")
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", default="0")
-    p.set_defaults(func=cmd_batch)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # by name, so that a name patched after the first call is called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     # before ValueError: a file that is not UTF-8 is an input error
     except (MalformedGraph, UnicodeDecodeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (NotLogTerminal, NonIntegralInput, NotAntinef, NotEffective,
             NonPositiveLambda, ModelMismatch, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % (digit_limit(exc) or exc), file=sys.stderr)
         return 1
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .divisor import Divisor
 from .model import MalformedGraph, ResolutionModel, build_model
-from .rationals import parse_rational
+from .rationals import digit_limit, parse_rational
 
 
 class GraphSyntaxError(MalformedGraph):
@@ -46,9 +46,9 @@ class GraphDoc:
 def _parse_int(text, lineno, what):
     try:
         return int(text)
-    except ValueError:
-        raise GraphSyntaxError(lineno, "%s must be an integer, got %r"
-                               % (what, text)) from None
+    except ValueError as exc:
+        raise GraphSyntaxError(lineno, digit_limit(exc) or "%s must be an "
+                               "integer, got %r" % (what, text)) from None
 
 
 def _parse_assignment(token, lineno):

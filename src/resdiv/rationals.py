@@ -8,6 +8,7 @@ decimals are rejected.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -31,16 +32,19 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text or "." in text:
         raise ValueError("not an exact rational: %r" % (text,))
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("not an exact rational: %r" % (text,)) from exc
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(int(text))
-    except ValueError as exc:
-        raise ValueError("not an exact rational: %r" % (text,)) from exc
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(digit_limit(exc)
+                         or "not an exact rational: %r" % (text,)) from exc
+
+
+def digit_limit(exc) -> str:
+    """One message for Python's int/str digit limit; "" for other errors."""
+    return ("integer of more than %d digits, the limit for integer string "
+            "conversion" % sys.get_int_max_str_digits()
+            if str(exc).startswith("Exceeds the limit") else "")
 
 
 def format_rational(value: Fraction) -> str:

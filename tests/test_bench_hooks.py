@@ -10,15 +10,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_with_tracer(body):
-    """Run ``body`` in a fresh interpreter after installing the tracer as
-    ``tracer_``; the tracer patches modules for the life of the process."""
+def run_with_tracer(body, before=""):
+    """In a fresh interpreter, run ``before``, install the tracer as
+    ``tracer_``, then run ``body``; the tracer patches modules for the life
+    of the process."""
     script = ("import sys; sys.path[:0] = [%r, %r]\n"
               "import resdiv, tracer\n"
               "assert resdiv.__file__.startswith(%r), resdiv.__file__\n"
-              "tracer_ = tracer.Tracer()\n"
-              "tracer_.install()\n"
               % (str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "src"))
+              + before + "tracer_ = tracer.Tracer()\ntracer_.install()\n"
               + body)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
@@ -60,3 +60,14 @@ def test_tracer_counts_one_closure_per_realization():
         "             'blowup.GenericConfiguration.build',\n"
         "             'realize.verify_certificate'):\n"
         "    assert tracer_.calls[name] >= 1, (name, tracer_.calls)\n")
+
+
+def test_tracer_sees_commands_after_the_parser_is_built():
+    """The CLI builds its parser on the first call; a tracer installed
+    after that still sees each command, as main looks cmd_* up by name."""
+    argv = "['realize', %r, 'F']" % str(ROOT / "src/resdiv/corpus/a2.graph")
+    run_with_tracer(
+        "for _ in range(2):\n"
+        "    assert cli.main(%s) == 0\n"
+        "assert tracer_.calls['cli.realize'] == 2, tracer_.calls\n" % argv,
+        before="from resdiv import cli\nassert cli.main(%s) == 0\n" % argv)

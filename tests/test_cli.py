@@ -576,3 +576,121 @@ def test_non_utf8_graph_file_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# -- one parser per process --------------------------------------------------------
+
+def test_each_command_repeats_byte_identically(tmp_path, capsys):
+    """Every command, twice in a row and interleaved with the others,
+    prints the same report and returns the same code."""
+    commands = [
+        ("check", graph("a2")),
+        ("dual-basis", graph("a2")),
+        ("closure", graph("a2"), "D", "--trace"),
+        ("multiplier", graph("a1"), "F", "--lambda", "1/2"),
+        ("blowup", graph("a2"), "--curve", "E1", "--length", "2"),
+        ("realize", graph("a2"), "F"),
+        ("batch", str(_tiny_corpus(tmp_path)), "--samples", "1"),
+    ]
+    first = {}
+    for _ in range(2):
+        for argv in commands:
+            for _ in range(2):
+                code, out, _ = run(capsys, *argv)
+                assert first.setdefault(argv, (code, out)) == (code, out), argv
+    assert len(first) == 7
+    assert all(code == 0 and out for code, out in first.values())
+
+
+@pytest.mark.parametrize("bad", [
+    ("multiplier", graph("a1"), "F"),
+    ("blowup", graph("a2"), "--curve", "E1", "--length", "x"),
+])
+def test_usage_error_between_good_calls(capsys, bad):
+    good = run(capsys, "multiplier", graph("a1"), "F", "--lambda", "1")
+    with pytest.raises(SystemExit) as info:
+        main(list(bad))
+    assert info.value.code == 2
+    assert "usage: resdiv" in capsys.readouterr().err
+    assert run(capsys, "multiplier", graph("a1"), "F", "--lambda", "1") == good
+    assert good[0] == 0 and "multiplier_divisor = E1=1" in good[1].splitlines()
+
+
+def test_a_command_patched_after_the_first_call_is_called(capsys, monkeypatch):
+    assert run(capsys, "check", graph("a1"))[0] == 0
+    monkeypatch.setattr(resdiv.cli, "cmd_check", lambda args: 7)
+    assert run(capsys, "check", graph("a1")) == (7, "", "")
+
+
+def test_parser_is_built_on_the_first_call_only():
+    """Importing the CLI builds no parser; the first main() builds the
+    top-level parser and its 7 subparsers, and later calls reuse them."""
+    script = (
+        "import argparse, sys\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "sys.path.insert(0, %r)\n"
+        "import resdiv.cli\n"
+        "assert resdiv.cli.__file__.startswith(sys.path[0])\n"
+        "assert made == [], made\n"
+        "counts = [(resdiv.cli.main(['check', %r]), len(made))[1]\n"
+        "          for _ in range(3)]\n"
+        "assert counts == [8, 8, 8], counts\n"
+        % (str(Path(resdiv.cli.__file__).parents[1]), graph("a1")))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- integers past Python's digit limit ------------------------------------------
+
+@pytest.fixture
+def limit_message():
+    """The message for integers past Python's default int/str limit of
+    4300 digits, which the test sets whatever the environment chose."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield "integer of more than 4300 digits, the limit for integer string " \
+          "conversion"
+    sys.set_int_max_str_digits(old)
+
+
+def test_a_self_intersection_past_the_digit_limit_is_not_echoed(
+        tmp_path, capsys, limit_message):
+    path = tmp_path / "long.graph"
+    path.write_text("curve E1 genus=0 self=-%s\n" % ("1" * 5001))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: %s\n" % limit_message
+
+
+def test_a_rational_past_the_digit_limit_is_not_echoed(
+        tmp_path, capsys, limit_message):
+    path = tmp_path / "long.graph"
+    path.write_text("curve E1 genus=0 self=-2\ndivisor G E1=1/%s\n"
+                    % ("3" * 5000))
+    assert run(capsys, "closure", str(path), "G") == (
+        2, "", "error: line 2: %s\n" % limit_message)
+    assert run(capsys, "multiplier", graph("a1"), "F", "--lambda",
+               "1" * 5000) == (1, "", "error: %s\n" % limit_message)
+
+
+def test_report_values_past_the_digit_limit_are_one_error(
+        tmp_path, capsys, limit_message):
+    """The values parse, but the dual basis and the multiplier divisor
+    have more digits than Python turns into text."""
+    big = "1" + "0" * 3000
+    meeting = tmp_path / "meeting.graph"
+    meeting.write_text("curve E1 genus=0 self=-%s\ncurve E2 genus=0 self=-%s\n"
+                       "meet E1 E2 1\n" % (big, big))
+    assert run(capsys, "dual-basis", str(meeting)) == (
+        1, "", "error: %s\n" % limit_message)
+    huge = "1" + "0" * 4000
+    a1 = tmp_path / "a1.graph"
+    a1.write_text("curve E1 genus=0 self=-2\ndivisor G E1=%s\n" % huge)
+    assert run(capsys, "multiplier", str(a1), "G", "--lambda", huge) == (
+        1, "", "error: %s\n" % limit_message)

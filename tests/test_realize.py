@@ -638,6 +638,28 @@ def test_epsilon_one_half_breaks_the_strict_bound():
         "lambda_scaling_rule": "lambda*N: 5/4 vs 3/2"}
 
 
+def test_epsilon_at_the_curve_bound_fails_the_strict_row():
+    """epsilon (a_i + 1) < 1 + b_i is strict: on a2 with F0 = 2E1 + 2E2,
+    epsilon = 1/3 is exactly (1 + b)/(a + 1)."""
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[2, 2]))
+    assert cert.epsilon == Fraction(1, 6) and cert.passed
+    eps = _details(dataclasses.replace(cert, epsilon=Fraction(1, 3),
+                                       checks=()))
+    assert eps["epsilon_constraints"] == "E1: 1 vs 1"
+
+
+def test_negative_strict_coefficient_fails_the_strict_curve_row(
+        corpus_models):
+    """floor(epsilon c) = 0 on each strict curve: c = -1 gives -1."""
+    model = corpus_models["a1_branch"]
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[10], strict=[1]))
+    assert cert.passed
+    f0 = r.Divisor.from_coeffs(model, exc=[10], strict=[-1])
+    eps = _details(dataclasses.replace(cert, F0=f0, checks=()))
+    assert eps["epsilon_constraints"] == "C: -1 vs 0"
+
+
 def test_n_one_with_lambda_one_plus_epsilon_passes_the_lambda_rule():
     """N = 1 is the least N the lambda rule allows; G, no longer N times
     F + K_g + mu A, fails the scaling rule and the floor split."""
