@@ -104,6 +104,7 @@ class _BlownModel(ResolutionModel):
     def __init__(self, base_model, chains, u):
         self.base_model, self._chains, self.u = base_model, chains, u
         self.strict_sparse = base_model.strict_sparse
+        self._dual_basis = self._discrepancies = None  # read before a refusal
 
     @cached_property
     def labels(self):

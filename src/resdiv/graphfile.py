@@ -12,11 +12,11 @@ no ``=``, and a line names each curve at most once, so parsing a
 serialized model reproduces it exactly (up to whitespace normalization).
 
 format_divisor writes ``<label>=<value>`` for the nonzero coefficients in
-model order (``0`` if none), each value ``p`` or ``p/q`` in lowest terms.
-On a configuration's model it reads the chain layout, not the full
-labels: a chain's terms are made once and joined onto the head of each of
-its points, so the text is that of the divisor on the blown-up surface,
-and the cost follows the chains, not the curves they stand for.
+model order (``0`` if none), each ``p`` or ``p/q`` in lowest terms (a gcd
+only if den > 1).  On a configuration's model it reads the chain layout:
+a chain's terms are made once and joined onto the head of each of its
+points, so the text is that of the divisor on the blown-up surface, and
+the cost follows the chains, not the curves they stand for.
 """
 
 from __future__ import annotations
@@ -132,10 +132,11 @@ def parse_graph(text: str) -> GraphDoc:
             label, value = _parse_assignment(token, lineno)
             if label in exc_coeffs or label in strict_coeffs:
                 raise GraphSyntaxError(lineno, "curve %r repeated" % (label,))
-            try:
+            try:  # p and p/1 become ints: an all-int Divisor skips the lcm
                 coeff = parse_rational(value)
             except ValueError as err:
                 raise GraphSyntaxError(lineno, str(err)) from None
+            coeff = coeff.numerator if coeff.denominator == 1 else coeff
             if label in model._index:
                 exc_coeffs[label] = coeff
             elif label in model._strict_index:
@@ -154,24 +155,25 @@ def parse_graph_file(path) -> GraphDoc:
 
 
 def format_divisor(d: Divisor) -> str:
-    """The divisor's text form (see the module docstring)."""
+    """The divisor's text form (module docstring), one f-string a term."""
     model, num, den = d.model, d.num, d.den
     labels, chains = model.chain_layout
 
-    def value(n):
-        g = math.gcd(n, den)
-        return "%d/%d" % (n // g, den // g) if g < den else str(n // den)
+    def terms(keys, nums):  # "<key>=<value>" for each nonzero numerator
+        if den == 1:
+            return [f"{key}={n}" for key, n in zip(keys, nums) if n]
+        return [f"{key}={n // g}/{den // g}" if (g := math.gcd(n, den)) < den
+                else f"{key}={n // den}" for key, n in zip(keys, nums) if n]
 
-    parts = [" %s=%s" % (label, value(n)) for label, n in zip(labels, num) if n]
+    parts = terms(labels, num)
     for info in chains:
-        terms = [",%d)=%s" % (m, value(n)) for m, n
-                 in enumerate(num[info.start:info.start + info.length], 1) if n]
-        if terms:
-            heads = [" %s(%d" % (labels[info.base], p) for p in info.points]
-            parts += [head + head.join(terms) for head in heads]
-    parts += [" %s=%s" % (label, value(n))
-              for label, n in zip(model.strict_labels, num[model.u:]) if n]
-    return "".join(parts)[1:] or "0"
+        chain = terms([f"{m})" for m in range(1, info.length + 1)],
+                      num[info.start:info.start + info.length])
+        if chain:  # "<base>(<point>,<m>)=<value>" on each point's chain
+            heads = [f"{labels[info.base]}({p}," for p in info.points]
+            parts += [head + f" {head}".join(chain) for head in heads]
+    parts += terms(model.strict_labels, num[model.u:])
+    return " ".join(parts) or "0"
 
 
 def serialize_model(model: ResolutionModel, divisors=None) -> str:

@@ -1,8 +1,8 @@
 """Exact symmetric elimination for negative definite integer systems.
 
 The only elimination in the package: Bareiss's fraction-free elimination
-(Bareiss 1968) on ints over sparse rows, with pivots in greedy minimum-
-degree order, which on a tree removes leaves first and creates no fill.
+(Bareiss 1968) on ints over sparse rows and right-hand sides, with pivots
+in greedy minimum-degree order (on a tree: leaves first, and no fill).
 The k-th pivot is the leading minor det_{k+1} of the reordered form, and
 the form is negative definite exactly when each has sign (-1)^{k+1}, so
 one routine both solves and decides definiteness.  Solutions are int
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 
 class NotNegativeDefinite(ValueError):
@@ -63,44 +64,49 @@ def _min_degree_order(rows):
 
 def _eliminate(rows, columns, order):
     """Bareiss elimination with the k-th pivot on curve ``order[k]``."""
-    n = len(rows)
+    n, m = len(rows), len(columns)
     pos = sorted(range(n), key=order.__getitem__)  # curve -> position
-    # upper[k]: row order[k] at positions >= k, rhs[k]: its right-hand
-    # sides.  The trailing block stays symmetric, so the entry below pivot
-    # k in row i is upper[k][i].  A row that step k would only rescale
-    # waits: row i is really upper[i] and rhs[i] times prev / scale[i]
+    # upper[k]: row order[k] at positions >= k, rhs[k]: its right-hand sides
+    # as {column: value}, nonzeros only.  The trailing block stays symmetric,
+    # so the entry below pivot k in row i is upper[k][i].  A row that step k
+    # would only rescale waits: it is upper[i] and rhs[i] times prev / scale[i]
     upper = [{pos[j]: v for j, v in rows[i] if pos[j] >= k}
              for k, i in enumerate(order)]
-    by_row = list(zip(*columns)) or [()] * n
-    rhs = [by_row[i] for i in order]
+    rhs = [{} for _ in range(n)]
+    for c, column in enumerate(columns):
+        for i in compress(range(n), column):  # its nonzero entries
+            rhs[pos[i]][c] = column[i]
+
+    def combine(row, other, low):  # (pivot row - f other) / prev at step k
+        new = {c: -f * b // prev for c, b in other.items() if c >= low}  # fill
+        new.update({c: (pivot * a - f * other.get(c, 0)) // prev
+                    for c, a in row.items()})
+        return new
+
     pivots, scale, prev = [0] * n, [1] * n, 1
     for k in range(n):
         for i in {k, *upper[k]}:
             if (s := scale[i]) != prev:
                 upper[i] = {c: a * prev // s for c, a in upper[i].items()}
-                rhs[i] = [a * prev // s for a in rhs[i]]
+                rhs[i] = {c: a * prev // s for c, a in rhs[i].items()}
         row_k = upper[k]
         pivot = pivots[k] = row_k.pop(k, 0)
         if (pivot if k % 2 else -pivot) <= 0:
             raise NotNegativeDefinite(k, Fraction(pivot, prev))
-        for i, f in row_k.items():
-            upper[i] = new = {c: (pivot * a - f * row_k.get(c, 0)) // prev
-                              for c, a in upper[i].items()}
-            for c, b in row_k.items():
-                if c >= i and c not in new:  # fill
-                    new[c] = -f * b // prev
-            rhs[i] = [(pivot * a - f * b) // prev
-                      for a, b in zip(rhs[i], rhs[k])]
+        for i, f in row_k.items():  # row i keeps positions >= i, rhs[i] all
+            upper[i] = combine(upper[i], row_k, i)
+            rhs[i] = combine(rhs[i], rhs[k], 0)
             scale[i] = pivot
         prev = pivot
 
-    # back-substitution for the int y = |det M| x (Cramer), a row at a time
-    den = abs(prev)
-    ys = [None] * n
+    # dense back-substitution for the int y = |det M| x (Cramer), row by row
+    den, ys = abs(prev), [None] * n
     for k in reversed(range(n)):
-        acc = [den * b for b in rhs[k]]
+        acc = [0] * m
+        for c, b in rhs[k].items():
+            acc[c] = den * b
         for c, a in upper[k].items():
             acc = [t - a * y for t, y in zip(acc, ys[c])]
         ys[k] = [t // pivots[k] for t in acc]
-    xs = zip(*(ys[k] for k in pos)) if n else [()] * len(columns)
+    xs = zip(*(ys[k] for k in pos)) if n else [()] * m
     return den, [list(x) for x in xs]

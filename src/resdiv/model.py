@@ -13,6 +13,7 @@ eliminates, are derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 
@@ -105,11 +106,11 @@ class ResolutionModel:
 
     # -- lookup ------------------------------------------------------------
 
-    @property
+    @cached_property
     def labels(self):
         return tuple(c.label for c in self.curves)
 
-    @property
+    @cached_property
     def strict_labels(self):
         return tuple(s.label for s in self.strict_curves)
 

@@ -186,11 +186,15 @@ CLASS_MODEL_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(CLASS_MODEL_ENTRIES))
 def test_a_model_of_chain_classes_is_refused(entry):
     """Its form is P^T M P, not a surface's: solved as one, it gave
-    b = -252, -126, ... on e8 and a multiplier divisor other than F."""
+    b = -252, -126, ... on e8 and a multiplier divisor other than F.  The
+    refusal comes before any class curve is built: the solve caches are
+    set on the model, so reading them runs no build."""
     cert = e8_twice_z()
     assert [len(info.points) for info in cert.config.chains] == [2]
+    assert "curves" not in vars(cert.config.model)
     with pytest.raises(r.ModelMismatch, match="chain classes"):
         CLASS_MODEL_ENTRIES[entry](cert.config.model, cert)
+    assert "curves" not in vars(cert.config.model)
 
 
 def test_one_point_layouts_are_resolutions():

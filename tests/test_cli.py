@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import resdiv as r
 import resdiv.cli
 from resdiv.cli import _certificate_report, main, random_antinef_divisor
 from conftest import CORPUS_DIR, CORPUS_NAMES, LOG_TERMINAL_NAMES, load_doc
-from oracles import generic_chain
+from oracles import generic_chain, random_log_terminal_model
 
 
 # E1.E2 = 2 on two (-1)-curves: indefinite
@@ -259,17 +260,14 @@ def test_e8_ladder_certificate_reports_are_byte_identical(k):
     assert hashlib.sha256(text.encode()).hexdigest() == E8_REPORTS_SHA256[k]
 
 
-def e8_chain_graph():
-    """e8 with 2 chains of 10 over E2, 3 of 8 over E4 and 4 of 12 over E8
-    (100 curves), declared in a scrambled order, with D = 100 E1 and G the
-    pullback of the fundamental cycle."""
-    z = {"E1": 6, "E2": 3, "E3": 4, "E4": 2, "E5": 5, "E6": 4, "E7": 3,
-         "E8": 2}
-    chains = {"E2": (2, 10), "E4": (3, 8), "E8": (4, 12)}
-    curves = [(b, -2 - chains.get(b, (0, 0))[0]) for b in z]
-    meets = [("E1", "E2"), ("E1", "E3"), ("E3", "E4"), ("E1", "E5"),
-             ("E5", "E6"), ("E6", "E7"), ("E7", "E8")]
-    g = dict(z)
+def chain_graph(selfs, meets, chains, g_base):
+    """The base curves ``selfs`` (label -> self-intersection) meeting as
+    ``meets``, with ``chains`` (base label -> (count, length)) of
+    -2, ..., -2, -1 curves blown up over them: 100 curves, declared in a
+    scrambled order, with D = 100 E1 and G the pullback of ``g_base``."""
+    curves = [(b, s - chains.get(b, (0, 0))[0]) for b, s in selfs.items()]
+    meets = list(meets)
+    g = dict(g_base)
     for b, (count, length) in chains.items():
         for point in range(1, count + 1):
             prev = b
@@ -277,7 +275,7 @@ def e8_chain_graph():
                 label = "%s(%d,%d)" % (b, point, step)
                 curves.append((label, -1 if step == length else -2))
                 meets.append((prev, label))
-                g[label] = z[b]
+                g[label] = g_base[b]
                 prev = label
     assert len(curves) == 100
     lines = ["curve %s genus=0 self=%d" % curves[37 * k % 100]
@@ -286,6 +284,27 @@ def e8_chain_graph():
     lines += ["divisor D E1=100",
               "divisor G " + " ".join("%s=%d" % kv for kv in g.items())]
     return "\n".join(lines) + "\n"
+
+
+def e8_chain_graph():
+    """e8 with 2 chains of 10 over E2, 3 of 8 over E4 and 4 of 12 over E8
+    (100 curves), with G the pullback of the fundamental cycle; the
+    discrepancies are integral."""
+    z = {"E1": 6, "E2": 3, "E3": 4, "E4": 2, "E5": 5, "E6": 4, "E7": 3,
+         "E8": 2}
+    return chain_graph(
+        dict.fromkeys(z, -2),
+        [("E1", "E2"), ("E1", "E3"), ("E3", "E4"), ("E1", "E5"),
+         ("E5", "E6"), ("E6", "E7"), ("E7", "E8")],
+        {"E2": (2, 10), "E4": (3, 8), "E8": (4, 12)}, z)
+
+
+def cyclic23_chain_graph():
+    """The cyclic quotient (-2, -3) with 5 chains of 10 over E1 and 4 of 12
+    over E2 (100 curves), with G the pullback of E1 + E2; the
+    discrepancies and the dual basis are over 5."""
+    return chain_graph({"E1": -2, "E2": -3}, [("E1", "E2")],
+                       {"E1": (5, 10), "E2": (4, 12)}, {"E1": 1, "E2": 1})
 
 
 # sha256 of the stdout of each command on ``e8_chain_graph``, recorded
@@ -304,12 +323,39 @@ E8_CHAIN_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("argv", sorted(E8_CHAIN_STDOUT_SHA256))
 def test_e8_chain_model_reports_are_byte_identical(argv, tmp_path, capsys):
-    path = tmp_path / "e8_chains.graph"
-    path.write_text(e8_chain_graph())
+    assert_stdout_digest(tmp_path / "e8_chains.graph", e8_chain_graph(),
+                         argv, E8_CHAIN_STDOUT_SHA256[argv], capsys)
+
+
+def assert_stdout_digest(path, text, argv, digest, capsys):
+    """``argv`` on ``text``, written to ``path``, exits 0 with stdout of
+    sha256 ``digest``."""
+    path.write_text(text)
     code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        E8_CHAIN_STDOUT_SHA256[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of each command on ``cyclic23_chain_graph``, recorded
+# before the solver kept its right-hand sides sparse
+CYCLIC23_CHAIN_STDOUT_SHA256 = {
+    ("check",):
+        "f380370300b4f15410c80589c64e5274a139059d669773ed666aa0c0622ff518",
+    ("dual-basis",):
+        "d696bfbd8301008bcf23620d13d450a9e0b7c178f1904917c0facf26a640f047",
+    ("closure", "D", "--trace"):
+        "49f08a4ccec6cd0bcd7273809397fb9198ecd99412fdd1c5c0032ae6c11adff8",
+    ("multiplier", "G", "--lambda", "5/7"):
+        "07bd71d9593caa94493daa99320f37ac51fbd0f2dc6de892fed9b1093cf2560a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CYCLIC23_CHAIN_STDOUT_SHA256))
+def test_cyclic23_chain_model_reports_are_byte_identical(argv, tmp_path,
+                                                         capsys):
+    assert_stdout_digest(tmp_path / "cyclic23_chains.graph",
+                         cyclic23_chain_graph(), argv,
+                         CYCLIC23_CHAIN_STDOUT_SHA256[argv], capsys)
 
 
 def test_realize_a2(capsys, tmp_path):
@@ -694,3 +740,101 @@ def test_report_values_past_the_digit_limit_are_one_error(
     a1.write_text("curve E1 genus=0 self=-2\ndivisor G E1=%s\n" % huge)
     assert run(capsys, "multiplier", str(a1), "G", "--lambda", huge) == (
         1, "", "error: %s\n" % limit_message)
+
+
+# -- declaration order ---------------------------------------------------------
+
+def shuffled_graph_text(model, rng):
+    """``model``'s graph text with its lines shuffled, each meeting's two
+    curves in either order and each strict line's pairs shuffled: the same
+    model, declared in another order."""
+    lines = []
+    for line in r.serialize_model(model).splitlines():
+        words = line.split()
+        if words[0] == "meet" and rng.random() < 0.5:
+            words[1], words[2] = words[2], words[1]
+        elif words[0] == "strict":
+            pairs = words[3:]
+            rng.shuffle(pairs)
+            words[3:] = pairs
+        lines.append(" ".join(words))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def order_free(report):
+    """The report's lines, each value's words sorted, in sorted order."""
+    return sorted("%s = %s" % (key, " ".join(sorted(value.split())))
+                  for key, _, value in (line.partition(" = ")
+                                        for line in report.splitlines()))
+
+
+def assert_reports_permute(model, rng, tmp_path, capsys):
+    """``check`` and ``dual-basis`` on a shuffled declaration of ``model``
+    print the same lines and terms, with each curve's line and each
+    value's terms in the new declaration order, and exit the same way."""
+    text, shuffled = r.serialize_model(model), shuffled_graph_text(model, rng)
+    rank = {line.split()[1]: k for k, line in enumerate(
+        line for line in shuffled.splitlines() if line.startswith("curve "))}
+    for command in ("check", "dual-basis"):
+        runs = []
+        for side, body in (("declared", text), ("shuffled", shuffled)):
+            path = tmp_path / side / "model.graph"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body)
+            runs.append(run(capsys, command, str(path)))
+        (code, out, err), (code_s, out_s, err_s) = runs
+        assert (code_s, err_s) == (code, err)
+        assert order_free(out_s) == order_free(out)
+        keyed = [line.partition(" = ") for line in out_s.splitlines()
+                 if line.startswith(("discrepancy.", "dual.", "offenders"))]
+        curves = [key.partition(".")[2] for key, _, _ in keyed if "." in key]
+        assert [rank[label] for label in curves] == sorted(rank.values())
+        for key, _, value in keyed:
+            if key.startswith("dual.") or key == "offenders":
+                labels = [term.partition("=")[0] for term in value.split()]
+                ranks = [rank[label] for label in labels]
+                assert ranks == sorted(ranks), (key, value)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_reports_permute_with_the_declaration_order_on_the_corpus(
+        name, tmp_path, capsys):
+    assert_reports_permute(load_doc(name).model, random.Random(name),
+                           tmp_path, capsys)
+
+
+def test_reports_permute_with_the_declaration_order_on_generated_models(
+        tmp_path, capsys):
+    rng = random.Random(20081024)
+    for k in range(12):
+        model = random_log_terminal_model(rng)
+        assert_reports_permute(model, rng, tmp_path / str(k), capsys)
+
+
+def test_reports_permute_with_the_declaration_order_on_a_blown_model(
+        tmp_path, capsys):
+    """A chain of three over each curve of d5: one point per chain, so the
+    configuration's model is the blown-up surface (20 curves)."""
+    base = load_doc("d5").model
+    model = r.GenericConfiguration.build(base, [1] * base.u,
+                                         [3] * base.u).model
+    assert model.u == 20
+    assert_reports_permute(model, random.Random(5), tmp_path, capsys)
+
+
+def test_integral_rationals_read_as_the_int_they_equal(tmp_path, capsys):
+    """``E1=6/2 C=-0`` is the divisor ``E1=3``, and closes the same way."""
+    model = ("curve E1 genus=0 self=-2\ncurve E2 genus=0 self=-3\n"
+             "meet E1 E2 1\nstrict C meets E2=2\n")
+    outs = []
+    for side, line in (("fraction", "divisor D E1=6/2 C=-0"),
+                       ("int", "divisor D E1=3")):
+        path = tmp_path / side / "sample.graph"
+        path.parent.mkdir()
+        path.write_text(model + line + "\n")
+        outs.append((r.parse_graph_file(path).divisors["D"],
+                     run(capsys, "closure", str(path), "D", "--trace")))
+    assert outs[0] == outs[1]
+    divisor, (code, _, _) = outs[0]
+    assert (divisor.num, divisor.den, code) == ((3, 0, 0), 1, 0)

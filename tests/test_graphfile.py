@@ -1,6 +1,10 @@
+import contextlib
+import io
 import random
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -11,7 +15,7 @@ from conftest import (CORPUS_DIR, CORPUS_NAMES, LOG_TERMINAL_NAMES, load_doc,
                       single_chain)
 from oracles import (dense_matrix, expand, format_by_labels,
                      random_log_terminal_model, ungroup)
-from resdiv.cli import random_antinef_divisor
+from resdiv.cli import main, random_antinef_divisor
 
 SAMPLE = """\
 # two curves and a strict branch
@@ -225,3 +229,49 @@ def test_parse_graph_raises_only_malformed_graph(text):
         return
     again = r.parse_graph(r.serialize_model(doc.model, doc.divisors))
     assert again.model == doc.model and again.divisors == doc.divisors
+
+
+# every command, as (argv after the file, with DIV for the divisor's name)
+COMMANDS = [["check"], ["dual-basis"], ["closure", "DIV", "--trace"],
+            ["multiplier", "DIV", "--lambda", "1/2"],
+            ["blowup", "--curve", "E1", "--length", "2"], ["realize", "DIV"]]
+
+
+@seed(20080920)
+@given(text=mutated_corpus_texts())
+@settings(deadline=None, max_examples=100)
+def test_every_command_on_a_mutated_text_ends_in_a_documented_exit(text):
+    """Through ``main``, each command, ``batch`` over the file's directory
+    included, exits 0, 1 or 2 and prints no traceback."""
+    name = re.search(r"divisor (\S+)", text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.graph"
+        path.write_text(text, encoding="utf-8")
+        argvs = [[argv[0], str(path)] + [name[1] if name and a == "DIV"
+                                         else a for a in argv[1:]]
+                 for argv in COMMANDS] + [["batch", tmp, "--samples", "2"]]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+
+def test_an_all_int_divisor_line_skips_the_fraction_step(monkeypatch):
+    """``p`` and ``p/1`` reach Divisor as ints, so as_rational is not
+    called; ``1/3`` still is."""
+    import resdiv.divisor
+
+    def refuse(value):
+        raise AssertionError("as_rational(%r)" % (value,))
+
+    monkeypatch.setattr(resdiv.divisor, "as_rational", refuse)
+    doc = r.parse_graph(SAMPLE.replace("C=1/3", "C=4/1"))
+    assert (doc.divisors["F"].num, doc.divisors["F"].den) == ((1, 2, 4), 1)
+    with pytest.raises(AssertionError, match="as_rational"):
+        r.parse_graph(SAMPLE)

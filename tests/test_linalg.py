@@ -52,28 +52,47 @@ def graphs(draw):
                   [(i, j, draw(st.integers(1, 2))) for i, j in chosen])
 
 
+def column_sets(u, rng):
+    """Right-hand sides for one model: two dense random columns, the
+    negated identity (what dual_basis passes), an all-zero column, columns
+    with one nonzero entry each, and the empty column list."""
+    dense = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(u)]
+             for _ in range(2)]
+    identity = [[-int(i == j) for i in range(u)] for j in range(u)]
+    singles = [[0] * u for _ in range(3)]
+    for column in singles:
+        column[rng.randrange(u)] = rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)
+    return [dense, identity, [[0] * u], singles, []]
+
+
 def assert_solver_matches_oracle(model, rng):
+    """Every column set of ``column_sets`` gives the oracle's den and xs,
+    or its NotNegativeDefinite(index, pivot); one Gauss-Jordan run over all
+    of them is the oracle."""
     rows, mat, u = model.sparse_rows, dense_matrix(model), model.u
     assert linalg._min_degree_order(rows) == min_degree_order(model)
-    columns = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(u)]
-               for _ in range(2)]
-    pivots, oracle = gauss_jordan(mat, columns)
+    sets = column_sets(u, rng)
+    pivots, oracle = gauss_jordan(mat, [b for columns in sets for b in columns])
     if oracle is None:
         k = len(pivots) - 1
-        with pytest.raises(linalg.NotNegativeDefinite) as info:
-            linalg.solve_columns(rows, columns)
-        assert (info.value.index, info.value.pivot) == (k, pivots[k])
+        for columns in sets:
+            with pytest.raises(linalg.NotNegativeDefinite) as info:
+                linalg.solve_columns(rows, columns)
+            assert (info.value.index, info.value.pivot) == (k, pivots[k])
         v = r.check_negative_definite(model).witness
         assert sum(v[i] * mat[i][j] * v[j]
                    for i in range(u) for j in range(u)) >= 0
         return
-    den, xs = linalg.solve_columns(rows, columns)
-    assert den == abs(math.prod(pivots))
-    for b, x, want in zip(columns, xs, oracle):
-        assert all(isinstance(v, int) for v in x)
-        assert [sum(mat[i][j] * x[j] for j in range(u))
-                for i in range(u)] == [den * v for v in b]
-        assert x == [den * v for v in want]
+    for columns in sets:
+        den, xs = linalg.solve_columns(rows, columns)
+        assert den == abs(math.prod(pivots))
+        assert len(xs) == len(columns)
+        wanted, oracle = oracle[:len(columns)], oracle[len(columns):]
+        for b, x, want in zip(columns, xs, wanted):
+            assert all(isinstance(v, int) for v in x)
+            assert [sum(mat[i][j] * x[j] for j in range(u))
+                    for i in range(u)] == [den * v for v in b]
+            assert x == [den * v for v in want]
 
 
 @seed(20080918)
