@@ -8,8 +8,8 @@ as multiplier-ideal data, verifying every step of the construction.
 
 from .antinef import (ClosureTrace, NonIntegralInput, antinef_closure,
                       is_antinef)
-from .blowup import (MAX_BLOWN_CURVES, ChainInfo, GenericConfiguration,
-                     PullbackMap, TooManyCurves)
+from .blowup import (MAX_BLOWN_CURVES, ChainInfo, ChainModel,
+                     GenericConfiguration, PullbackMap, TooManyCurves)
 from .canonical import (DiscrepancyReport, NonPositiveLambda, NotAntinef,
                         NotEffective, NotLogTerminal, discrepancies,
                         multiplier_divisor, relative_canonical)
@@ -28,7 +28,7 @@ from .realize import (CheckResult, RealizationCertificate, choose_epsilon,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_BLOWN_CURVES", "ChainInfo", "CheckResult", "ClosureTrace",
+    "MAX_BLOWN_CURVES", "ChainInfo", "ChainModel", "CheckResult", "ClosureTrace",
     "DiscrepancyReport", "Divisor", "ExcCurve", "GenericConfiguration",
     "GraphDoc", "GraphSyntaxError", "MalformedGraph", "ModelMismatch",
     "NegDefResult", "NonIntegralInput", "NonPositiveLambda", "NotAntinef",

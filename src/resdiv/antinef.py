@@ -48,8 +48,8 @@ def antinef_closure(d: Divisor):
     smallest index.  Strict coefficients never change, so the pushforward
     is preserved.  Raises NotNegativeDefinite, from the cached solve of
     discrepancies, on a form that is not negative definite; a
-    configuration's model is decided by its base model, as blowups and
-    P^T M P keep the form so.
+    configuration's ChainModel is decided by its base model, as blowups
+    and P^T M P keep the form so.
     """
     from .canonical import discrepancies  # canonical imports this module
     discrepancies(getattr(d.model, "base_model", d.model))

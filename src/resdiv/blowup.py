@@ -18,18 +18,17 @@ identical, so they are laid out once: one ChainInfo stands for the chains
 at its points, and the model's form is P^T M P, for P sending a chain
 curve to the sum of its copies (self-intersections -2c, -c at the tip,
 and meetings c, for c copies).  A product on a chain curve reads c times
-the product with one copy.  With one point per curve this is the blown-up
-surface itself.  The model reads its size, labels and sparse rows off the
-layout; its curves and label index and the relative canonical divisor of
-the composition are built the first time something reads them.  The
-composite pullback and the dual sums read the layout too: on generic
-chains at free points, g* E_i is E_i plus every curve of the chains over
-it, each with coefficient 1, so no table of the map is stored (apply
-raises ModelMismatch on a divisor of another model).  build refuses,
-before allocating anything, a configuration that stands for more than
-MAX_BLOWN_CURVES curves.  The test suite keeps the step-by-step route (one
-blowup at a time, composing dense pullbacks) and the direct-solve check of
-the chain lemma in tests/oracles.py, and checks build against the former.
+the product with one copy.  The model, a ChainModel, is read off the
+base model and the layout alone; with one point per class its
+resolution() is the blown-up surface.  The composite pullback and the
+dual sums read the layout too: on generic chains at free points, g* E_i
+is E_i plus every curve of the chains over it, each with coefficient 1,
+so no table of the map is stored (apply raises ModelMismatch on a divisor
+of another model).  build refuses, before allocating anything, a
+configuration that stands for more than MAX_BLOWN_CURVES curves.  The
+test suite keeps the step-by-step route (one blowup at a time, composing
+dense pullbacks) and the direct-solve check of the chain lemma in
+tests/oracles.py, and checks build against the former.
 """
 from __future__ import annotations
 
@@ -65,7 +64,7 @@ class PullbackMap:
     unchanged (centers always avoid strict curves)."""
 
     source: ResolutionModel
-    target: ResolutionModel
+    target: ChainModel
     chains: tuple
 
     def apply(self, d: Divisor) -> Divisor:
@@ -93,24 +92,24 @@ class ChainInfo:
     length: int
 
 
-class _BlownModel(ResolutionModel):
-    """The model of a configuration's chains over ``base_model``.  Its size,
-    labels (at each chain's first point) and rows come from the chain layout
-    (c copies of a chain lower its base curve's self-intersection by c and
-    have c times the entries of one); its curves, meetings and label index
-    are built from the rows, and checked, by ResolutionModel.__init__ when
-    anything else is read."""
+@dataclass(frozen=True, repr=False)
+class ChainModel:
+    """The model of a configuration's ``chains`` over ``base_model``, read off
+    the layout: c copies of a chain lower their base curve's self-intersection
+    by c and have c times the entries of one.  It is no resolution."""
 
-    def __init__(self, base_model, chains, u):
-        self.base_model, self._chains, self.u = base_model, chains, u
-        self.strict_sparse = base_model.strict_sparse
-        self._dual_basis = self._discrepancies = None  # read before a refusal
+    base_model: ResolutionModel
+    chains: tuple
+
+    @cached_property
+    def u(self):
+        return self.base_model.u + sum(info.length for info in self.chains)
 
     @cached_property
     def labels(self):
         base = self.base_model.labels
         return base + tuple("%s(%d,%d)" % (base[info.base], info.points[0], m)
-                            for info in self._chains
+                            for info in self.chains
                             for m in range(1, info.length + 1))
 
     @property
@@ -118,13 +117,17 @@ class _BlownModel(ResolutionModel):
         return self.base_model.strict_labels
 
     @property
+    def strict_sparse(self):
+        return self.base_model.strict_sparse
+
+    @property
     def chain_layout(self):
-        return self.base_model.labels, self._chains
+        return self.base_model.labels, self.chains
 
     @cached_property
     def sparse_rows(self):
         rows = [list(row) for row in self.base_model.sparse_rows]
-        for info in self._chains:
+        for info in self.chains:
             b, c, tip = info.base, len(info.points), info.start + info.length - 1
             rows[b] = [(j, v - c if j == b else v) for j, v in rows[b]]
             rows[b].append((info.start, c))
@@ -134,10 +137,19 @@ class _BlownModel(ResolutionModel):
             rows[info.start][0] = (b, c)  # the first curve meets the base
         return tuple(map(tuple, rows))
 
-    def __getattr__(self, name):  # reached only for what is not yet set
-        state = vars(self)
-        if name.startswith("__") or "curves" in state or "_chains" not in state:
-            raise AttributeError(name)
+    @cached_property
+    def _index(self):  # read by index_of
+        return {label: i for i, label in enumerate(self.labels)}
+
+    index_of = ResolutionModel.index_of
+
+    def strict_index_of(self, label: str) -> int:
+        return self.base_model.strict_index_of(label)
+
+    def resolution(self) -> ResolutionModel:
+        """The blown-up surface, where each chain class has one point."""
+        if any(len(info.points) > 1 for info in self.chains):
+            raise ModelMismatch("a model of chain classes is not a resolution")
         base, labels, rows = self.base_model, self.labels, self.sparse_rows
         genus = [c.genus for c in base.curves] + [0] * (self.u - base.u)
         curves = [ExcCurve(labels[i], genus[i], dict(row)[i])
@@ -145,9 +157,8 @@ class _BlownModel(ResolutionModel):
         meetings = [(i, j, m) for i, row in enumerate(rows)
                     for j, m in row if j > i]
         pad = (0,) * (self.u - base.u)
-        ResolutionModel.__init__(self, curves, meetings, [
+        return ResolutionModel(curves, meetings, [
             StrictCurve(s.label, s.incidence + pad) for s in base.strict_curves])
-        return getattr(self, name)
 
 
 class GenericConfiguration:
@@ -164,10 +175,10 @@ class GenericConfiguration:
     which avoids re-solving the (possibly large) intersection form.
     """
 
-    def __init__(self, base_model, model, chains):
+    def __init__(self, base_model, chains):
         self.base_model = base_model
-        self.model = model
         self.chains = tuple(chains)
+        self.model = ChainModel(base_model, self.chains)
 
     @classmethod
     def build(cls, base_model: ResolutionModel, e, n) -> "GenericConfiguration":
@@ -181,7 +192,7 @@ class GenericConfiguration:
         if total > MAX_BLOWN_CURVES:
             raise TooManyCurves("the blown model would have %d curves, more "
                                 "than the limit of %d" % (total, MAX_BLOWN_CURVES))
-        return cls._assemble(base_model, cls.layout(base_model, e, n))
+        return cls(base_model, cls.layout(base_model, e, n))
 
     @staticmethod
     def layout(base_model, e, n) -> tuple:
@@ -203,11 +214,6 @@ class GenericConfiguration:
                 chains.append(ChainInfo(i, points, start, n[i]))
                 start += n[i]
         return tuple(chains)
-
-    @classmethod
-    def _assemble(cls, base_model, chains) -> "GenericConfiguration":
-        end = chains[-1].start + chains[-1].length if chains else base_model.u
-        return cls(base_model, _BlownModel(base_model, chains, end), chains)
 
     @cached_property
     def pullback(self) -> PullbackMap:

@@ -49,11 +49,11 @@ class DiscrepancyReport:
 
 
 def discrepancies(model: ResolutionModel) -> DiscrepancyReport:
-    """Solve the adjunction system for the discrepancy vector; a model of
-    chain classes, one standing for several chains, is no resolution."""
+    """Solve the adjunction system for the discrepancy vector; a
+    configuration's ChainModel is no resolution (its resolution() is)."""
+    if not isinstance(model, ResolutionModel):
+        raise ModelMismatch("a model of chain classes is not a resolution")
     if model._discrepancies is None:
-        if any(len(info.points) > 1 for info in model.chain_layout[1]):
-            raise ModelMismatch("a model of chain classes is not a resolution")
         rhs = [2 * c.genus - 2 - c.self_int for c in model.curves]
         den, (num,) = linalg.solve_columns(model.sparse_rows, [rhs])
         model._relative_canonical = Divisor._of(

@@ -133,7 +133,7 @@ def cmd_blowup(args) -> int:
     rep.add("length", args.length)
     rep.add("relative_canonical_of_map", config.K_sigma)
     print(rep.render(), end="")
-    print(serialize_model(config.model), end="")
+    print(serialize_model(config.model.resolution()), end="")
     return 0
 
 

@@ -34,7 +34,7 @@ class Divisor:
     den: int    # >= 1, and gcd(den, *num) == 1
 
     def __new__(cls, model: ResolutionModel, exc, strict):
-        if len(exc) != model.u or len(strict) != len(model.strict_curves):
+        if len(exc) != model.u or len(strict) != len(model.strict_labels):
             raise ModelMismatch("coefficient vector lengths do not match the model")
         values = (*exc, *strict)
         if all(type(v) is int for v in values):
@@ -62,7 +62,7 @@ class Divisor:
 
     @staticmethod
     def zero(model: ResolutionModel) -> "Divisor":
-        return Divisor._of(model, (0,) * (model.u + len(model.strict_curves)), 1)
+        return Divisor._of(model, (0,) * (model.u + len(model.strict_labels)), 1)
 
     @staticmethod
     def from_coeffs(model: ResolutionModel, exc=None, strict=None) -> "Divisor":
@@ -70,7 +70,7 @@ class Divisor:
 
         Mappings are keyed by curve label; missing entries are zero.
         """
-        e, s = [0] * model.u, [0] * len(model.strict_curves)
+        e, s = [0] * model.u, [0] * len(model.strict_labels)
         for vec, given, index_of in ((e, exc, model.index_of),
                                      (s, strict, model.strict_index_of)):
             if isinstance(given, dict):
@@ -85,7 +85,7 @@ class Divisor:
         """The divisor consisting of the i-th exceptional curve."""
         e = [0] * model.u
         e[i] = 1
-        return Divisor._of(model, e + [0] * len(model.strict_curves), 1)
+        return Divisor._of(model, e + [0] * len(model.strict_labels), 1)
 
     @property
     def exc(self) -> tuple:

@@ -67,11 +67,11 @@ def dual_basis(model: ResolutionModel):
 
     Solved exactly, as int numerators over |det M|, by one elimination
     against the negated identity; results are cached on the model.  A
-    model of chain classes, one standing for several chains, has none.
+    configuration's ChainModel, no resolution, has none.
     """
+    if not isinstance(model, ResolutionModel):
+        raise ModelMismatch("a model of chain classes is not a resolution")
     if model._dual_basis is None:
-        if any(len(info.points) > 1 for info in model.chain_layout[1]):
-            raise ModelMismatch("a model of chain classes is not a resolution")
         n = model.u
         den, cols = linalg.solve_columns(
             model.sparse_rows, [[0] * j + [-1] + [0] * (n - j - 1) for j in range(n)])

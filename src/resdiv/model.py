@@ -133,12 +133,8 @@ class ResolutionModel:
 
     # -- equality ----------------------------------------------------------
 
-    def _key(self):
-        return (
-            tuple((c.label, c.genus, c.self_int) for c in self.curves),
-            self.meetings,
-            tuple((s.label, s.incidence) for s in self.strict_curves),
-        )
+    def _key(self):  # the curves are frozen dataclasses, equal by their fields
+        return self.curves, self.meetings, self.strict_curves
 
     def __eq__(self, other):
         if self is other:

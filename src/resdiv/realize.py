@@ -23,10 +23,10 @@ chains are laid out as build lays them out for (e, n) (chain_length_rule).
 
 Every divisor of the construction is the same on each copy of a chain, so
 F, A, G and F' live on the configuration's model, which lays the copies
-out once; its form is read off the chain layout.  realize and the checks
-run on int numerators (see _run_checks), Fractions made for the scalars
-and for the first broken row of a check alone, so the model's curves are
-built only if something reads them; an untampered certificate never does.
+out once; its form is read off the chain layout, and it has no curves to
+build.  realize and the checks run on int numerators (see _run_checks),
+Fractions made for the scalars and for the first broken row of a check
+alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import eq, ge, gt, le, lt
 
 from .antinef import antinef_closure, is_antinef
@@ -239,14 +239,15 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     mu and A, the chain lengths or layout, F0, or G is caught; the signs
     of N, mu and the products of A included).  A field not on its model
     (F0 and config on the base model, F, A, G and F' on config's model),
-    or a chain of config without points or outside its model (as fits
-    reads it), fails every check, naming it.
+    or a chain of config without points or outside its model (each starts
+    where the one before ends, as fits reads it), fails every check, naming it.
     """
     config, base = cert.config, cert.base_model
+    starts = accumulate((i.length for i in config.chains), initial=base.u)
     fits = all(type(i.points) is tuple
                and all(type(x) is int for x in (i.base, i.start, i.length, *i.points))
-               and 0 <= i.base < base.u <= i.start < i.start + i.length <= config.model.u
-               and min(i.points) >= 1 for i in config.chains if i.points)
+               and 0 <= i.base < base.u and i.start == start < start + i.length
+               and min(i.points, default=1) >= 1 for i, start in zip(config.chains, starts))
     fields = [("F0: not on the base model", cert.F0.model, base),
               ("config: not over the base model", config.base_model, base),
               ("config: a chain without points", all(i.points for i in config.chains), True),

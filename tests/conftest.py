@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import resdiv as r
+from oracles import ungroup
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "resdiv" / "corpus"
 
@@ -57,9 +58,10 @@ def e8_twice_z():
 
 
 def single_chain(model, i, n):
-    """The configuration of one generic chain of length n over curve i."""
+    """The configuration of one generic chain of length n over curve i, on
+    the blown-up surface, its ChainModel's resolution()."""
     e = [int(k == i) for k in range(model.u)]
-    return r.GenericConfiguration.build(model, e, [n * v for v in e])
+    return ungroup(r.GenericConfiguration.build(model, e, [n * v for v in e]))
 
 
 def random_antinef(model, rng, hi=10):

@@ -23,7 +23,8 @@ format_by_labels writes a divisor one Fraction per coefficient, reading
 the model's full label tuple, as the chain-aware format_divisor must.
 
 ungroup gives a configuration with one point to each ChainInfo, whose
-model is the blown-up surface itself, and expand spreads a divisor on a
+model is the blown-up surface, the resolution() of its ChainModel, and
+expand spreads a divisor on a
 configuration's model over it; quotient_matrix and expand_by_labels read
 the class form off the labels alone: each chain curve <base>(point,step)
 stands in the class of <base>(1,step).  closure_with_rule runs the
@@ -367,9 +368,9 @@ def iterated_configuration(base_model, e, n):
                 current = step.new_model
                 chains.append(ChainInfo(base=i, points=(j,), start=start,
                                         length=n[i]))
-    config = GenericConfiguration(base_model, current, chains)
-    # the composed maps, in place of those build reads off the chains
-    config.pullback, config.K_sigma = pullback, k_total
+    config = GenericConfiguration(base_model, chains)
+    # the iterated model and composed maps, in place of those read off the chains
+    config.model, config.pullback, config.K_sigma = current, pullback, k_total
     return config
 
 
@@ -445,13 +446,16 @@ def verify_lemma_gen(config, d):
 @lru_cache(maxsize=16)
 def ungroup(config):
     """``config``'s chains with one point to each ChainInfo, in the order
-    of their points; its model is the blown-up surface (cached)."""
+    of their points; its model is the blown-up surface, the resolution()
+    of its ChainModel (cached)."""
     chains, start = [], config.base_model.u
     for info in config.chains:
         for p in info.points:
             chains.append(ChainInfo(info.base, (p,), start, info.length))
             start += info.length
-    return GenericConfiguration._assemble(config.base_model, tuple(chains))
+    ungrouped = GenericConfiguration(config.base_model, chains)
+    ungrouped.model = ungrouped.model.resolution()
+    return ungrouped
 
 
 def expand(config, d):

@@ -211,8 +211,11 @@ def _more_tampered_certificates(cert, rng):
         chains = list(cert.config.chains)
         chains[c] = dataclasses.replace(
             chains[c], points=tuple(p + 1 for p in chains[c].points))
-        yield "points", dataclasses.replace(cert, checks=(), config=(
-            r.GenericConfiguration(cert.base_model, cert.config.model, chains)))
+        config = r.GenericConfiguration(cert.base_model, chains)
+        yield "points", dataclasses.replace(cert, checks=(), config=config, **{
+            name: r.Divisor._of(config.model, d.num, d.den) for name, d in (
+                ("F", cert.F), ("A", cert.A), ("G", cert.G),
+                ("F_prime", cert.F_prime))})
 
 
 def _expected_detail(cert, kind, bad):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import time
@@ -192,7 +193,7 @@ def test_sum_and_weighted_duals_match_reference():
 
 
 def test_chain_lookup_helpers():
-    config = r.GenericConfiguration.build(a2(), e=[1, 1], n=[2, 2])
+    config = ungroup(r.GenericConfiguration.build(a2(), e=[1, 1], n=[2, 2]))
     assert len(config.chains) == 2
     over0 = [info for info in config.chains if info.base == 0]
     assert len(over0) == 1 and over0[0].base == 0
@@ -307,7 +308,7 @@ def test_lemma_rejects_bad_inputs():
         verify_lemma_gen(two, r.Divisor.zero(two.model))
 
 
-# -- the blown model's form, built on first read --------------------------------
+# -- the model read off the chains, and the blown-up surface it stands for ------
 
 E8_Z = [6, 3, 4, 2, 5, 4, 3, 2]  # the fundamental cycle of e8
 
@@ -364,12 +365,11 @@ def test_realize_and_its_report_leave_the_blown_form_unbuilt(built_sizes):
         represented = represented_curves(cert.config)
         assert cert.passed and "blown_curves = %d" % represented in lines
         assert represented > blown.u
+        # the rows come from the layout, and the classes have no surface
+        assert not hasattr(blown, "curves")
+        with pytest.raises(r.ModelMismatch, match="chain classes"):
+            blown.resolution()
         assert blown.u not in built_sizes, k
-        # the rows come from the layout, the curves never
-        assert "curves" not in vars(blown)
-        # the count sees the form once something reads it
-        assert len(blown.curves) == blown.u
-        assert built_sizes[-1] == blown.u
 
 
 def test_report_reads_neither_the_blown_form_nor_its_labels():
@@ -399,47 +399,53 @@ def test_cli_realize_leaves_the_blown_form_unbuilt(built_sizes, tmp_path,
 
 def test_form_read_later_equals_the_eager_model(log_terminal_models,
                                                 built_sizes):
+    """A ChainModel reads its labels and rows off the layout, building no
+    model, and equals the ChainModel of equal chains whether or not they
+    were read; with one point per class, its resolution() is the eager
+    model and the iterated one."""
     rng = random.Random(10)
     with_strict = 0
     for name, model in log_terminal_models.items():
         e = [rng.randint(0, 3) for _ in range(model.u)]
         n = [rng.randint(1, 3) for _ in range(model.u)]
         grouped = r.GenericConfiguration.build(model, e, n)
-        for config in (grouped, ungroup(grouped)):
-            lazy = config.model
+        one_point = r.GenericConfiguration(model, ungroup(grouped).chains)
+        for config in (grouped, one_point):
+            read_off, twin = config.model, r.GenericConfiguration(
+                model, config.chains).model
             built_sizes.clear()
-            assert repr(lazy).startswith("ResolutionModel(")
-            assert built_sizes == [], name
+            assert read_off == twin and hash(read_off) == hash(twin), name
             eager = eager_model(config)
-            assert lazy.labels == eager.labels, name
-            assert lazy.strict_labels == eager.strict_labels, name
-            assert lazy == eager and eager == lazy, name
-            assert hash(lazy) == hash(eager), name
-            assert lazy.meetings == eager.meetings, name
-            assert lazy.sparse_rows == eager.sparse_rows, name
-            assert lazy.strict_sparse == eager.strict_sparse, name
-            assert lazy.curves == eager.curves, name
-            assert lazy.strict_curves == eager.strict_curves, name
-            assert lazy.labels == tuple(c.label for c in lazy.curves), name
-        assert ungroup(grouped).model == \
-            iterated_configuration(model, e, n).model, name
+            assert read_off.labels == eager.labels, name
+            assert read_off.strict_labels == eager.strict_labels, name
+            assert read_off.sparse_rows == eager.sparse_rows, name
+            assert read_off.strict_sparse == eager.strict_sparse, name
+            assert read_off == twin and hash(read_off) == hash(twin), name
+            assert read_off != eager and eager != read_off, name
+            assert built_sizes == [eager.u], name  # eager_model's alone
+        built = one_point.model.resolution()
+        assert built == eager_model(one_point), name
+        assert built == iterated_configuration(model, e, n).model, name
+        if any(len(info.points) > 1 for info in grouped.chains):
+            with pytest.raises(r.ModelMismatch, match="chain classes"):
+                grouped.model.resolution()
         with_strict += bool(model.strict_curves)
     assert with_strict >= 1
 
 
 def assert_rows_come_from_the_layout(config):
-    """The rows ``config``'s model reads off its layout, before its curves
-    exist, are those of the eager model and of the model checked by
-    ResolutionModel from its curves; and so for the blown-up surface."""
-    for c in (config, ungroup(config)):
-        lazy = c.model
-        rows, strict = lazy.sparse_rows, lazy.strict_sparse
-        assert "curves" not in vars(lazy)
+    """The rows ``config``'s model reads off its layout are those of the
+    eager model, and so for the one-point layout of its copies, whose rows
+    are those ResolutionModel derives from the curves and meetings of its
+    resolution()."""
+    one_point = r.GenericConfiguration(config.base_model, ungroup(config).chains)
+    for c in (config, one_point):
         eager = eager_model(c)
-        assert (rows, strict) == (eager.sparse_rows, eager.strict_sparse)
-        checked = r.ResolutionModel(lazy.curves, lazy.meetings,
-                                    lazy.strict_curves)
-        assert (rows, strict) == (checked.sparse_rows, checked.strict_sparse)
+        assert (c.model.sparse_rows, c.model.strict_sparse) == (
+            eager.sparse_rows, eager.strict_sparse)
+    checked = one_point.model.resolution()
+    assert (one_point.model.sparse_rows, one_point.model.strict_sparse) == (
+        checked.sparse_rows, checked.strict_sparse)
 
 
 @seed(20081021)
@@ -472,13 +478,50 @@ def test_divisors_on_an_unbuilt_form_copy_and_pickle(built_sizes):
         for twin in twins:
             assert twin == k and twin.products() == k.products()
             assert twin.model.labels == c.model.labels
-        # a model whose form was built round-trips too
+        # and so after the rows were read
         assert pickle.loads(pickle.dumps(k)) == k
 
 
-def test_unknown_attribute_of_a_blown_model_is_an_attribute_error():
-    model = r.GenericConfiguration.build(a2(), [2, 0], [2, 0]).model
-    for _ in range(2):  # before and after the form is built
-        with pytest.raises(AttributeError):
-            model.no_such_attribute
-    assert model.u == 4 and len(model.curves) == 4
+def test_a_seed0_batch_builds_the_base_models_alone(built_sizes, capsys):
+    assert main(["batch", "--samples", "25", "--seed", "0"]) == 0
+    assert "total_failures = 0" in capsys.readouterr().out.splitlines()
+    assert sorted(built_sizes) == sorted(load_doc(name).model.u
+                                         for name in CORPUS_NAMES)
+
+
+@pytest.fixture(scope="module")
+def e8_99z():
+    """The certificate of F0 = 99 Z on e8: 999 curves of chain classes."""
+    model = load_doc("e8").model
+    cert = r.realize(model, r.Divisor.from_coeffs(
+        model, exc=[99 * v for v in E8_Z]))
+    assert cert.passed and cert.config.model.u == 999
+    return cert
+
+
+def test_divisors_on_the_configuration_model_build_no_model(e8_99z,
+                                                            built_sizes):
+    """Divisor.zero once built all 999 class curves, through the count of
+    the strict curves."""
+    model = e8_99z.config.model
+    label = model.labels[-1]
+    zero, curve = r.Divisor.zero(model), r.Divisor.curve(model, 998)
+    mapped = r.Divisor.from_coeffs(model, exc={label: 1, "E8": 2})
+    assert built_sizes == []
+    assert label == "E8(1,991)" and zero.num == (0,) * 999
+    assert mapped.num[model.index_of("E8")] == 2 and mapped - curve == \
+        r.Divisor.curve(model, 7).scale(2)
+    with pytest.raises(r.MalformedGraph, match="unknown curve 'E8\\(2,1\\)'"):
+        model.index_of("E8(2,1)")
+
+
+def test_a_pickled_f_is_verified_without_building_a_model(e8_99z,
+                                                          built_sizes):
+    """A pickled F lives on an equal ChainModel over an equal base model:
+    the field gate compares them without building either's curves (it once
+    built two 999-curve models)."""
+    twin = pickle.loads(pickle.dumps(e8_99z.F))
+    assert twin.model is not e8_99z.config.model
+    checked = r.verify_certificate(dataclasses.replace(e8_99z, F=twin,
+                                                       checks=()))
+    assert checked.passed and built_sizes == []

@@ -187,14 +187,36 @@ CLASS_MODEL_ENTRIES = {
 def test_a_model_of_chain_classes_is_refused(entry):
     """Its form is P^T M P, not a surface's: solved as one, it gave
     b = -252, -126, ... on e8 and a multiplier divisor other than F.  The
-    refusal comes before any class curve is built: the solve caches are
-    set on the model, so reading them runs no build."""
+    refusal is by type: a ChainModel has no curves to build."""
     cert = e8_twice_z()
     assert [len(info.points) for info in cert.config.chains] == [2]
     assert "curves" not in vars(cert.config.model)
     with pytest.raises(r.ModelMismatch, match="chain classes"):
         CLASS_MODEL_ENTRIES[entry](cert.config.model, cert)
     assert "curves" not in vars(cert.config.model)
+
+
+@pytest.mark.parametrize("e", ([0, 0], [1, 0], [1, 1], [2, 1]))
+def test_every_chain_model_is_refused_and_resolved_at_one_point(e):
+    """Chainless, of one-point classes or not, a ChainModel is no
+    resolution; its resolution() is one where each class has one point,
+    and raises where one has two."""
+    config = r.GenericConfiguration.build(a2(), e, [2, 3])
+    model = config.model
+    assert isinstance(model, r.ChainModel)
+    assert not isinstance(model, r.ResolutionModel)
+    zero = r.Divisor.zero(model)
+    for solve in (r.discrepancies, r.dual_basis,
+                  lambda m: r.multiplier_divisor(m, zero, 1)):
+        with pytest.raises(r.ModelMismatch, match="chain classes"):
+            solve(model)
+    if max(e) > 1:
+        with pytest.raises(r.ModelMismatch, match="chain classes"):
+            model.resolution()
+    else:
+        blown = model.resolution()
+        assert blown.u == model.u and blown.labels == model.labels
+        assert r.discrepancies(blown).log_terminal
 
 
 def test_one_point_layouts_are_resolutions():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -815,10 +816,11 @@ def test_reports_permute_with_the_declaration_order_on_generated_models(
 def test_reports_permute_with_the_declaration_order_on_a_blown_model(
         tmp_path, capsys):
     """A chain of three over each curve of d5: one point per chain, so the
-    configuration's model is the blown-up surface (20 curves)."""
+    resolution() of the configuration's model is the blown-up surface (20
+    curves)."""
     base = load_doc("d5").model
     model = r.GenericConfiguration.build(base, [1] * base.u,
-                                         [3] * base.u).model
+                                         [3] * base.u).model.resolution()
     assert model.u == 20
     assert_reports_permute(model, random.Random(5), tmp_path, capsys)
 
@@ -838,3 +840,52 @@ def test_integral_rationals_read_as_the_int_they_equal(tmp_path, capsys):
     assert outs[0] == outs[1]
     divisor, (code, _, _) = outs[0]
     assert (divisor.num, divisor.den, code) == ((3, 0, 0), 1, 0)
+
+
+# -- relabelling ---------------------------------------------------------------
+
+def relabelled(text, names):
+    """``text`` with each curve label in ``names`` replaced by its image,
+    wherever it stands as a word: as a key, a term, a chain's head."""
+    pattern = r"(?<![\w])(%s)(?![\w])" % "|".join(
+        map(re.escape, sorted(names, key=len, reverse=True)))
+    return re.sub(pattern, lambda m: names[m[1]], text)
+
+
+def assert_reports_follow_a_relabelling(model, rng, tmp_path, capsys):
+    """Each curve renamed by a seeded bijection to fresh names, none of the
+    form X(p,m): check, dual-basis, closure D --trace and realize F print
+    what they printed, relabelled, chain labels <new>(p,m) included."""
+    labels = model.labels + model.strict_labels
+    fresh = ["w%d_%s" % (k, rng.choice("abcxyz")) for k in
+             rng.sample(range(10 * len(labels)), len(labels))]
+    names = dict(zip(labels, fresh))
+    d = r.Divisor(model, [rng.randint(0, 3) for _ in range(model.u)],
+                  [rng.randint(0, 1) for _ in model.strict_labels])
+    f = r.antinef_closure(d)[0] if r.check_negative_definite(model) else d
+    text = r.serialize_model(model, {"D": d, "F": f})
+    for argv in (["check"], ["dual-basis"], ["closure", "D", "--trace"],
+                 ["realize", "F"]):
+        runs = []
+        for side, body in (("declared", text), ("renamed", relabelled(text, names))):
+            path = tmp_path / side / "model.graph"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body)
+            runs.append(run(capsys, argv[0], str(path), *argv[1:]))
+        (code, out, err), renamed = runs
+        assert renamed == (code, relabelled(out, names), relabelled(err, names))
+        if argv[0] == "realize" and code == 0 and any(f.num[:model.u]):
+            assert re.search(r"\bw\d+_[a-z]\(1,1\)=", renamed[1]), out
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_reports_follow_a_relabelling_on_the_corpus(name, tmp_path, capsys):
+    assert_reports_follow_a_relabelling(load_doc(name).model,
+                                        random.Random(name), tmp_path, capsys)
+
+
+def test_reports_follow_a_relabelling_on_generated_models(tmp_path, capsys):
+    rng = random.Random(20081026)
+    for k in range(12):
+        assert_reports_follow_a_relabelling(random_log_terminal_model(rng), rng,
+                                            tmp_path / str(k), capsys)

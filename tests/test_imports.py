@@ -10,6 +10,10 @@ And every name the package exports, and every public method or property
 of its classes, is read by one of its own modules: what only the tests
 read belongs with the tests.  Methods are matched by attribute name, so a
 method counts as read when any attribute of that name is.
+
+And no class defines ``__getattr__`` or subclasses ``ResolutionModel``: a
+model is built and checked by its constructor, or is a value read off its
+chains, never something built on an attribute miss.
 """
 
 import ast
@@ -115,3 +119,41 @@ def test_detector_flags_an_unused_name():
               "__all__ = ['f']\n"
               "print(g)\n")
     assert unused_imports(source) == [(2, "e")]
+
+
+def lazy_model_classes(sources):
+    """The classes in ``sources`` that define ``__getattr__`` (by ``def`` or
+    assignment) or subclass ``ResolutionModel`` (by name or attribute)."""
+    found = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defined = {item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef)}
+            defined.update(t.id for item in node.body
+                           if isinstance(item, ast.Assign)
+                           for t in item.targets if isinstance(t, ast.Name))
+            bases = {getattr(b, "id", getattr(b, "attr", None))
+                     for b in node.bases}
+            if "__getattr__" in defined or "ResolutionModel" in bases:
+                found.add(node.name)
+    return found
+
+
+def test_no_class_builds_a_model_on_an_attribute_miss():
+    sources = [(SRC / module).read_text() for module in MODULES]
+    assert lazy_model_classes(sources) == set()
+
+
+def test_lazy_model_detector_flags_each_form():
+    source = ("class A(ResolutionModel): pass\n"
+              "class B(model.ResolutionModel): pass\n"
+              "class C:\n"
+              "    def __getattr__(self, name): pass\n"
+              "class D:\n"
+              "    __getattr__ = print\n"
+              "class E(object):\n"
+              "    def __getattribute__(self, name): pass\n"
+              "    resolution = ResolutionModel\n")
+    assert lazy_model_classes([source]) == {"A", "B", "C", "D"}

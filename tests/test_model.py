@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import resdiv as r
 from conftest import CORPUS_DIR, CORPUS_NAMES, load_doc
-from oracles import dense_matrix
+from oracles import dense_matrix, ungroup
 
 
 def assert_one_form(model):
@@ -40,7 +40,7 @@ def test_built_models_hold_one_form(log_terminal_models):
     for model in log_terminal_models.values():
         e = [rng.randint(0, 2) for _ in range(model.u)]
         n = [rng.randint(1, 3) for _ in range(model.u)]
-        assert_one_form(r.GenericConfiguration.build(model, e, n).model)
+        assert_one_form(ungroup(r.GenericConfiguration.build(model, e, n)).model)
 
 
 def test_meeting_declaration_order_does_not_matter():
@@ -78,8 +78,8 @@ def test_build_memory_is_linear_in_curves():
 
 
 def test_form_build_memory_is_linear_in_curves():
-    """The same bound with the blown model's form, built on first read, and
-    the pullback of E8 (itself and the whole chain) read."""
+    """The same bound with the model's rows, read off the layout, and the
+    pullback of E8 (itself and the whole chain) read."""
     model = load_doc("e8").model
     e = [0] * 7 + [1]  # one chain, so the model is the blown-up surface
     n = [0] * 7 + [2576]

@@ -93,7 +93,9 @@ def test_model_without_exceptional_curves_realizes(strict):
     assert cert.passed
     assert (cert.mu, cert.N, cert.lam) == (Fraction(1, 2), 1, Fraction(5, 4))
     assert cert.F.strict == f0.strict
-    assert r.multiplier_divisor(cert.config.model, cert.G, cert.lam) == cert.F
+    full = ungroup(cert.config).model
+    assert r.multiplier_divisor(full, expand(cert.config, cert.G),
+                                cert.lam) == expand(cert.config, cert.F)
 
 
 # -- verification over the corpus -------------------------------------------------
@@ -244,18 +246,38 @@ def test_doubled_f0_is_not_realized_by_the_certificate(name):
         model.labels[0], r.format_rational(f), r.format_rational(2 * f))
 
 
+def _relaid(cert, chains):
+    """``cert`` on the configuration of ``chains``, with F, A, G and F'
+    carried onto its model: the base and strict coefficients kept, and each
+    chain given those of the certificate's chain over its base curve."""
+    config, u = r.GenericConfiguration(cert.base_model, chains), cert.base_model.u
+    old = {info.base: info.start for info in cert.config.chains}
+
+    def carry(d):
+        num = list(d.num[:u])
+        for info in config.chains:
+            num += d.num[old[info.base]:old[info.base] + info.length]
+        return r.Divisor._of(config.model, num + list(d.num[cert.config.model.u:]),
+                             d.den)
+
+    return dataclasses.replace(cert, config=config, checks=(), **{
+        name: carry(getattr(cert, name)) for name in ("F", "A", "G", "F_prime")})
+
+
 @pytest.mark.parametrize("name", BOUND_GRAPHS)
 @pytest.mark.parametrize("k", (1, 3))
 def test_config_missing_its_last_chain_fails_the_chain_rule(name, k):
-    """Drop the last chain, with all its copies, from the configuration and
-    keep everything else: the checks end in a report, and the chain count
+    """Drop the last chain, with all its copies, from the configuration: the
+    model shrinks with it, so F, A, G and F' left on the old model fail
+    every check, naming F; carried onto the new model, the chain count
     names the curve."""
     model = load_doc(name).model
     cert = r.realize(model, _closure_of_sum(model).scale(k))
     chains = cert.config.chains
-    short = r.GenericConfiguration(model, cert.config.model, chains[:-1])
-    report = r.verify_certificate(dataclasses.replace(cert, config=short,
-                                                      checks=()))
+    short = r.GenericConfiguration(model, chains[:-1])
+    _all_fail_with(dataclasses.replace(cert, config=short, checks=()),
+                   "F: not on the configuration's model")
+    report = r.verify_certificate(_relaid(cert, chains[:-1]))
     assert not report.passed
     last = chains[-1].base
     detail = {c.name: c.detail for c in report.checks}["chain_length_rule"]
@@ -264,25 +286,39 @@ def test_config_missing_its_last_chain_fails_the_chain_rule(name, k):
 
 def test_config_with_renumbered_chains_fails_the_chain_rule():
     """Renumbering the points of a chain, or splitting its copies into two
-    chains, keeps the model, and the layout names the first copy that
-    differs; dropping the chain names the count."""
+    chains, with F, A, G and F' carried onto the new model, names the first
+    copy that differs in the layout; dropping the chain names the count, and
+    with the divisors left on the old model, F."""
     model = a2()
     cert = r.realize(model, r.dual_basis(model)[0].scale(3))
     (info,) = cert.config.chains
     assert info.points == (1, 2, 3)
 
     def laid_out(*chains):
-        return dataclasses.replace(cert, checks=(), config=r.GenericConfiguration(
-            model, cert.config.model, chains))
+        return _relaid(cert, chains)
 
     assert _details(laid_out(dataclasses.replace(info, points=(1, 3, 2)))) == {
         "chain_length_rule": "E1(2,1): 3 vs 2"}
     assert _details(laid_out(dataclasses.replace(info, points=(3, 2, 1)))) == {
         "chain_length_rule": "E1(1,1): 3 vs 1"}
-    split = laid_out(dataclasses.replace(info, points=(1,)),
-                     dataclasses.replace(info, points=(2, 3)))
+    split = laid_out(dataclasses.replace(info, points=(1,)), dataclasses.replace(
+        info, points=(2, 3), start=info.start + info.length))
     assert _details(split)["chain_length_rule"] == "E1(1,1): 1 vs 3"
     assert _details(laid_out())["chain_length_rule"] == "E1: 0 vs 3"
+    _all_fail_with(dataclasses.replace(cert, checks=(), config=(
+        r.GenericConfiguration(model, ()))), "F: not on the configuration's model")
+
+
+def test_moved_points_with_divisors_on_the_old_model_fail_every_check():
+    """The layout keeps its size, but the configuration's model is another:
+    F, A, G and F' left on the old one fail every check, naming F."""
+    model = a2()
+    cert = r.realize(model, r.dual_basis(model)[0].scale(3))
+    (info,) = cert.config.chains
+    moved = (dataclasses.replace(info, points=(2, 3, 4)),)
+    assert r.GenericConfiguration(model, moved).model.u == cert.config.model.u
+    _all_fail_with(dataclasses.replace(cert, checks=(), config=(
+        r.GenericConfiguration(model, moved))), "F: not on the configuration's model")
 
 
 def test_recorded_chain_lengths_cover_every_curve():
@@ -329,29 +365,41 @@ def test_config_with_a_chain_without_points_fails_every_check(appended):
         chains += (r.ChainInfo(0, (), cert.config.model.u, 2),)
     else:
         chains = (dataclasses.replace(chains[0], points=()),) + chains[1:]
-    config = r.GenericConfiguration(model, cert.config.model, chains)
+    config = r.GenericConfiguration(model, chains)
     _all_fail_with(dataclasses.replace(cert, config=config, checks=()),
                    "config: a chain without points")
 
 
 @pytest.mark.parametrize("field, value", (
     ("start", 9), ("start", 7), ("length", 22), ("length", 0), ("base", 99),
-    ("base", -1), ("points", ("a", "b")), ("points", (0, 1)), ("points", 2)))
+    ("base", -1), ("points", ("a", "b")), ("points", (0, 1)), ("points", 2),
+    ("second_start", "overlap"), ("second_start", "gap")))
 def test_config_with_a_chain_outside_its_model_fails_every_check(field, value):
     """e8 with F0 = 2Z has one class of 2 chains over E8, at points 1 and 2,
-    on curves 8 to 28 of its 29.  Moved past the model's end or onto a base
-    curve, lengthened or emptied, hung off no base curve, or at points that
-    are not a tuple of ints >= 1, it ends in a report naming config (the
-    start 9, length 22 and base 99 raised IndexError, and the points
-    ('a', 'b') and 2 TypeError)."""
-    cert = e8_twice_z()
-    (info,) = cert.config.chains
-    assert (info.base, info.points, info.start, info.length) == (7, (1, 2), 8, 21)
-    assert cert.config.model.u == 29
-    config = r.GenericConfiguration(cert.base_model, cert.config.model,
-                                    [dataclasses.replace(info, **{field: value})])
+    on curves 8 to 28 of its 29.  Moved off the end of the base curves,
+    emptied, hung off no base curve, or at points that are not a tuple of
+    ints >= 1, it ends in a report naming config (the start 9 and base 99
+    raised IndexError, and the points ('a', 'b') and 2 TypeError).
+    Lengthened, it still fits, on a model of other size than F's, which
+    names F.  On a2 with F0 = 2E1 + 2E2, a second chain that starts where
+    the first does, or one curve after the first ends, names config too."""
+    if field == "second_start":
+        model = a2()
+        cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[2, 2]))
+        first, second = cert.config.chains
+        assert (first.start, first.length, second.start) == (2, 3, 5)
+        start = first.start if value == "overlap" else second.start + 1
+        chains = [first, dataclasses.replace(second, start=start)]
+    else:
+        cert = e8_twice_z()
+        (info,) = cert.config.chains
+        assert (info.base, info.points, info.start, info.length) == (7, (1, 2), 8, 21)
+        assert cert.config.model.u == 29
+        chains = [dataclasses.replace(info, **{field: value})]
+    config = r.GenericConfiguration(cert.base_model, chains)
     _all_fail_with(dataclasses.replace(cert, config=config, checks=()),
-                   "config: a chain outside its model")
+                   "F: not on the configuration's model" if field == "length"
+                   and value > 21 else "config: a chain outside its model")
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,7 +430,7 @@ def test_tampered_chain_fields_end_in_a_report(data, field):
     else:
         value = data.draw(st.integers(-3, cert.config.model.u + 3))
         chains[k] = dataclasses.replace(chains[k], **{field: value})
-    config = r.GenericConfiguration(cert.base_model, cert.config.model, chains)
+    config = r.GenericConfiguration(cert.base_model, chains)
     checked = r.verify_certificate(dataclasses.replace(cert, config=config,
                                                        checks=()))
     assert tuple(c.name for c in checked.checks) == CHECK_NAMES
