@@ -19,16 +19,17 @@ at its points, and the model's form is P^T M P, for P sending a chain
 curve to the sum of its copies (self-intersections -2c, -c at the tip,
 and meetings c, for c copies).  A product on a chain curve reads c times
 the product with one copy.  The model, a ChainModel, is read off the
-base model and the layout alone; with one point per class its
-resolution() is the blown-up surface.  The composite pullback and the
-dual sums read the layout too: on generic chains at free points, g* E_i
-is E_i plus every curve of the chains over it, each with coefficient 1,
-so no table of the map is stored (apply raises ModelMismatch on a divisor
-of another model).  build refuses, before allocating anything, a
-configuration that stands for more than MAX_BLOWN_CURVES curves.  The
-test suite keeps the step-by-step route (one blowup at a time, composing
-dense pullbacks) and the direct-solve check of the chain lemma in
-tests/oracles.py, and checks build against the former.
+base model and the layout alone, where each chain follows the ones
+before it (spans); with one point per class its resolution() is the
+blown-up surface.  The pullback and the dual sums read the layout too:
+on generic chains at free points, g* E_i is E_i plus every curve of the
+chains over it, each with coefficient 1, so no table of the map is
+stored (apply raises ModelMismatch on a divisor of another model).
+build refuses, before allocating anything, a configuration that stands
+for more than MAX_BLOWN_CURVES curves.  The test suite keeps the
+step-by-step route (one blowup at a time, composing dense pullbacks)
+and the direct-solve check of the chain lemma in tests/oracles.py, and
+checks build against the former.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
 from .divisor import Divisor, ModelMismatch
 from .lattice import dual_basis
@@ -58,23 +59,21 @@ class TooManyCurves(ValueError):
 
 @dataclass(frozen=True)
 class PullbackMap:
-    """The composite pullback of the chains ``chains``, sending divisors on
-    ``source`` to ``target``: E_i goes to E_i plus every curve of the chains
-    over it, each with coefficient 1.  Strict coefficients pass through
-    unchanged (centers always avoid strict curves)."""
+    """The composite pullback of ``config``'s chains, read off it when applied:
+    divisors on its base model go to its model, E_i to E_i plus every curve of
+    the chains over it, each with coefficient 1.  Strict coefficients pass
+    through unchanged (centers always avoid strict curves)."""
 
-    source: ResolutionModel
-    target: ChainModel
-    chains: tuple
+    config: GenericConfiguration
 
     def apply(self, d: Divisor) -> Divisor:
-        if d.model is not self.source and d.model != self.source:
+        source, num = self.config.base_model, d.num
+        if d.model is not source and d.model != source:
             raise ModelMismatch("divisor does not live on the source model")
-        u, num = self.source.u, d.num
-        out = list(num[:u]) + [0] * (self.target.u - u)
-        for info in self.chains:
-            out[info.start:info.start + info.length] = [num[info.base]] * info.length
-        return Divisor._of(self.target, out + list(num[u:]), d.den)
+        out = list(num[:source.u])
+        for info in self.config.chains:
+            out += [num[info.base]] * info.length
+        return Divisor._of(self.config.model, out + list(num[source.u:]), d.den)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +83,18 @@ class PullbackMap:
 @dataclass(frozen=True)
 class ChainInfo:
     """The identical chains over one curve, one at each of ``points``; the
-    chain at point p has its curves labelled ``<base label>(p,step)``."""
+    chain at point p has its curves labelled ``<base label>(p,step)``, after
+    the base curves and the chains before it (spans)."""
 
     base: int      # base-curve index the chains hang off
     points: tuple  # 1-based point numbers on that curve, one per copy
-    start: int     # index of the first chain curve in the model
     length: int
+
+
+def spans(u, chains):
+    """Each chain with its first curve's index, the chains laid out in turn
+    after u base curves."""
+    return zip(chains, accumulate((info.length for info in chains), initial=u))
 
 
 @dataclass(frozen=True, repr=False)
@@ -122,19 +127,19 @@ class ChainModel:
 
     @property
     def chain_layout(self):
-        return self.base_model.labels, self.chains
+        return self.base_model.labels, spans(self.base_model.u, self.chains)
 
     @cached_property
     def sparse_rows(self):
         rows = [list(row) for row in self.base_model.sparse_rows]
-        for info in self.chains:
-            b, c, tip = info.base, len(info.points), info.start + info.length - 1
+        for info, start in spans(self.base_model.u, self.chains):
+            b, c, tip = info.base, len(info.points), start + info.length - 1
             rows[b] = [(j, v - c if j == b else v) for j, v in rows[b]]
-            rows[b].append((info.start, c))
+            rows[b].append((start, c))
             rows += [[(k - 1, c), (k, -2 * c), (k + 1, c)]
-                     for k in range(info.start, tip)]
+                     for k in range(start, tip)]
             rows.append([(tip - 1, c), (tip, -c)])
-            rows[info.start][0] = (b, c)  # the first curve meets the base
+            rows[start][0] = (b, c)  # the first curve meets the base
         return tuple(map(tuple, rows))
 
     @cached_property
@@ -206,28 +211,25 @@ class GenericConfiguration:
             base_model._taken_points = {(m[1], int(m[2])) for m in (
                 re.fullmatch(r"(.*)\(([1-9][0-9]*),[1-9][0-9]*\)", label)
                 for label in labels) if m}
-        taken, chains, start = base_model._taken_points, [], base_model.u
+        taken, chains = base_model._taken_points, []
         for i, label in enumerate(base_model.labels):
             if e[i] > 0 and n[i] > 0:
                 free = (p for p in count(1) if (label, p) not in taken)
-                points = tuple(islice(free, e[i]))
-                chains.append(ChainInfo(i, points, start, n[i]))
-                start += n[i]
+                chains.append(ChainInfo(i, tuple(islice(free, e[i])), n[i]))
         return tuple(chains)
 
-    @cached_property
+    @property
     def pullback(self) -> PullbackMap:
-        """The composite pullback, which reads the chains."""
-        return PullbackMap(self.base_model, self.model, self.chains)
+        """The composite pullback, made per read: cached, it would form a cycle."""
+        return PullbackMap(self)
 
     @cached_property
     def K_sigma(self) -> Divisor:
         """The relative canonical divisor of the composition: coefficient
         k on the k-th curve of each chain."""
-        k_num = [0] * (self.model.u + len(self.base_model.strict_curves))
-        for info in self.chains:
-            k_num[info.start:info.start + info.length] = range(1, info.length + 1)
-        return Divisor._of(self.model, k_num, 1)
+        chains = [k for info in self.chains for k in range(1, info.length + 1)]
+        return Divisor._of(self.model, [0] * self.base_model.u + chains + [0] * len(
+            self.base_model.strict_curves), 1)
 
     # -- closed-form dual basis -------------------------------------------
 
@@ -240,10 +242,9 @@ class GenericConfiguration:
         weights = list(weights)
         wden = math.lcm(*(x.denominator for x in weights))
         w = [x.numerator * (wden // x.denominator) for x in weights]
-        base_w = w[:u]
-        for info in self.chains:
-            base_w[info.base] += len(info.points) * sum(
-                w[info.start:info.start + info.length])
+        base_w, chains = w[:u], list(spans(u, self.chains))
+        for info, start in chains:
+            base_w[info.base] += len(info.points) * sum(w[start:start + info.length])
         # sum_l base_w[l] dual(E_l) on the base curves
         duals = dual_basis(base)
         dden = math.lcm(*(v.den for v in duals))
@@ -253,13 +254,13 @@ class GenericConfiguration:
                 c *= dden // dual.den
                 for k, v in enumerate(dual.num[:u]):
                     out[k] += c * v
-        for info in self.chains:
+        for info, start in chains:
             # g* gives chain position m the base coefficient, and the chain
             # adds sum_k t_k * min(m, k) for its weights t
-            t = w[info.start:info.start + info.length]
+            t = w[start:start + info.length]
             prefix, suffix, at_base = 0, sum(t), out[info.base]
             for m, x in enumerate(t, 1):
                 prefix += m * x  # sum_{k<=m} k t_k
                 suffix -= x      # sum_{k>m} t_k
-                out[info.start + m - 1] = at_base + dden * (prefix + m * suffix)
+                out[start + m - 1] = at_base + dden * (prefix + m * suffix)
         return Divisor._of(self.model, out, dden * wden)

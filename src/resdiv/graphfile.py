@@ -166,9 +166,9 @@ def format_divisor(d: Divisor) -> str:
                 else f"{key}={n // den}" for key, n in zip(keys, nums) if n]
 
     parts = terms(labels, num)
-    for info in chains:
+    for info, start in chains:
         chain = terms([f"{m})" for m in range(1, info.length + 1)],
-                      num[info.start:info.start + info.length])
+                      num[start:start + info.length])
         if chain:  # "<base>(<point>,<m>)=<value>" on each point's chain
             heads = [f"{labels[info.base]}({p}," for p in info.points]
             parts += [head + f" {head}".join(chain) for head in heads]

@@ -116,7 +116,7 @@ class ResolutionModel:
 
     @property
     def chain_layout(self):
-        """(base labels, chains after those curves): none on a plain model."""
+        """(base labels, spans of the chains after them): none on a plain model."""
         return self.labels, ()
 
     def index_of(self, label: str) -> int:

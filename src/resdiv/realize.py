@@ -36,11 +36,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import eq, ge, gt, le, lt
 
 from .antinef import antinef_closure, is_antinef
-from .blowup import GenericConfiguration
+from .blowup import GenericConfiguration, spans
 from .canonical import (NotLogTerminal, check_ideal_divisor,
                         discrepancies, relative_canonical)
 from .divisor import Divisor
@@ -201,9 +201,9 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
     and s_i E*_i[i] + v_i >= 0 on those chains; ints, F'.E = p_fp / fp.den."""
     q_f = f.product_numerators()
     over, total = [[] for _ in range(base.u)], p_fp[:base.u]
-    for info in config.chains:
-        seg = p_fp[info.start:info.start + info.length]
-        over[info.base].append((info, seg))
+    for info, start in spans(base.u, config.chains):
+        seg = p_fp[start:start + info.length]
+        over[info.base].append((info, start, seg))
         total[info.base] += sum(seg)
 
     def sides(i, k, xn, xd, vn=0, vd=1):  # at curve k, g*E*_i = xn/xd, v_i = vn/vd
@@ -215,14 +215,14 @@ def _domination_break(config, base, f, fp, p_fp) -> str:
         if s < 0:  # first at the first curve E*_i does not vanish on
             j = next(j for j, x in enumerate(dual.num) if x)
             return sides(i, j, dual.num[j], dual.den)
-        for info, seg in over[i]:
+        for info, start, seg in over[i]:
             copies = len(info.points)
             bound, scale = copies * s * dual.num[i], f.den * dual.den
             v, tail = 0, sum(seg)  # -v_i[m] fp.den c = sum of tails 1..m
             for m, p in enumerate(seg, 1):
                 v, tail = v + tail, tail - p
                 if bound < v * scale:
-                    return sides(i, info.start + m - 1, dual.num[i], dual.den,
+                    return sides(i, start + m - 1, dual.num[i], dual.den,
                                  -v, fp.den * copies)
     return ""
 
@@ -239,15 +239,15 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
     mu and A, the chain lengths or layout, F0, or G is caught; the signs
     of N, mu and the products of A included).  A field not on its model
     (F0 and config on the base model, F, A, G and F' on config's model),
-    or a chain of config without points or outside its model (each starts
-    where the one before ends, as fits reads it), fails every check, naming it.
+    or a chain of config without points or outside its model (off every
+    base curve, without curves, or at points that are not ints >= 1), fails
+    every check, naming it.
     """
     config, base = cert.config, cert.base_model
-    starts = accumulate((i.length for i in config.chains), initial=base.u)
     fits = all(type(i.points) is tuple
-               and all(type(x) is int for x in (i.base, i.start, i.length, *i.points))
-               and 0 <= i.base < base.u and i.start == start < start + i.length
-               and min(i.points, default=1) >= 1 for i, start in zip(config.chains, starts))
+               and all(type(x) is int for x in (i.base, i.length, *i.points))
+               and 0 <= i.base < base.u and i.length >= 1
+               and min(i.points, default=1) >= 1 for i in config.chains)
     fields = [("F0: not on the base model", cert.F0.model, base),
               ("config: not over the base model", config.base_model, base),
               ("config: a chain without points", all(i.points for i in config.chains), True),
@@ -275,10 +275,9 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     checks = []
     model = config.model
     base = cert.base_model
-    copies = [1] * model.u
+    copies = [1] * base.u
     for info in config.chains:
-        copies[info.start:info.start + info.length] = (
-            [len(info.points)] * info.length)
+        copies += [len(info.points)] * info.length
 
     def check(name, passed, detail):  # detail() runs on failure only
         checks.append(CheckResult(name, bool(passed), "" if passed else detail()))
@@ -324,7 +323,7 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
           differ(fp.pushforward(), f.pushforward()))
 
     # F' and F agree with F at the base along the top of every chain
-    tops = [(info.start + info.length - 1, info.base) for info in config.chains]
+    tops = [(s + i.length - 1, i.base) for i, s in spans(base.u, config.chains)]
     check("chain_top_order_equality",
           all(fp.num[t] * f.den == f.num[t] * fp.den and f.num[t] == f.num[b]
               for t, b in tops),
@@ -381,7 +380,7 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     # so far each E_i has its e_i chains, as counted
     if not n_break and (
             laid := GenericConfiguration.layout(base, counts, cert.n)) != chains:
-        per_copy = ([(info.base, pt, info.start, info.length, len(info.points))
+        per_copy = ([(info.base, pt, info.length, len(info.points))
                      for info in layout for pt in info.points]
                     for layout in (chains, laid))
         n_break = _first_break(

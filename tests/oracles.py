@@ -22,14 +22,15 @@ GenericConfiguration.weighted_dual_sum uses.
 format_by_labels writes a divisor one Fraction per coefficient, reading
 the model's full label tuple, as the chain-aware format_divisor must.
 
+chain_spans gives where each chain's curves sit, by counting the lengths
+before it, and chain_copies how many curves each curve stands for.
 ungroup gives a configuration with one point to each ChainInfo, whose
 model is the blown-up surface, the resolution() of its ChainModel, and
-expand spreads a divisor on a
-configuration's model over it; quotient_matrix and expand_by_labels read
-the class form off the labels alone: each chain curve <base>(point,step)
-stands in the class of <base>(1,step).  closure_with_rule runs the
-unit-step closure on the dense matrix under any rule for picking the
-violating curve.
+expand spreads a divisor on a configuration's model over it;
+quotient_matrix and expand_by_labels read the class form off the labels
+alone: each chain curve <base>(point,step) stands in the class of
+<base>(1,step).  closure_with_rule runs the unit-step closure on the
+dense matrix under any rule for picking the violating curve.
 
 random_log_terminal_model draws log terminal models by their
 classification alone: chains of rational curves of weight >= 2 (cyclic
@@ -351,6 +352,12 @@ def generic_chain(model, i, n, point_tag=None):
                         base_curve=i, chain_curves=tuple(chain))
 
 
+class _Composed(GenericConfiguration):
+    """A configuration whose model, pullback and K_sigma are set on it."""
+
+    pullback = None
+
+
 def iterated_configuration(base_model, e, n):
     """The configuration ungroup(GenericConfiguration.build(base_model, e,
     n)) should be, built chain by chain via generic_chain."""
@@ -361,14 +368,13 @@ def iterated_configuration(base_model, e, n):
     for i in range(base_model.u):
         if e[i] > 0 and n[i] > 0:
             for j in range(1, e[i] + 1):
-                start = current.u
                 step = generic_chain(current, i, n[i], point_tag=j)
+                assert step.chain_curves[0] == current.u  # after the last chain
                 pullback = compose(pullback, step.sigma_pullback)
                 k_total = step.sigma_pullback.apply(k_total) + step.K_sigma
                 current = step.new_model
-                chains.append(ChainInfo(base=i, points=(j,), start=start,
-                                        length=n[i]))
-    config = GenericConfiguration(base_model, chains)
+                chains.append(ChainInfo(base=i, points=(j,), length=n[i]))
+    config = _Composed(base_model, chains)
     # the iterated model and composed maps, in place of those read off the chains
     config.model, config.pullback, config.K_sigma = current, pullback, k_total
     return config
@@ -412,10 +418,10 @@ def verify_lemma_gen(config, d):
     if not is_antinef(d):
         raise PreconditionViolated("divisor must be antinef")
 
-    info = config.chains[0]
+    ((info, span),) = chain_spans(config)
     duals = dual_basis(config.model)
     i = info.base
-    chain_curves = range(info.start, info.start + info.length)
+    chain_curves = range(span.start, span.stop)
     seq = [duals[i]] + [duals[k] for k in chain_curves]
     duals_monotone = all(seq[t].less_equal(seq[t + 1]) for t in range(len(seq) - 1))
 
@@ -443,16 +449,31 @@ def verify_lemma_gen(config, d):
 
 # -- the blown-up surface, and the class form by labels ---------------------------
 
+def chain_spans(config):
+    """(info, slice of its curves) for each chain of ``config``: the chains
+    follow the base curves, each starting where the one before ends."""
+    start, out = config.base_model.u, []
+    for info in config.chains:
+        out.append((info, slice(start, start + info.length)))
+        start += info.length
+    return out
+
+
+def chain_copies(config):
+    """The number of copies each curve of ``config``'s model stands for."""
+    copies = [1] * config.base_model.u
+    for info in config.chains:
+        copies += [len(info.points)] * info.length
+    return copies
+
+
 @lru_cache(maxsize=16)
 def ungroup(config):
     """``config``'s chains with one point to each ChainInfo, in the order
     of their points; its model is the blown-up surface, the resolution()
     of its ChainModel (cached)."""
-    chains, start = [], config.base_model.u
-    for info in config.chains:
-        for p in info.points:
-            chains.append(ChainInfo(info.base, (p,), start, info.length))
-            start += info.length
+    chains = [ChainInfo(info.base, (p,), info.length)
+              for info in config.chains for p in info.points]
     ungrouped = GenericConfiguration(config.base_model, chains)
     ungrouped.model = ungrouped.model.resolution()
     return ungrouped
@@ -464,8 +485,8 @@ def expand(config, d):
     if d.model is not config.model and d.model != config.model:
         raise ModelMismatch("divisor does not live on the configuration")
     num = list(d.num[:config.base_model.u])
-    for info in config.chains:
-        num += d.num[info.start:info.start + info.length] * len(info.points)
+    for info, span in chain_spans(config):
+        num += d.num[span] * len(info.points)
     return Divisor._of(ungroup(config).model,
                        num + list(d.num[config.model.u:]), d.den)
 
@@ -574,10 +595,7 @@ def dual_chain_domination_detail(config, base, f, fp):
     the weights -F'.E_k per copy on E_i and its chains, against
     -(F.E_i) g*E*_i, compared curve by curve; '' when every E_i passes."""
     model = config.model
-    copies = [1] * model.u
-    for info in config.chains:
-        copies[info.start:info.start + info.length] = (
-            [len(info.points)] * info.length)
+    copies = chain_copies(config)
     neg = [-p / c for p, c in zip(fp.products(), copies)]
     f_prods = f.products()
     duals = dual_basis(base)
@@ -585,9 +603,8 @@ def dual_chain_domination_detail(config, base, f, fp):
     for i in range(base.u):
         weights = [0] * model.u
         weights[i] = neg[i]
-        for info in config.chains:
+        for info, span in chain_spans(config):
             if info.base == i:
-                span = slice(info.start, info.start + info.length)
                 weights[span] = neg[span]
         lhs = config.weighted_dual_sum(weights)
         rhs = config.pullback.apply(duals[i]).scale(-f_prods[i])
@@ -627,7 +644,7 @@ def epsilon_and_chain_length_details(cert):
            in enumerate(zip(base.labels, cert.n, cert.e))])
     if not n_break and (laid := GenericConfiguration.layout(
             base, counts, cert.n)) != chains:
-        per_copy = [[(info.base, pt, info.start, info.length, len(info.points))
+        per_copy = [[(info.base, pt, info.length, len(info.points))
                      for info in layout for pt in info.points]
                     for layout in (chains, laid)]
         n_break = _first_row_break(
@@ -643,10 +660,7 @@ def divisor_chain_details(cert, config, f, a_div, g):
     it, by chains of whole Divisors; each '' when its check holds."""
     model, base = config.model, cert.base_model
     labels = model.labels + model.strict_labels
-    copies = [1] * model.u
-    for info in config.chains:
-        copies[info.start:info.start + info.length] = (
-            [len(info.points)] * info.length)
+    copies = chain_copies(config)
 
     def differ(lhs, rhs):
         return _first_row_break(zip(labels, lhs.exc + lhs.strict,

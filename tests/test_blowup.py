@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import resdiv as r
 from conftest import (CORPUS_DIR, CORPUS_NAMES, load_doc,
                       random_integral_divisor, single_chain)
-from oracles import (PreconditionViolated, blow_up_free_point, dense_matrix,
-                     expand, expand_by_labels, generic_chain,
+from oracles import (PreconditionViolated, blow_up_free_point, chain_spans,
+                     dense_matrix, expand, expand_by_labels, generic_chain,
                      iterated_configuration, quotient_matrix, ungroup,
                      verify_lemma_gen)
 from resdiv.cli import _certificate_report, main
@@ -109,6 +109,33 @@ def test_pullback_rejects_a_divisor_on_another_model():
         config.pullback.apply(r.Divisor.zero(config.model))
 
 
+def test_the_pullback_follows_its_configuration():
+    """The pullback holds its configuration alone and reads it when applied:
+    taken before the model is swapped for the resolution (as ungroup does)
+    it lands on the resolution, and on a pickled or deep-copied
+    certificate on the copy's model; a divisor on another base model still
+    raises ModelMismatch."""
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[2, 2]))
+    full = r.GenericConfiguration(model, ungroup(cert.config).chains)
+    pullback = full.pullback
+    full.model = full.model.resolution()
+    assert [f.name for f in dataclasses.fields(pullback)] == ["config"]
+    configs = [full, ungroup(cert.config)]
+    for twin in (pickle.loads(pickle.dumps(cert)), copy.deepcopy(cert)):
+        assert twin.config is not cert.config
+        assert twin.config.pullback.config is twin.config
+        assert twin.config.pullback.apply(twin.F0) == twin.F
+        configs.append(twin.config)
+    for config in configs:
+        pulled = config.pullback.apply(cert.F0)
+        assert pulled.model is config.model
+        assert pulled == (cert.F if config.model == cert.config.model
+                          else expand(cert.config, cert.F))
+        with pytest.raises(r.ModelMismatch):
+            config.pullback.apply(r.Divisor.curve(a1(), 0))
+
+
 def test_negative_chain_length_rejected():
     with pytest.raises(ValueError):
         r.GenericConfiguration.build(a1(), [1], [-1])
@@ -195,14 +222,14 @@ def test_sum_and_weighted_duals_match_reference():
 def test_chain_lookup_helpers():
     config = ungroup(r.GenericConfiguration.build(a2(), e=[1, 1], n=[2, 2]))
     assert len(config.chains) == 2
-    over0 = [info for info in config.chains if info.base == 0]
-    assert len(over0) == 1 and over0[0].base == 0
+    over0 = [span for info, span in chain_spans(config) if info.base == 0]
+    assert len(over0) == 1 and over0[0] == slice(2, 4)
     curves = config.model.curves
     assert curves[over0[0].start + 1].label == "E1(1,2)"
     assert curves[0].label == "E1"
     duals = r.dual_basis(config.model)
-    for info in config.chains:
-        for idx in range(info.start, info.start + info.length):
+    for _, span in chain_spans(config):
+        for idx in range(span.start, span.stop):
             unit = [int(k == idx) for k in range(config.model.u)]
             assert config.weighted_dual_sum(unit) == duals[idx]
 
@@ -341,7 +368,6 @@ def eager_model(config):
     curves, meetings = list(base.curves), list(base.meetings)
     for info in config.chains:
         c, b = len(info.points), curves[info.base]
-        assert info.start == len(curves)
         curves[info.base] = r.ExcCurve(b.label, b.genus, b.self_int - c)
         previous = info.base
         for m in range(1, info.length + 1):

@@ -8,7 +8,7 @@ import pytest
 
 import resdiv as r
 from conftest import NON_LOG_TERMINAL, e8_twice_z, random_antinef
-from oracles import expand, random_log_terminal_model, ungroup
+from oracles import chain_spans, expand, random_log_terminal_model, ungroup
 
 
 def a1():
@@ -225,10 +225,10 @@ def test_one_point_layouts_are_resolutions():
     (G, lambda) is F."""
     cert = e8_twice_z()
     blown = ungroup(cert.config)
-    (info, _) = blown.chains
+    ((_, span), _) = chain_spans(blown)
     b = r.discrepancies(blown.model).b
     assert b[:8] == (0,) * 8
-    assert b[info.start:info.start + info.length] == tuple(range(1, 22))
+    assert b[span] == tuple(range(1, 22))
     assert r.check_negative_definite(blown.model)
     assert len(r.dual_basis(blown.model)) == blown.model.u
     assert r.multiplier_divisor(blown.model, expand(cert.config, cert.G),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import resdiv as r
 from conftest import (CORPUS_DIR, CORPUS_NAMES, LOG_TERMINAL_NAMES, load_doc,
                       single_chain)
-from oracles import (dense_matrix, expand, format_by_labels,
+from oracles import (chain_spans, dense_matrix, expand, format_by_labels,
                      random_log_terminal_model, ungroup)
 from resdiv.cli import main, random_antinef_divisor
 
@@ -146,9 +146,9 @@ def test_format_divisor_matches_the_label_oracle(name, blown, rng, den):
             w = expand(config, v)
             assert r.format_divisor(v) == format_by_labels(w)
             if full.chains:
-                info = rng.choice(full.chains)
+                _, span = rng.choice(chain_spans(full))
                 w += r.Divisor.curve(full.model,
-                                     info.start + rng.randrange(info.length))
+                                     rng.randrange(span.start, span.stop))
                 assert r.format_divisor(w) == format_by_labels(w)
     assert r.format_divisor(r.Divisor.zero(config.model)) == "0"
 

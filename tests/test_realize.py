@@ -13,9 +13,9 @@ from hypothesis import given, seed, settings
 import resdiv as r
 from conftest import (LOG_TERMINAL_NAMES, e8_twice_z, first_failure,
                       load_doc, random_antinef)
-from oracles import (chain_lengths_by_fractions, choose_epsilon_by_fractions,
-                     closure_with_rule, divisor_chain_details,
-                     dual_chain_domination_detail,
+from oracles import (chain_lengths_by_fractions, chain_spans,
+                     choose_epsilon_by_fractions, closure_with_rule,
+                     divisor_chain_details, dual_chain_domination_detail,
                      epsilon_and_chain_length_details, expand,
                      expand_by_labels, random_log_terminal_model, ungroup)
 from resdiv.cli import _certificate_report, random_antinef_divisor
@@ -251,7 +251,7 @@ def _relaid(cert, chains):
     carried onto its model: the base and strict coefficients kept, and each
     chain given those of the certificate's chain over its base curve."""
     config, u = r.GenericConfiguration(cert.base_model, chains), cert.base_model.u
-    old = {info.base: info.start for info in cert.config.chains}
+    old = {info.base: span.start for info, span in chain_spans(cert.config)}
 
     def carry(d):
         num = list(d.num[:u])
@@ -301,8 +301,8 @@ def test_config_with_renumbered_chains_fails_the_chain_rule():
         "chain_length_rule": "E1(2,1): 3 vs 2"}
     assert _details(laid_out(dataclasses.replace(info, points=(3, 2, 1)))) == {
         "chain_length_rule": "E1(1,1): 3 vs 1"}
-    split = laid_out(dataclasses.replace(info, points=(1,)), dataclasses.replace(
-        info, points=(2, 3), start=info.start + info.length))
+    split = laid_out(dataclasses.replace(info, points=(1,)),
+                     dataclasses.replace(info, points=(2, 3)))
     assert _details(split)["chain_length_rule"] == "E1(1,1): 1 vs 3"
     assert _details(laid_out())["chain_length_rule"] == "E1: 0 vs 3"
     _all_fail_with(dataclasses.replace(cert, checks=(), config=(
@@ -362,7 +362,7 @@ def test_config_with_a_chain_without_points_fails_every_check(appended):
     cert = r.realize(model, r.Divisor.curve(model, 0))
     chains = cert.config.chains
     if appended:
-        chains += (r.ChainInfo(0, (), cert.config.model.u, 2),)
+        chains += (r.ChainInfo(0, (), 2),)
     else:
         chains = (dataclasses.replace(chains[0], points=()),) + chains[1:]
     config = r.GenericConfiguration(model, chains)
@@ -371,35 +371,27 @@ def test_config_with_a_chain_without_points_fails_every_check(appended):
 
 
 @pytest.mark.parametrize("field, value", (
-    ("start", 9), ("start", 7), ("length", 22), ("length", 0), ("base", 99),
+    ("length", 22), ("length", 0), ("length", -1), ("base", 99), ("base", 8),
     ("base", -1), ("points", ("a", "b")), ("points", (0, 1)), ("points", 2),
-    ("second_start", "overlap"), ("second_start", "gap")))
+    ("length", 1)))
 def test_config_with_a_chain_outside_its_model_fails_every_check(field, value):
     """e8 with F0 = 2Z has one class of 2 chains over E8, at points 1 and 2,
-    on curves 8 to 28 of its 29.  Moved off the end of the base curves,
-    emptied, hung off no base curve, or at points that are not a tuple of
-    ints >= 1, it ends in a report naming config (the start 9 and base 99
-    raised IndexError, and the points ('a', 'b') and 2 TypeError).
-    Lengthened, it still fits, on a model of other size than F's, which
-    names F.  On a2 with F0 = 2E1 + 2E2, a second chain that starts where
-    the first does, or one curve after the first ends, names config too."""
-    if field == "second_start":
-        model = a2()
-        cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[2, 2]))
-        first, second = cert.config.chains
-        assert (first.start, first.length, second.start) == (2, 3, 5)
-        start = first.start if value == "overlap" else second.start + 1
-        chains = [first, dataclasses.replace(second, start=start)]
-    else:
-        cert = e8_twice_z()
-        (info,) = cert.config.chains
-        assert (info.base, info.points, info.start, info.length) == (7, (1, 2), 8, 21)
-        assert cert.config.model.u == 29
-        chains = [dataclasses.replace(info, **{field: value})]
+    on curves 8 to 28 of its 29.  Without curves, hung off no base curve,
+    or at points that are not a tuple of ints >= 1, it ends in a report
+    naming config (the base 99 raised IndexError, and the points ('a', 'b')
+    and 2 TypeError).  Lengthened, or shortened to one curve, it still fits,
+    on a model of other size than F's, which names F.  Where a chain's curves sit is not a field:
+    it follows from the lengths before it, so no chain can overlap another
+    or leave a gap."""
+    cert = e8_twice_z()
+    (info,) = cert.config.chains
+    assert (info.base, info.points, info.length) == (7, (1, 2), 21)
+    assert cert.config.model.u == 29
+    chains = [dataclasses.replace(info, **{field: value})]
     config = r.GenericConfiguration(cert.base_model, chains)
     _all_fail_with(dataclasses.replace(cert, config=config, checks=()),
                    "F: not on the configuration's model" if field == "length"
-                   and value > 21 else "config: a chain outside its model")
+                   and value >= 1 else "config: a chain outside its model")
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,7 +405,7 @@ def _chain_pool():
 @seed(20081025)
 @settings(max_examples=200, deadline=2000)
 @given(data=st.data(),
-       field=st.sampled_from(("base", "start", "length", "points", "duplicate")))
+       field=st.sampled_from(("base", "length", "points", "duplicate")))
 def test_tampered_chain_fields_end_in_a_report(data, field):
     """A chain's fields set to negatives, out-of-range values or duplicated
     points, or the chain itself repeated: verify_certificate never raises,
@@ -686,6 +678,69 @@ def test_epsilon_one_half_breaks_the_strict_bound():
         "lambda_scaling_rule": "lambda*N: 5/4 vs 3/2"}
 
 
+@pytest.mark.parametrize("epsilon, n, detail", (
+    (Fraction(2, 5), (0,), "E1: 2 vs 0"), (Fraction(3, 10), (1,), "E1(1,1): 2 vs 1")))
+def test_epsilon_in_bounds_with_n_to_match_reaches_the_chain_rows(epsilon, n,
+                                                                   detail):
+    """On a1 with F0 = E1 (e = 2, chosen epsilon 1/4, n = 2), another
+    epsilon within its bounds, with n recomputed from it, passes
+    epsilon_constraints and the n_i row: n_1 = 0 wants no chain over E1,
+    and n_1 = 1 two chains of one curve each."""
+    model = a1()
+    cert = r.realize(model, r.Divisor.curve(model, 0))
+    assert n == chain_lengths_by_fractions(model, cert.F0, epsilon)
+    bad = dataclasses.replace(cert, epsilon=epsilon, n=n, checks=())
+    details = _details(bad)
+    assert "epsilon_constraints" not in details
+    assert details["chain_length_rule"] == detail
+    assert epsilon_and_chain_length_details(bad) == ("", detail)
+
+
+def test_f_and_f_prime_over_three_keep_the_tops_and_the_domination():
+    """F and F' both divided by 3 (so over the denominator 3) still agree
+    along the chain tops, and the closed-form domination sweep gives the
+    detail of the weighted dual sums: '' there, and a break on the first
+    chain curve once F' is lowered by 1/3 on it."""
+    for cert in _chain_pool():
+        f, fp = (d.scale(Fraction(1, 3)) for d in (cert.F, cert.F_prime))
+        assert f.den == fp.den == 3
+        first = r.Divisor.curve(cert.config.model, cert.base_model.u)
+        for g in (fp, fp - first.scale(Fraction(1, 3))):
+            details = _details(dataclasses.replace(cert, F=f, F_prime=g, checks=()))
+            assert "chain_top_order_equality" not in details  # tips unmoved
+            assert details.get("dual_chain_domination", "") == \
+                dual_chain_domination_detail(cert.config, cert.base_model, f, g)
+        assert details["dual_chain_domination"].endswith("(1,1): %s" % (
+            "2/3 vs 1/3" if cert.base_model.u == 2 else "4/3 vs 1"))
+
+
+def test_f_prime_raised_on_a_chain_class_reads_as_on_the_blown_up_surface():
+    """F' plus the tip of e8's chain class of two copies, an integral F'
+    with products on the class curves: the checks on the classes agree
+    with those on the blown-up surface, details included."""
+    cert = e8_twice_z()
+    tip = r.Divisor.curve(cert.config.model, cert.config.model.u - 1)
+    bad = dataclasses.replace(cert, F_prime=cert.F_prime + tip, checks=())
+    assert any(bad.F_prime.product_numerators()[cert.base_model.u:])
+    assert _full_checks(bad) == r.verify_certificate(bad).checks
+
+
+def test_a_raised_on_a_chain_class_names_the_class_curve():
+    """A plus md E8(1,2) on e8's chain class of two copies (mu = mn / md),
+    and G plus N mn E8(1,2) to match: G is still N (F + K_g + mu A) and
+    integral, but A's product on E8(1,1) is no longer negative, which
+    integral_scaling_rule names as the Fraction rows do."""
+    cert = e8_twice_z()
+    k = r.Divisor.curve(cert.config.model, cert.base_model.u + 1)
+    bad = dataclasses.replace(
+        cert, A=cert.A + k.scale(cert.mu.denominator),
+        G=cert.G + k.scale(cert.N * cert.mu.numerator), checks=())
+    detail = _details(bad)["integral_scaling_rule"]
+    assert detail.startswith("E8(1,1): ")
+    assert detail == divisor_chain_details(
+        bad, bad.config, bad.F, bad.A, bad.G)["integral_scaling_rule"]
+
+
 def test_epsilon_at_the_curve_bound_fails_the_strict_row():
     """epsilon (a_i + 1) < 1 + b_i is strict: on a2 with F0 = 2E1 + 2E2,
     epsilon = 1/3 is exactly (1 + b)/(a + 1)."""
@@ -852,6 +907,28 @@ def test_quotient_and_full_routes_agree(seed0_certificates):
             assert _full_checks(bad) == r.verify_certificate(bad).checks, name
         cases += max(cert.e) >= 2
     assert cases > 200
+
+
+def test_blown_up_models_are_realized_again():
+    """Blowups of generated log terminal models, whose labels already read
+    <label>(p,m), realized again: layout takes the point numbers after the
+    taken ones, every check passes, and the blown-up surface, with the
+    divisors expanded, gives the same checks."""
+    rng, later = random.Random(20081029), 0
+    for _ in range(8):
+        model = random_log_terminal_model(rng)
+        e = [rng.randint(0, 2) for _ in range(model.u)]
+        blown = ungroup(r.GenericConfiguration.build(
+            model, e, [rng.randint(1, 2) for _ in e])).model
+        cert = r.realize(blown, random_antinef(blown, rng, hi=2))
+        assert cert.passed and _full_checks(cert) == cert.checks
+        for info in cert.config.chains:
+            label = blown.labels[info.base]
+            taken = {p for p in range(1, 3)
+                     if "%s(%d,1)" % (label, p) in blown.labels}
+            assert set(info.points).isdisjoint(taken)
+            later += min(info.points) > 1
+    assert later >= 4
 
 
 def test_quotient_closure_expands_to_full_closure(seed0_certificates):
