@@ -28,7 +28,6 @@ from .canonical import (NonPositiveLambda, NotAntinef, NotEffective,
 from .divisor import Divisor, ModelMismatch
 from .graphfile import format_divisor, parse_graph_file, serialize_model
 from .lattice import check_negative_definite, dual_basis
-from .linalg import NotNegativeDefinite
 from .model import MalformedGraph
 from .rationals import digit_limit, format_rational, parse_rational
 # batch never calls verify_certificate (realize already did), but
@@ -90,11 +89,7 @@ def cmd_dual_basis(args) -> int:
 def cmd_closure(args) -> int:
     doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
-    try:
-        closed, trace = antinef_closure(divisor)
-    except NotNegativeDefinite:
-        print("error: intersection form is not negative definite", file=sys.stderr)
-        return 1
+    closed, trace = antinef_closure(divisor)
     rep = _report("closure", args.file)
     rep.add("divisor", args.divisor)
     rep.add("input", divisor)

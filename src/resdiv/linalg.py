@@ -1,12 +1,12 @@
 """Exact symmetric elimination for negative definite integer systems.
 
 The only elimination in the package: Bareiss's fraction-free elimination
-(Bareiss 1968) on ints over sparse rows and right-hand sides, with pivots
-in greedy minimum-degree order (on a tree: leaves first, and no fill).
-The k-th pivot is the leading minor det_{k+1} of the reordered form, and
-the form is negative definite exactly when each has sign (-1)^{k+1}, so
-one routine both solves and decides definiteness.  Solutions are int
-numerators over |det M| (Cramer's rule); nothing here touches floats.
+(Bareiss 1968) on ints over sparse rows augmented by their right-hand
+sides, with pivots in greedy minimum-degree order (on a tree: leaves
+first, and no fill).  The k-th pivot is the leading minor det_{k+1} of
+the reordered form, and the form is negative definite exactly when each
+has sign (-1)^{k+1}, so one routine solves and decides definiteness.
+Solutions are int numerators over |det M| (Cramer's rule), never floats.
 """
 
 from __future__ import annotations
@@ -66,47 +66,43 @@ def _eliminate(rows, columns, order):
     """Bareiss elimination with the k-th pivot on curve ``order[k]``."""
     n, m = len(rows), len(columns)
     pos = sorted(range(n), key=order.__getitem__)  # curve -> position
-    # upper[k]: row order[k] at positions >= k, rhs[k]: its right-hand sides
-    # as {column: value}, nonzeros only.  The trailing block stays symmetric,
-    # so the entry below pivot k in row i is upper[k][i].  A row that step k
-    # would only rescale waits: it is upper[i] and rhs[i] times prev / scale[i]
-    upper = [{pos[j]: v for j, v in rows[i] if pos[j] >= k}
-             for k, i in enumerate(order)]
-    rhs = [{} for _ in range(n)]
+    # aug[k]: row order[k] as {key: value}, nonzeros only, at positions >= k
+    # and with right-hand side c at key n + c.  The trailing block stays
+    # symmetric, so the entry below pivot k in row i is aug[k][i].  A row
+    # that step k would only rescale waits: it is aug[i] times prev / scale[i]
+    aug = [{pos[j]: v for j, v in rows[i] if pos[j] >= k}
+           for k, i in enumerate(order)]
     for c, column in enumerate(columns):
         for i in compress(range(n), column):  # its nonzero entries
-            rhs[pos[i]][c] = column[i]
-
-    def combine(row, other, low):  # (pivot row - f other) / prev at step k
-        new = {c: -f * b // prev for c, b in other.items() if c >= low}  # fill
-        new.update({c: (pivot * a - f * other.get(c, 0)) // prev
-                    for c, a in row.items()})
-        return new
+            aug[pos[i]][n + c] = column[i]
 
     pivots, scale, prev = [0] * n, [1] * n, 1
     for k in range(n):
-        for i in {k, *upper[k]}:
+        below = [i for i in aug[k] if k < i < n]  # the rows step k updates
+        for i in (k, *below):
             if (s := scale[i]) != prev:
-                upper[i] = {c: a * prev // s for c, a in upper[i].items()}
-                rhs[i] = {c: a * prev // s for c, a in rhs[i].items()}
-        row_k = upper[k]
+                aug[i] = {c: a * prev // s for c, a in aug[i].items()}
+        row_k = aug[k]
         pivot = pivots[k] = row_k.pop(k, 0)
         if (pivot if k % 2 else -pivot) <= 0:
             raise NotNegativeDefinite(k, Fraction(pivot, prev))
-        for i, f in row_k.items():  # row i keeps positions >= i, rhs[i] all
-            upper[i] = combine(upper[i], row_k, i)
-            rhs[i] = combine(rhs[i], rhs[k], 0)
-            scale[i] = pivot
+        for i in below:  # (pivot row i - f row k) / prev, fill at keys >= i
+            f = row_k[i]
+            new = {c: -f * b // prev for c, b in row_k.items() if c >= i}
+            new.update({c: (pivot * a - f * row_k.get(c, 0)) // prev
+                        for c, a in aug[i].items()})
+            aug[i], scale[i] = new, pivot
         prev = pivot
 
     # dense back-substitution for the int y = |det M| x (Cramer), row by row
     den, ys = abs(prev), [None] * n
     for k in reversed(range(n)):
         acc = [0] * m
-        for c, b in rhs[k].items():
-            acc[c] = den * b
-        for c, a in upper[k].items():
-            acc = [t - a * y for t, y in zip(acc, ys[c])]
+        for c, a in aug[k].items():
+            if c >= n:
+                acc[c - n] += den * a
+            else:
+                acc = [t - a * y for t, y in zip(acc, ys[c])]
         ys[k] = [t // pivots[k] for t in acc]
     xs = zip(*(ys[k] for k in pos)) if n else [()] * m
     return den, [list(x) for x in xs]

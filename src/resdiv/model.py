@@ -43,7 +43,8 @@ class ResolutionModel:
 
     The constructor checks every invariant before it sorts or indexes
     anything, and raises MalformedGraph at the first violation: ExcCurve
-    and StrictCurve instances with str labels, unique across both kinds,
+    and StrictCurve instances with str labels a graph file can hold
+    (nonempty, without whitespace, '=' or '#'), unique across both kinds,
     int genus >= 0 and int self-intersection < 0, each meeting an
     (i, j, multiplicity) triple of ints with i != j in range and
     multiplicity > 0, each pair once, and for each strict curve a tuple of
@@ -65,6 +66,11 @@ class ResolutionModel:
             if not (isinstance(c, kind) and isinstance(c.label, str)):
                 raise MalformedGraph("%r: expected %s with a str label"
                                      % (c, kind.__name__))
+            # str.split() splits at every character a graph file's lines
+            # and tokens split at, so the label reads back as one token
+            if c.label.split() != [c.label] or "=" in c.label or "#" in c.label:
+                raise MalformedGraph("label %r must be nonempty, without "
+                                     "whitespace, '=' or '#'" % (c.label,))
             if c.label in seen:
                 raise MalformedGraph("duplicate label %r" % (c.label,))
             seen.add(c.label)

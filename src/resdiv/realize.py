@@ -292,7 +292,8 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
 
     k_g, k_f = config.K_sigma, relative_canonical(base)
     g_k_f = config.pullback.apply(k_f)
-    eps, mu, lam, n_f = cert.epsilon, *map(as_rational, (cert.mu, cert.lam, cert.N))
+    eps, mu, lam, n_f = map(as_rational, (cert.epsilon, cert.mu, cert.lam, cert.N))
+    n = tuple(x if type(x) is int else as_rational(x) for x in cert.n)  # int rows: cheaper
     (p, q), (mn, md), (ln, ld), (nn, nd) = (
         (x.numerator, x.denominator) for x in (eps, mu, lam, n_f))
 
@@ -365,7 +366,7 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     rows = [("epsilon", (0, 1), (p, q), lt)]
     if p > 0:  # the n_i rows divide by epsilon
         e = p * den_b * den_a  # (b_i + 1) / epsilon - a_i = top / e
-        for label, n_i, a_i, b_i in zip(base.labels, cert.n, alpha, beta):
+        for label, n_i, a_i, b_i in zip(base.labels, n, alpha, beta):
             top = (b_i + den_b) * q * den_a - p * den_b * a_i
             # this row gives n_i < (1+b_i)/eps - a_i, and b_i/eps - a_i <= n_i as eps < 1/2
             rows.append((label, (n_i, 1), (top // e - 1, 1), eq))
@@ -374,12 +375,12 @@ def _run_checks(cert, config, f, a_div, g, fp) -> tuple:
     for info in chains:
         counts[info.base] += len(info.points)
     n_break = _first_break(rows) or _first_break(
-        [("n", (len(cert.n), 1), (base.u, 1), eq)]
+        [("n", (len(n), 1), (base.u, 1), eq)]
         + [(label, (counts[i], 1), (e_i if n_i >= 1 else 0, 1), eq)
-           for i, (label, n_i, e_i) in enumerate(zip(base.labels, cert.n, cert.e))])
+           for i, (label, n_i, e_i) in enumerate(zip(base.labels, n, cert.e))])
     # so far each E_i has its e_i chains, as counted
     if not n_break and (
-            laid := GenericConfiguration.layout(base, counts, cert.n)) != chains:
+            laid := GenericConfiguration.layout(base, counts, n)) != chains:
         per_copy = ([(info.base, pt, info.length, len(info.points))
                      for info in layout for pt in info.points]
                     for layout in (chains, laid))

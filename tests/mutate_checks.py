@@ -24,6 +24,7 @@ The file name does not match test_*.py, so pytest does not collect it.
 import argparse
 import ast
 import copy
+import functools
 import os
 import shutil
 import subprocess
@@ -120,9 +121,11 @@ def _changes(node):
 
 
 def mutants(source):
-    """(key, line, mutated source) for each mutant of the functions named
-    in FUNCTIONS, in source order; the key names the function, the line's
-    text and the mutation, with #k on the k-th repeat of a key."""
+    """(key, line, text) for each mutant of the functions named in
+    FUNCTIONS, in source order; the key names the function, the line's
+    text and the mutation, with #k on the k-th repeat of a key, and
+    text() writes the mutated source (ast.unparse, the slow part, runs
+    only there, so the keys alone come quickly)."""
     tree, lines = ast.parse(source), source.splitlines()
     seen, out = {}, []
     for func in tree.body:
@@ -133,17 +136,23 @@ def mutants(source):
             if node is docstring:
                 continue
             for desc, edit in _changes(node):
-                twin = copy.deepcopy(func)
-                edit(next(n for k, n in enumerate(ast.walk(twin)) if k == index))
                 code = lines[node.lineno - 1].split("  #")[0].strip()
                 key = "%s: %s :: %s" % (func.name, code, desc)
                 seen[key] = seen.get(key, 0) + 1
                 if seen[key] > 1:
                     key += " #%d" % seen[key]
-                text = "\n".join(lines[:func.lineno - 1] + [ast.unparse(twin)]
-                                 + lines[func.end_lineno:]) + "\n"
+                text = functools.partial(_mutated, lines, func, index, edit)
                 out.append((key, node.lineno, text))
     return sorted(out, key=lambda m: m[1])
+
+
+def _mutated(lines, func, index, edit):
+    """The source ``lines`` with ``func`` written back by ast.unparse after
+    ``edit`` to a copy of its ``index``-th node in ast.walk order."""
+    twin = copy.deepcopy(func)
+    edit(next(n for k, n in enumerate(ast.walk(twin)) if k == index))
+    return "\n".join(lines[:func.lineno - 1] + [ast.unparse(twin)]
+                     + lines[func.end_lineno:]) + "\n"
 
 
 def unparsed(source):
@@ -157,9 +166,11 @@ def unparsed(source):
 
 
 def _copy_tree(dest):
+    # without test_mutate_checks.py, which reads realize.py for the keys
+    # and so holds only on the source as written, not on a mutant
     for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns(
-            "__pycache__", ".hypothesis", ".pytest_cache"))
+            "__pycache__", ".hypothesis", ".pytest_cache", "test_mutate_checks.py"))
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
@@ -214,7 +225,7 @@ def main(argv=None):
         def one(mutant, args=SUBSET):
             work = works.get()
             try:
-                verdict = _run(work, mutant[2], args, timeout)
+                verdict = _run(work, mutant[2](), args, timeout)
             finally:
                 works.put(work)
             print(verdict[0], end="", file=sys.stderr, flush=True)  # k, t or s

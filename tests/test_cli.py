@@ -103,6 +103,7 @@ def test_closure_rejects_indefinite_form(tmp_path):
     ("realize", "D"),
     ("dual-basis",),
     ("batch", "--samples", "2"),
+    ("closure", "D"),
 ])
 def test_singular_form_is_a_named_error(tmp_path, capsys, argv):
     path = tmp_path / "singular.graph"
@@ -111,7 +112,7 @@ def test_singular_form_is_a_named_error(tmp_path, capsys, argv):
     target = str(tmp_path) if command == "batch" else str(path)
     code, out, err = run(capsys, command, target, *rest)
     assert code == 1
-    assert "not negative definite" in err
+    assert "not negative definite" in err and "pivot" in err
 
 
 def test_closure_unknown_divisor(capsys):

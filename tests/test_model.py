@@ -2,6 +2,7 @@
 derived from it and must agree with it."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -129,6 +130,16 @@ def test_constructor_rejects_malformed_strict_incidences():
     for incidence in ((1, 1), (), (-3,)):
         with pytest.raises(r.MalformedGraph, match="strict curve 'C'"):
             r.ResolutionModel(curves, (), [r.StrictCurve("C", incidence)])
+
+
+@pytest.mark.parametrize("label", ["E 1", "E#1", "E=1", "", "E\n1", "E\t1"])
+def test_constructor_rejects_labels_no_graph_file_holds(label):
+    """serialize_model would write these as text parse_graph rejects,
+    so the constructor refuses them on both kinds of curve."""
+    with pytest.raises(r.MalformedGraph, match=re.escape(repr(label))):
+        r.build_model([(label, 0, -2)])
+    with pytest.raises(r.MalformedGraph, match=re.escape(repr(label))):
+        r.build_model([("E1", 0, -2)], strict=[(label, {"E1": 1})])
 
 
 def test_constructor_rejects_duplicate_labels():

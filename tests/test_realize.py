@@ -222,6 +222,21 @@ def test_tampered_epsilon_detected():
                                      if not c.passed]
 
 
+@pytest.mark.parametrize("field, value", (
+    ("epsilon", 1 / 6), ("epsilon", "1/6"), ("n", (3.0, 3.0)), ("n", (3.5, 3.5))))
+def test_inexact_epsilon_or_chain_lengths_raise_not_rational(field, value):
+    """epsilon and n are exact rationals, as mu, lambda and N are: on a2
+    with F0 = 2E1 + 2E2 (epsilon 1/6, n = (3, 3)) a float or a string
+    raises NotRational, a float equal to the rule included."""
+    model = a2()
+    cert = r.realize(model, r.Divisor.from_coeffs(model, exc=[2, 2]))
+    assert (cert.epsilon, cert.n) == (Fraction(1, 6), (3, 3))
+    same = dataclasses.replace(cert, n=(Fraction(3), Fraction(3)), checks=())
+    assert r.verify_certificate(same).checks == cert.checks
+    with pytest.raises(r.NotRational):
+        r.verify_certificate(dataclasses.replace(cert, **{field: value}, checks=()))
+
+
 # -- the certificate is bound to F0 -------------------------------------------------
 
 BOUND_GRAPHS = ("a2", "cyclic23", "d4", "e8")
