@@ -11,9 +11,9 @@ products; the tests compare it with a rescanning dense reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .divisor import Divisor
 
@@ -22,8 +22,7 @@ class NonIntegralInput(Exception):
     """Antinef closure is defined for integral divisors only; round first."""
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """Audit record of a closure run.
 
     ``steps`` lists (curve index, value of D.E_i at that step); each

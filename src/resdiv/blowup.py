@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, islice
+from typing import NamedTuple
 
 from .divisor import Divisor, ModelMismatch
 from .lattice import dual_basis
@@ -57,8 +57,7 @@ class TooManyCurves(ValueError):
     """The blown-up surface would have more than MAX_BLOWN_CURVES curves."""
 
 
-@dataclass(frozen=True)
-class PullbackMap:
+class PullbackMap(NamedTuple):
     """The composite pullback of ``config``'s chains, read off it when applied:
     divisors on its base model go to its model, E_i to E_i plus every curve of
     the chains over it, each with coefficient 1.  Strict coefficients pass
@@ -80,8 +79,7 @@ class PullbackMap:
 # whole configurations of chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainInfo:
+class ChainInfo(NamedTuple):
     """The identical chains over one curve, one at each of ``points``; the
     chain at point p has its curves labelled ``<base label>(p,step)``, after
     the base curves and the chains before it (spans)."""
@@ -97,14 +95,20 @@ def spans(u, chains):
     return zip(chains, accumulate((info.length for info in chains), initial=u))
 
 
-@dataclass(frozen=True, repr=False)
 class ChainModel:
     """The model of a configuration's ``chains`` over ``base_model``, read off
     the layout: c copies of a chain lower their base curve's self-intersection
     by c and have c times the entries of one.  It is no resolution."""
 
-    base_model: ResolutionModel
-    chains: tuple
+    def __init__(self, base_model: ResolutionModel, chains: tuple):
+        vars(self).update(base_model=base_model, chains=chains)
+
+    def _key(self):
+        return self.base_model, self.chains
+
+    # a frozen value as a Divisor is; cached_property writes vars(self) itself
+    __eq__, __hash__ = Divisor.__eq__, Divisor.__hash__
+    __setattr__ = __delattr__ = Divisor.__setattr__
 
     @cached_property
     def u(self):

@@ -9,8 +9,8 @@ integral antinef divisors on the fixed model, and the multiplier ideal of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .antinef import NonIntegralInput, antinef_closure
@@ -41,8 +41,7 @@ class NotLogTerminal(Exception):
                          % (list(self.offenders),))
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     b: tuple              # Fraction per exceptional curve
     log_terminal: bool
     offenders: tuple      # indices with b_i <= -1

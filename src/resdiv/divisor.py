@@ -13,7 +13,6 @@ ModelMismatch instead of coercing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import ResolutionModel
@@ -24,14 +23,11 @@ class ModelMismatch(Exception):
     """Two divisors (or a divisor and a curve) live on different models."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Divisor:
     """``Divisor(model, exc, strict)`` takes one int or Fraction per
     exceptional and per strict curve; all-int input skips the Fraction step."""
 
-    model: ResolutionModel
-    num: tuple  # ints: exceptional coefficients, then strict ones
-    den: int    # >= 1, and gcd(den, *num) == 1
+    __slots__ = ("model", "num", "den")  # see the module docstring
 
     def __new__(cls, model: ResolutionModel, exc, strict):
         if len(exc) != model.u or len(strict) != len(model.strict_labels):
@@ -55,8 +51,22 @@ class Divisor:
         object.__setattr__(self, "den", den // g)
         return self
 
+    def _key(self):
+        return self.model, self.num, self.den
+
     def __reduce__(self):  # copy and pickle bypass __new__'s conversion
         return Divisor._of, (self.model, self.num, self.den)
+
+    def __eq__(self, other):  # by _key, and to its own class alone
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, *value):  # also __delattr__; _of sets the slots
+        raise AttributeError("cannot set %s.%s" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
 
     # -- constructors --------------------------------------------------
 

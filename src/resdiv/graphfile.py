@@ -22,7 +22,7 @@ the cost follows the chains, not the curves they stand for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .divisor import Divisor
 from .model import MalformedGraph, ResolutionModel, build_model
@@ -37,14 +37,15 @@ class GraphSyntaxError(MalformedGraph):
         super().__init__("line %d: %s" % (lineno, message))
 
 
-@dataclass
-class GraphDoc:
+class GraphDoc(NamedTuple):
     model: ResolutionModel
-    divisors: dict = field(default_factory=dict)  # name -> Divisor
+    divisors: dict  # name -> Divisor
 
 
 def _parse_int(text, lineno, what):
     try:
+        if "_" in text or not text.isascii():  # int() would read them
+            raise ValueError(text)
         return int(text)
     except ValueError as exc:
         raise GraphSyntaxError(lineno, digit_limit(exc) or "%s must be an "

@@ -15,9 +15,8 @@ inputs here are arbitrary combinatorial models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .canonical import discrepancies
@@ -25,8 +24,7 @@ from .divisor import Divisor, ModelMismatch
 from .model import ResolutionModel
 
 
-@dataclass(frozen=True)
-class NegDefResult:
+class NegDefResult(NamedTuple):
     """Outcome of the definiteness check.
 
     When the form is not negative definite, ``witness`` is a rational

@@ -12,17 +12,15 @@ eliminates, are derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class MalformedGraph(Exception):
     """A graph description violates the model invariants."""
 
 
-@dataclass(frozen=True)
-class ExcCurve:
+class ExcCurve(NamedTuple):
     """One exceptional curve: label, genus and self-intersection."""
 
     label: str
@@ -30,8 +28,7 @@ class ExcCurve:
     self_int: int
 
 
-@dataclass(frozen=True)
-class StrictCurve:
+class StrictCurve(NamedTuple):
     """A tracked non-exceptional curve, known only by its incidences."""
 
     label: str
@@ -139,7 +136,7 @@ class ResolutionModel:
 
     # -- equality ----------------------------------------------------------
 
-    def _key(self):  # the curves are frozen dataclasses, equal by their fields
+    def _key(self):  # the curves are NamedTuples, equal by their fields
         return self.curves, self.meetings, self.strict_curves
 
     def __eq__(self, other):

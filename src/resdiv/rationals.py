@@ -27,10 +27,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact Fraction.
 
     Decimal notation is rejected so that no value can silently pass
-    through an inexact representation.
+    through an inexact representation, and so are the ``_`` separators and
+    non-ASCII digits that int() would read.
     """
     text = text.strip()
-    if not text or "." in text:
+    if not text or "." in text or "_" in text or not text.isascii():
         raise ValueError("not an exact rational: %r" % (text,))
     num, slash, den = text.partition("/")
     try:

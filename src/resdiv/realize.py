@@ -31,13 +31,12 @@ alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import eq, ge, gt, le, lt
+from typing import NamedTuple
 
 from .antinef import antinef_closure, is_antinef
 from .blowup import GenericConfiguration, spans
@@ -49,8 +48,7 @@ from .model import ResolutionModel
 from .rationals import as_rational, format_rational
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""  # on failure: the first curve or scalar that broke it
@@ -68,8 +66,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(NamedTuple):
     base_model: ResolutionModel
     F0: Divisor
     epsilon: Fraction
@@ -257,9 +254,9 @@ def verify_certificate(cert: RealizationCertificate) -> RealizationCertificate:
                for name in ("F", "A", "G", "F_prime")]
     for detail, have, want in fields:
         if have is not want and have != want:  # identity first, as _align
-            return dataclasses.replace(cert, checks=tuple(
+            return cert._replace(checks=tuple(
                 CheckResult(check, False, detail) for check in CHECK_NAMES))
-    return dataclasses.replace(cert, checks=_run_checks(
+    return cert._replace(checks=_run_checks(
         cert, config, cert.F, cert.A, cert.G, cert.F_prime))
 
 

@@ -5,7 +5,6 @@ and enforces the same verdict through its assertions.  All checks are
 exact; the only numeric thresholds are wall-clock budgets.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -165,27 +164,27 @@ def _tampered_certificates(cert, rng):
     factor = Fraction(rng.randint(2, 9), rng.choice([1, 5, 7]))
     if factor == 1:
         factor = Fraction(2)
-    yield "lambda", dataclasses.replace(cert, lam=cert.lam * factor, checks=())
+    yield "lambda", cert._replace(lam=cert.lam * factor, checks=())
 
     bump = rng.choice([-1, 1, 2])
     bad_n = tuple(max(0, v + bump) if v else v for v in cert.n)
     if bad_n == cert.n:
         bad_n = tuple(v + 1 for v in cert.n)
-    yield "n", dataclasses.replace(cert, n=bad_n, checks=())
+    yield "n", cert._replace(n=bad_n, checks=())
 
     noise = [0] * cert.G.model.u
     noise[rng.randrange(len(noise))] = rng.randint(1, 5)
     g_bad = cert.G + r.Divisor(cert.G.model,
                                tuple(Fraction(v) for v in noise),
                                (Fraction(0),) * len(cert.G.strict))
-    yield "G", dataclasses.replace(cert, G=g_bad, checks=())
+    yield "G", cert._replace(G=g_bad, checks=())
 
     k_g = cert.config.K_sigma
 
     def with_g(**fields):
-        bad = dataclasses.replace(cert, **fields, checks=())
-        return dataclasses.replace(
-            bad, G=(bad.F + k_g + bad.A.scale(bad.mu)).scale(bad.N))
+        bad = cert._replace(**fields, checks=())
+        return bad._replace(
+            G=(bad.F + k_g + bad.A.scale(bad.mu)).scale(bad.N))
 
     yield "-N", with_g(N=-cert.N, lam=-cert.lam)
     yield "-A", with_g(A=-cert.A)
@@ -197,22 +196,22 @@ def _more_tampered_certificates(cert, rng):
     """Yield (kind, certificate) pairs with epsilon scaled, a base curve
     added to F0 or to F', or the points of a chain moved up by one."""
     factor = rng.choice([Fraction(1, 2), Fraction(2), Fraction(3)])
-    yield "epsilon", dataclasses.replace(cert, epsilon=cert.epsilon * factor,
-                                         checks=())
+    yield "epsilon", cert._replace(epsilon=cert.epsilon * factor,
+                                   checks=())
     j = rng.randrange(cert.base_model.u)
-    yield "F0", dataclasses.replace(
-        cert, F0=cert.F0 + r.Divisor.curve(cert.base_model, j), checks=())
+    yield "F0", cert._replace(
+        F0=cert.F0 + r.Divisor.curve(cert.base_model, j), checks=())
     j = rng.randrange(cert.config.model.u)
-    yield "F_prime", dataclasses.replace(
-        cert, F_prime=cert.F_prime + r.Divisor.curve(cert.config.model, j),
+    yield "F_prime", cert._replace(
+        F_prime=cert.F_prime + r.Divisor.curve(cert.config.model, j),
         checks=())
     if cert.config.chains:
         c = rng.randrange(len(cert.config.chains))
         chains = list(cert.config.chains)
-        chains[c] = dataclasses.replace(
-            chains[c], points=tuple(p + 1 for p in chains[c].points))
+        chains[c] = chains[c]._replace(
+            points=tuple(p + 1 for p in chains[c].points))
         config = r.GenericConfiguration(cert.base_model, chains)
-        yield "points", dataclasses.replace(cert, checks=(), config=config, **{
+        yield "points", cert._replace(checks=(), config=config, **{
             name: r.Divisor._of(config.model, d.num, d.den) for name, d in (
                 ("F", cert.F), ("A", cert.A), ("G", cert.G),
                 ("F_prime", cert.F_prime))})

@@ -137,6 +137,18 @@ def test_multiplier_rejects_bad_lambda(capsys):
                        "--lambda", "0")
     assert code == 1
     assert "lambda" in err
+    # int() would read these as 10 and 5/7
+    for lam in ("1_0", "\u0665/\u0667"):
+        assert run(capsys, "multiplier", graph("a1"), "F", "--lambda", lam) == (
+            1, "", "error: not an exact rational: %r\n" % lam)
+
+
+def test_graph_file_integers_with_separators_are_refused(tmp_path, capsys):
+    path = tmp_path / "sep.graph"
+    path.write_text("curve E1 genus=0 self=-1_0\n")
+    assert run(capsys, "check", str(path)) == (2, "", "error: line 1: "
+                                                "self-intersection must be an "
+                                                "integer, got '-1_0'\n")
 
 
 # -- blowup -------------------------------------------------------------------------

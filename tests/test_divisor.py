@@ -219,6 +219,63 @@ def test_divisors_copy_and_pickle():
     assert pickle.loads(pickle.dumps(div)) == div
 
 
+_CONFIG = r.GenericConfiguration.build(_A2, (2, 0), (3, 0))
+_CERT = r.realize(_A2, d(1, 1))
+
+# each kind of value, made anew from equal fields on each call; the fields
+# of Divisor and ChainModel, and of the records (NamedTuples), their _fields
+VALUES = {
+    "Divisor": lambda: d(Fraction(3, 2), -1),
+    "ChainModel": lambda: r.ChainModel(_A2, _CONFIG.chains),
+    "ExcCurve": lambda: r.ExcCurve("E1", 0, -2),
+    "StrictCurve": lambda: r.StrictCurve("C", (0, 2)),
+    "ChainInfo": lambda: r.ChainInfo(0, (1, 2), 3),
+    "PullbackMap": lambda: _CONFIG.pullback,
+    "ClosureTrace": lambda: r.antinef_closure(d(1, 0))[1],
+    "DiscrepancyReport": lambda: r.discrepancies(a2()),
+    "NegDefResult": lambda: r.check_negative_definite(a2()),
+    "GraphDoc": lambda: r.parse_graph(
+        "curve E1 genus=0 self=-2\ndivisor F E1=1/2\n"),
+    "CheckResult": lambda: r.CheckResult("candidate_dominated", False, "E1"),
+    "RealizationCertificate": lambda: r.RealizationCertificate(*_CERT),
+}
+FIELDS = {"Divisor": ("model", "num", "den"),
+          "ChainModel": ("base_model", "chains", "u")}
+UNHASHABLE = {"GraphDoc"}  # its divisors are a dict
+# hold a GenericConfiguration, which is equal to itself alone
+COPIES_DIFFER = {"PullbackMap", "RealizationCertificate"}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_are_frozen_and_equal_by_their_fields(kind):
+    """Values refuse assignment and deletion, and equal fields give equal
+    values with equal hashes; copies and pickles are equal to the value."""
+    value, again = VALUES[kind](), VALUES[kind]()
+    assert type(value).__name__ == kind and value is not again
+    assert value == again and not value != again
+    if kind not in UNHASHABLE:
+        assert hash(value) == hash(again)
+    for name in FIELDS.get(kind, getattr(value, "_fields", ())) + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == again
+    if kind not in FIELDS:  # a record is equal to the tuple of its fields
+        assert value == tuple(getattr(value, f) for f in value._fields)
+    if kind not in COPIES_DIFFER:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+
+
+def test_value_classes_equal_their_own_class_alone():
+    div, chain_model = VALUES["Divisor"](), VALUES["ChainModel"]()
+    assert div != (div.model, div.num, div.den) and div != d(1, -1)
+    assert chain_model != (_A2, _CONFIG.chains)
+    assert chain_model != r.ChainModel(_A2, _CONFIG.chains[:0])
+
+
 def test_model_mismatch_across_models_and_lengths():
     other = r.build_model([("E1", 0, -2), ("E2", 0, -3)], [("E1", "E2", 1)])
     x, y = d(1, 2), r.Divisor.from_coeffs(other, exc=[1, 2])

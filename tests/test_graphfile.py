@@ -42,6 +42,10 @@ def test_decimals_rejected():
         r.parse_rational("0.5")
     with pytest.raises(ValueError):
         r.parse_rational("1e-3")
+    # int() reads "_" separators and non-ASCII decimal digits; p/q does not
+    for text in ("1_0", "1_0/3", "3/1_0", "\u0665/\u0667", "\uff15", "1/\u0663"):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            r.parse_rational(text)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -70,6 +74,17 @@ def test_syntax_errors_carry_line_numbers():
         r.parse_graph("curve E1 genus=0 self=-2\ndivisor F E9=1\n")
     with pytest.raises(r.GraphSyntaxError, match="line 2"):
         r.parse_graph("curve E1 genus=0 self=-2\ndivisor F E1=0.5\n")
+    # integers and rationals are ASCII digits alone, without "_" separators
+    for line, message in (
+            ("curve E2 genus=0 self=-1_0", "self-intersection must be an "
+             "integer, got '-1_0'"),
+            ("curve E2 genus=\u0661 self=-2", "genus must be an integer"),
+            ("meet E1 E1 1_0", "multiplicity must be an integer"),
+            ("strict C meets E1=\uff11", "incidence must be an integer"),
+            ("divisor F E1=1_0/3", "not an exact rational: '1_0/3'"),
+            ("divisor F E1=\u0665/\u0667", "not an exact rational")):
+        with pytest.raises(r.GraphSyntaxError, match="line 2: " + message):
+            r.parse_graph("curve E1 genus=0 self=-2\n%s\n" % line)
 
 
 def test_duplicate_divisor_rejected():

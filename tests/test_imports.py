@@ -14,9 +14,16 @@ method counts as read when any attribute of that name is.
 And no class defines ``__getattr__`` or subclasses ``ResolutionModel``: a
 model is built and checked by its constructor, or is a value read off its
 chains, never something built on an attribute miss.
+
+And a fresh interpreter imports ``resdiv.cli`` without ``dataclasses`` or
+the modules it brings (``inspect``, ``ast``, ``dis``): every command pays
+for its imports before it reads its input.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,3 +164,23 @@ def test_lazy_model_detector_flags_each_form():
               "    def __getattribute__(self, name): pass\n"
               "    resolution = ResolutionModel\n")
     assert lazy_model_classes([source]) == {"A", "B", "C", "D"}
+
+
+def test_the_cli_imports_no_dataclasses():
+    """Modules new to ``sys.modules`` after the import, so a site hook that
+    loads some of them first cannot fail the test."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import resdiv.cli\n"
+            "print(resdiv.cli.__file__)\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    where, loaded = out.splitlines()
+    assert Path(where).parent == SRC
+    assert "resdiv.cli" in loaded.split()
+    assert sorted({"dataclasses", "inspect", "ast", "dis"}
+                  & set(loaded.split())) == []
