@@ -6,13 +6,12 @@ constructively realizes integral antinef divisors on log terminal models
 as multiplier-ideal data, verifying every step of the construction.
 """
 
-from .antinef import (ClosureTrace, NonIntegralInput, antinef_closure,
-                      is_antinef)
 from .blowup import (MAX_BLOWN_CURVES, ChainInfo, ChainModel,
                      GenericConfiguration, PullbackMap, TooManyCurves)
-from .canonical import (DiscrepancyReport, NonPositiveLambda, NotAntinef,
-                        NotEffective, NotLogTerminal, discrepancies,
-                        multiplier_divisor, relative_canonical)
+from .canonical import (ClosureTrace, DiscrepancyReport, NonIntegralInput,
+                        NonPositiveLambda, NotAntinef, NotEffective,
+                        NotLogTerminal, antinef_closure, discrepancies,
+                        is_antinef, multiplier_divisor, relative_canonical)
 from .divisor import Divisor, ModelMismatch
 from .graphfile import (GraphDoc, GraphSyntaxError, format_divisor,
                         parse_graph, parse_graph_file, serialize_model)

@@ -129,10 +129,6 @@ class ChainModel:
     def strict_sparse(self):
         return self.base_model.strict_sparse
 
-    @property
-    def chain_layout(self):
-        return self.base_model.labels, spans(self.base_model.u, self.chains)
-
     @cached_property
     def sparse_rows(self):
         rows = [list(row) for row in self.base_model.sparse_rows]

@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .blowup import spans
 from .divisor import Divisor
 from .model import MalformedGraph, ResolutionModel, build_model
-from .rationals import digit_limit, parse_rational
+from .rationals import ascii_int, digit_limit, parse_rational
 
 
 class GraphSyntaxError(MalformedGraph):
@@ -44,9 +45,7 @@ class GraphDoc(NamedTuple):
 
 def _parse_int(text, lineno, what):
     try:
-        if "_" in text or not text.isascii():  # int() would read them
-            raise ValueError(text)
-        return int(text)
+        return ascii_int(text)
     except ValueError as exc:
         raise GraphSyntaxError(lineno, digit_limit(exc) or "%s must be an "
                                "integer, got %r" % (what, text)) from None
@@ -66,8 +65,11 @@ def _parse_name(token, lineno):
 
 
 def parse_graph(text: str) -> GraphDoc:
-    """Parse a graph description; raises GraphSyntaxError / MalformedGraph
-    with line-numbered diagnostics."""
+    """Parse a graph description.  GraphSyntaxError gives the line of an
+    unreadable statement or number, a bad genus, self-intersection,
+    multiplicity or name, or a bad divisor line; build_model's MalformedGraph
+    gives none: a duplicate label, a self-meeting, a negative incidence, an
+    unknown curve in a meet or strict line, or differing repeated meetings."""
     curves = []
     meetings = []
     strict = []
@@ -158,7 +160,8 @@ def parse_graph_file(path) -> GraphDoc:
 def format_divisor(d: Divisor) -> str:
     """The divisor's text form (module docstring), one f-string a term."""
     model, num, den = d.model, d.num, d.den
-    labels, chains = model.chain_layout
+    base = getattr(model, "base_model", model)  # a plain model has no chains
+    chains = getattr(model, "chains", ())  # spans' set-up is skipped if none
 
     def terms(keys, nums):  # "<key>=<value>" for each nonzero numerator
         if den == 1:
@@ -166,12 +169,12 @@ def format_divisor(d: Divisor) -> str:
         return [f"{key}={n // g}/{den // g}" if (g := math.gcd(n, den)) < den
                 else f"{key}={n // den}" for key, n in zip(keys, nums) if n]
 
-    parts = terms(labels, num)
-    for info, start in chains:
+    parts = terms(base.labels, num)
+    for info, start in spans(base.u, chains) if chains else ():
         chain = terms([f"{m})" for m in range(1, info.length + 1)],
                       num[start:start + info.length])
         if chain:  # "<base>(<point>,<m>)=<value>" on each point's chain
-            heads = [f"{labels[info.base]}({p}," for p in info.points]
+            heads = [f"{base.labels[info.base]}({p}," for p in info.points]
             parts += [head + f" {head}".join(chain) for head in heads]
     parts += terms(model.strict_labels, num[model.u:])
     return " ".join(parts) or "0"

@@ -117,11 +117,6 @@ class ResolutionModel:
     def strict_labels(self):
         return tuple(s.label for s in self.strict_curves)
 
-    @property
-    def chain_layout(self):
-        """(base labels, spans of the chains after them): none on a plain model."""
-        return self.labels, ()
-
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]

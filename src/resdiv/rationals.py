@@ -23,19 +23,27 @@ def as_rational(value) -> Fraction:
     raise NotRational("not an exact rational (int or Fraction): %r" % (value,))
 
 
+def ascii_int(text: str) -> int:
+    """int(text), refusing the ``_`` separators and non-ASCII digits that
+    int() alone would read; raises ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError("not an ASCII integer: %r" % (text,))
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact Fraction.
+    """Parse ``p`` or ``p/q``, each read by ascii_int, into a Fraction.
 
     Decimal notation is rejected so that no value can silently pass
-    through an inexact representation, and so are the ``_`` separators and
-    non-ASCII digits that int() would read.
+    through an inexact representation.
     """
     text = text.strip()
-    if not text or "." in text or "_" in text or not text.isascii():
+    if "." in text:
         raise ValueError("not an exact rational: %r" % (text,))
     num, slash, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return (Fraction(ascii_int(num), ascii_int(den)) if slash
+                else Fraction(ascii_int(num)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(digit_limit(exc)
                          or "not an exact rational: %r" % (text,)) from exc

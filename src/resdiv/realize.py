@@ -38,10 +38,9 @@ from itertools import repeat
 from operator import eq, ge, gt, le, lt
 from typing import NamedTuple
 
-from .antinef import antinef_closure, is_antinef
 from .blowup import GenericConfiguration, spans
-from .canonical import (NotLogTerminal, check_ideal_divisor,
-                        discrepancies, relative_canonical)
+from .canonical import (NotLogTerminal, antinef_closure, check_ideal_divisor,
+                        discrepancies, is_antinef, relative_canonical)
 from .divisor import Divisor
 from .lattice import dual_basis, numerical_pullback
 from .model import ResolutionModel

@@ -665,6 +665,9 @@ def test_each_command_repeats_byte_identically(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     ("multiplier", graph("a1"), "F"),
     ("blowup", graph("a2"), "--curve", "E1", "--length", "x"),
+    # int() reads non-ASCII digits and "_" separators; the options do not
+    ("blowup", graph("a2"), "--curve", "E1", "--length", "\u0663"),
+    ("batch", "--samples", "0_1"),
 ])
 def test_usage_error_between_good_calls(capsys, bad):
     good = run(capsys, "multiplier", graph("a1"), "F", "--lambda", "1")

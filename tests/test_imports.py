@@ -6,6 +6,9 @@ as a loaded name, or in ``__all__``.  An import line marked
 ``# noqa: F401`` is exempt; such a name is imported so that something
 outside the package can find it there.
 
+And no function imports in its body: a module's imports are its top
+lines, so its dependencies, and any cycle among them, show there.
+
 And every name the package exports, and every public method or property
 of its classes, is read by one of its own modules: what only the tests
 read belongs with the tests.  Methods are matched by attribute name, so a
@@ -61,6 +64,36 @@ def unused_imports(source):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def imports_in_functions(source):
+    """The line of each import statement inside a function body, nested
+    functions and methods included."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    assert imports_in_functions((SRC / module).read_text()) == []
+
+
+def test_function_import_detector_flags_each_form():
+    source = ("import a\n"
+              "def f():\n"
+              "    from b import c\n"
+              "    def g():\n"
+              "        import d\n"
+              "class K:\n"
+              "    import e\n"
+              "    async def h(self):\n"
+              "        if self:\n"
+              "            import i\n"
+              "if a:\n"
+              "    import j\n")
+    assert imports_in_functions(source) == [3, 5, 10]
 
 
 def loaded_names(source):
