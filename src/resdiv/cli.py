@@ -201,23 +201,27 @@ def cmd_batch(args) -> int:
     started = time.perf_counter()
     for path in files:
         stem = path.stem
-        doc = parse_graph_file(path)
-        disc = discrepancies(doc.model)
-        if not disc.log_terminal:
-            offenders = " ".join(doc.model.labels[i] for i in disc.offenders)
-            rep.add("%s.status" % stem,
-                    "skipped (not log terminal: %s)" % offenders)
-            continue
-        rep.add("%s.status" % stem, "log_terminal")
-        passes = 0
-        for k in range(args.samples):
-            f0 = random_antinef_divisor(doc.model,
-                                        "%s:%s:%d" % (args.seed, stem, k))
-            ok = realize(doc.model, f0).passed
-            passes += ok
-            rep.add("%s.sample_%d" % (stem, k), "pass" if ok else "fail")
-        rep.add("%s.passes" % stem, "%d/%d" % (passes, args.samples))
-        tally.append(passes)
+        try:
+            doc = parse_graph_file(path)
+            disc = discrepancies(doc.model)
+            if not disc.log_terminal:
+                offenders = " ".join(doc.model.labels[i] for i in disc.offenders)
+                rep.add("%s.status" % stem,
+                        "skipped (not log terminal: %s)" % offenders)
+                continue
+            rep.add("%s.status" % stem, "log_terminal")
+            passes = 0
+            for k in range(args.samples):
+                f0 = random_antinef_divisor(doc.model,
+                                            "%s:%s:%d" % (args.seed, stem, k))
+                ok = realize(doc.model, f0).passed
+                passes += ok
+                rep.add("%s.sample_%d" % (stem, k), "pass" if ok else "fail")
+            rep.add("%s.passes" % stem, "%d/%d" % (passes, args.samples))
+            tally.append(passes)
+        except Exception as exc:  # main's message opens with the file
+            exc.where = "%s: " % path.name
+            raise
     total = args.samples * len(tally)
     failures = total - sum(tally)
     rep.add("total_cases", total)
@@ -283,12 +287,13 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     # before ValueError: a file that is not UTF-8 is an input error
     except (MalformedGraph, UnicodeDecodeError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        error, code = exc, 2
     except (NotLogTerminal, NonIntegralInput, NotAntinef, NotEffective,
             NonPositiveLambda, ModelMismatch, ValueError) as exc:
-        print("error: %s" % (digit_limit(exc) or exc), file=sys.stderr)
-        return 1
+        error, code = exc, 1
+    where = getattr(error, "where", "")  # batch's "<file>: "
+    print("error: %s%s" % (where, digit_limit(error) or error), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .rationals import ascii_int, digit_limit, parse_rational
 
 
 class GraphSyntaxError(MalformedGraph):
-    """A graph file line could not be parsed; carries the line number."""
+    """A graph text's error, with the line of the statement at fault."""
 
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
@@ -58,21 +58,14 @@ def _parse_assignment(token, lineno):
     return name, value
 
 
-def _parse_name(token, lineno):
-    if "=" in token:
-        raise GraphSyntaxError(lineno, "name %r must not contain '='" % (token,))
-    return token
-
-
 def parse_graph(text: str) -> GraphDoc:
-    """Parse a graph description.  GraphSyntaxError gives the line of an
-    unreadable statement or number, a bad genus, self-intersection,
-    multiplicity or name, or a bad divisor line; build_model's MalformedGraph
-    gives none: a duplicate label, a self-meeting, a negative incidence, an
-    unknown curve in a meet or strict line, or differing repeated meetings."""
-    curves = []
-    meetings = []
-    strict = []
+    """Parse a graph description; every error is a GraphSyntaxError with
+    its line.  This reads statements and numbers; the graph's rules are
+    build_model's, whose errors name the entry at fault.  A statement
+    error, or a number error outside a divisor line, is reported first,
+    then the model's first error, then a divisor line's."""
+    entries = {"curve": [], "meet": [], "strict": []}  # build_model's input
+    linenos = {kind: [] for kind in entries}  # the line of each entry
     divisor_lines = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,28 +74,22 @@ def parse_graph(text: str) -> GraphDoc:
             continue
         tokens = line.split()
         kind = tokens[0]
+        if kind in entries:
+            linenos[kind].append(lineno)
         if kind == "curve":
             if len(tokens) != 4:
                 raise GraphSyntaxError(lineno, "curve takes a name, genus= and self=")
-            name = _parse_name(tokens[1], lineno)
             fields = dict(_parse_assignment(t, lineno) for t in tokens[2:])
             if set(fields) != {"genus", "self"}:
                 raise GraphSyntaxError(lineno, "curve needs genus= and self=")
             genus = _parse_int(fields["genus"], lineno, "genus")
             self_int = _parse_int(fields["self"], lineno, "self-intersection")
-            if genus < 0:
-                raise GraphSyntaxError(lineno, "genus must be non-negative")
-            if self_int >= 0:
-                raise GraphSyntaxError(lineno,
-                                       "self-intersection must be negative, got %d" % self_int)
-            curves.append((name, genus, self_int))
+            entries[kind].append((tokens[1], genus, self_int))
         elif kind == "meet":
             if len(tokens) != 4:
                 raise GraphSyntaxError(lineno, "meet takes two curve names and a multiplicity")
             mult = _parse_int(tokens[3], lineno, "multiplicity")
-            if mult <= 0:
-                raise GraphSyntaxError(lineno, "meeting multiplicity must be positive")
-            meetings.append((tokens[1], tokens[2], mult))
+            entries[kind].append((tokens[1], tokens[2], mult))
         elif kind == "strict":
             if len(tokens) < 3 or tokens[2] != "meets":
                 raise GraphSyntaxError(lineno,
@@ -113,7 +100,7 @@ def parse_graph(text: str) -> GraphDoc:
                 if curve in incidences:
                     raise GraphSyntaxError(lineno, "curve %r repeated" % (curve,))
                 incidences[curve] = _parse_int(value, lineno, "incidence")
-            strict.append((_parse_name(tokens[1], lineno), incidences))
+            entries[kind].append((tokens[1], incidences))
         elif kind == "divisor":
             if len(tokens) < 2:
                 raise GraphSyntaxError(lineno, "divisor takes a name and coefficient pairs")
@@ -121,7 +108,11 @@ def parse_graph(text: str) -> GraphDoc:
         else:
             raise GraphSyntaxError(lineno, "unknown statement %r" % (kind,))
 
-    model = build_model(curves, meetings, strict)
+    try:
+        model = build_model(entries["curve"], entries["meet"], entries["strict"])
+    except MalformedGraph as exc:  # the text's entries all have their shape,
+        kind, k = exc.entry  # so the model's error names one of them
+        raise GraphSyntaxError(linenos[kind][k], str(exc)) from None
 
     divisors = {}
     for lineno, name, tokens in divisor_lines:
@@ -189,10 +180,8 @@ def serialize_model(model: ResolutionModel, divisors=None) -> str:
     for i, j, m in model.meetings:
         lines.append("meet %s %s %d" % (labels[i], labels[j], m))
     for s in model.strict_curves:
-        pairs = " ".join("%s=%d" % (labels[i], v)
-                         for i, v in enumerate(s.incidence) if v)
-        lines.append("strict %s meets %s" % (s.label, pairs) if pairs
-                     else "strict %s meets" % (s.label,))
+        pairs = ["%s=%d" % (labels[i], v) for i, v in enumerate(s.incidence) if v]
+        lines.append(" ".join(["strict", s.label, "meets"] + pairs))
     for name, d in (divisors or {}).items():
         lines.append("divisor %s %s" % (name, format_divisor(d)))
     return "\n".join(lines) + "\n"

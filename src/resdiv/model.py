@@ -17,7 +17,12 @@ from typing import NamedTuple, Sequence
 
 
 class MalformedGraph(Exception):
-    """A graph description violates the model invariants."""
+    """A graph description violates the model invariants.  ``entry`` is
+    None or ("curve" | "meet" | "strict", k), the k-th such entry at fault."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class ExcCurve(NamedTuple):
@@ -39,13 +44,14 @@ class ResolutionModel:
     """Validated, immutable intersection data for a resolution.
 
     The constructor checks every invariant before it sorts or indexes
-    anything, and raises MalformedGraph at the first violation: ExcCurve
-    and StrictCurve instances with str labels a graph file can hold
-    (nonempty, without whitespace, '=' or '#'), unique across both kinds,
-    int genus >= 0 and int self-intersection < 0, each meeting an
-    (i, j, multiplicity) triple of ints with i != j in range and
-    multiplicity > 0, each pair once, and for each strict curve a tuple of
-    one non-negative int incidence per curve.
+    anything, and raises MalformedGraph, naming the entry, at the first
+    violation: ExcCurve and StrictCurve instances with str labels a graph
+    file can hold (nonempty, without whitespace, '=' or '#'), unique
+    across both kinds, int genus >= 0 and int self-intersection < 0, each
+    meeting an (i, j, multiplicity) triple of ints with i != j in range
+    and multiplicity > 0, one multiplicity per pair however often it is
+    given, and for each strict curve a tuple of one non-negative int
+    incidence per curve.
 
     ``meetings`` are stored sorted with i < j; ``sparse_rows`` (each row's
     nonzero entries in column order) is derived from them and the
@@ -60,38 +66,40 @@ class ResolutionModel:
         seen = set()
         for k, c in enumerate(self.curves + self.strict_curves):
             kind = ExcCurve if k < u else StrictCurve
+            entry = ("curve", k) if k < u else ("strict", k - u)
             if not (isinstance(c, kind) and isinstance(c.label, str)):
                 raise MalformedGraph("%r: expected %s with a str label"
-                                     % (c, kind.__name__))
+                                     % (c, kind.__name__), entry)
             # str.split() splits at every character a graph file's lines
             # and tokens split at, so the label reads back as one token
             if c.label.split() != [c.label] or "=" in c.label or "#" in c.label:
-                raise MalformedGraph("label %r must be nonempty, without "
-                                     "whitespace, '=' or '#'" % (c.label,))
+                raise MalformedGraph("name %r must not contain '=', '#' or "
+                                     "whitespace, nor be empty" % (c.label,),
+                                     entry)
             if c.label in seen:
-                raise MalformedGraph("duplicate label %r" % (c.label,))
+                raise MalformedGraph("duplicate label %r" % (c.label,), entry)
             seen.add(c.label)
-        for c in self.curves:
-            if not (isinstance(c.genus, int) and c.genus >= 0
-                    and isinstance(c.self_int, int) and c.self_int < 0):
+            if k < u and not (isinstance(c.genus, int) and c.genus >= 0
+                              and isinstance(c.self_int, int) and c.self_int < 0):
                 raise MalformedGraph("curve %r: genus %r and self-intersection "
                                      "%r must be ints >= 0 and < 0"
-                                     % (c.label, c.genus, c.self_int))
+                                     % (c.label, c.genus, c.self_int), entry)
+            if k >= u and not (isinstance(c.incidence, tuple)
+                               and len(c.incidence) == u
+                               and all(isinstance(v, int) and v >= 0
+                                       for v in c.incidence)):
+                raise MalformedGraph("strict curve %r: incidences must be %d "
+                                     "non-negative integers" % (c.label, u), entry)
         pairs = {}
-        for t in meetings:
+        for k, t in enumerate(meetings):
             i, j, m = _entries(t, 3, "meeting")
             if not (isinstance(i, int) and isinstance(j, int) and i != j
                     and 0 <= i < u and 0 <= j < u and isinstance(m, int)
-                    and m > 0) or (min(i, j), max(i, j)) in pairs:
-                raise MalformedGraph("meeting %r must join two curves, each "
-                                     "pair once, with a positive int "
-                                     "multiplicity" % (t,))
-            pairs[min(i, j), max(i, j)] = m
-        for s in self.strict_curves:
-            if not isinstance(s.incidence, tuple) or len(s.incidence) != u \
-                    or any(not isinstance(v, int) or v < 0 for v in s.incidence):
-                raise MalformedGraph("strict curve %r: incidences must be %d "
-                                     "non-negative integers" % (s.label, u))
+                    and m > 0) or pairs.setdefault((min(i, j), max(i, j)),
+                                                   m) != m:
+                raise MalformedGraph("meeting %r must join two curves with "
+                                     "one positive int multiplicity per pair"
+                                     % (t,), ("meet", k))
         self.meetings = tuple((i, j, m) for (i, j), m in sorted(pairs.items()))
         self._index = {c.label: i for i, c in enumerate(self.curves)}
         self._strict_index = {s.label: i for i, s in enumerate(self.strict_curves)}
@@ -154,37 +162,35 @@ def build_model(curves, meetings=(), strict=()) -> ResolutionModel:
     ``curves`` is a sequence of (label, genus, self_int); ``meetings`` a
     sequence of (label_a, label_b, multiplicity); ``strict`` a sequence of
     (label, {curve_label: multiplicity}).  Only the number of entries and
-    what needs labels is checked here: every referenced curve must exist,
-    and redundant meeting entries must agree, so a description carrying
-    E1.E2 = 1 alongside E2.E1 = 2 is rejected as asymmetric.
-    ResolutionModel checks the rest.
+    what needs labels is checked here: every referenced curve must exist.
+    Entries reach ResolutionModel in order, so its errors name the same
+    entry; it checks the rest, and takes a repeated meeting only at the
+    same multiplicity (E1.E2 = 1 alongside E2.E1 = 2 is refused).
     """
     exc = tuple(ExcCurve(*_entries(c, 3, "curve")) for c in curves)
     # a label that is not a str is left to ResolutionModel to reject
     index = {c.label: i for i, c in enumerate(exc) if isinstance(c.label, str)}
-    seen = {}
-    for a, b, mult in (_entries(t, 3, "meeting") for t in meetings):
+    pairs = []
+    for k, t in enumerate(meetings):
+        a, b, mult = _entries(t, 3, "meeting")
         for label in (a, b):
             if not isinstance(label, str) or label not in index:
                 raise MalformedGraph("meeting references unknown curve %r"
-                                     % (label,))
-        key = (min(index[a], index[b]), max(index[a], index[b]))
-        if seen.setdefault(key, mult) != mult:
-            raise MalformedGraph("asymmetric meeting data for %r and %r (%r vs %r)"
-                                 % (a, b, seen[key], mult))
+                                     % (label,), ("meet", k))
+        pairs.append((index[a], index[b], mult))
 
     strict_curves = []
-    for label, incidences in (_entries(t, 2, "strict curve") for t in strict):
+    for k, t in enumerate(strict):
+        label, incidences = _entries(t, 2, "strict curve")
         vec = [0] * len(exc)
         for curve_label, mult in dict(incidences).items():
             if curve_label not in index:
                 raise MalformedGraph("strict curve %r meets unknown curve %r"
-                                     % (label, curve_label))
+                                     % (label, curve_label), ("strict", k))
             vec[index[curve_label]] = mult
         strict_curves.append(StrictCurve(label, tuple(vec)))
 
-    return ResolutionModel(exc, [key + (m,) for key, m in seen.items()],
-                           strict_curves)
+    return ResolutionModel(exc, pairs, strict_curves)
 
 
 def _entries(t, k, what):

@@ -113,6 +113,8 @@ def test_singular_form_is_a_named_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, command, target, *rest)
     assert code == 1
     assert "not negative definite" in err and "pivot" in err
+    if command == "batch":  # the file it stopped on comes first
+        assert err.startswith("error: singular.graph: ")
 
 
 def test_closure_unknown_divisor(capsys):
@@ -524,6 +526,21 @@ def test_batch_on_a_missing_directory_or_a_file_is_an_io_error(tmp_path,
     empty.mkdir()
     code, out, _ = run(capsys, "batch", str(empty), "--samples", "1")
     assert code == 0 and "total_cases = 0" in out.splitlines()
+
+
+def test_batch_names_the_file_it_stops_on(tmp_path, capsys):
+    """A malformed or non-UTF-8 file stops the batch with exit 2 and
+    nothing on stdout; the message opens with the file's name."""
+    corpus = _tiny_corpus(tmp_path)
+    bad = corpus / "bad.graph"
+    bad.write_text("curve E1 genus=0 self=2\n")
+    assert run(capsys, "batch", str(corpus), "--samples", "1") == (
+        2, "", "error: bad.graph: line 1: curve 'E1': genus 0 and "
+        "self-intersection 2 must be ints >= 0 and < 0\n")
+    bad.write_bytes(b"curve E\xff1 genus=0 self=-2\n")
+    code, out, err = run(capsys, "batch", str(corpus), "--samples", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad.graph: 'utf-8' codec can't decode")
 
 
 def test_batch_negative_samples_rejected(tmp_path, capsys):

@@ -205,6 +205,49 @@ def test_label_with_equals_sign_rejected(text, lineno):
         r.parse_graph(text)
 
 
+TWO = "curve E1 genus=0 self=-2\ncurve E2 genus=0 self=-2\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    # found by build_model and ResolutionModel alone
+    (TWO + "curve E1 genus=0 self=-3\n", 3, "duplicate label 'E1'"),
+    (TWO + "strict E2 meets E1=1\n", 3, "duplicate label 'E2'"),
+    (TWO + "meet E1 E2 1\nmeet E1 E1 1\n", 4, r"meeting \(0, 0, 1\)"),
+    (TWO + "meet E1 E9 1\nmeet E1 E2 1\n", 3,
+     "meeting references unknown curve 'E9'"),
+    (TWO + "strict S meets E1=1\nstrict T meets E9=1\n", 4,
+     "strict curve 'T' meets unknown curve 'E9'"),
+    (TWO + "strict S meets E1=-1\nmeet E1 E2 1\n", 3, "strict curve 'S'"),
+    (TWO + "meet E1 E2 1\nstrict S meets E1=1\nmeet E2 E1 2\n", 5,
+     r"meeting \(1, 0, 2\)"),
+    # the rules the parser used to check itself
+    ("curve E1 genus=0 self=-2\ncurve E2 genus=-1 self=-2\n", 2,
+     "curve 'E2': genus -1"),
+    ("curve E1 genus=0 self=-2\ncurve E2 genus=0 self=0\n", 2,
+     "curve 'E2': genus 0 and self-intersection 0"),
+    (TWO + "meet E1 E2 0\n", 3, r"meeting \(0, 1, 0\)"),
+    ("curve E1 genus=0 self=-2\ncurve E=2 genus=0 self=-2\n", 2,
+     "name 'E=2' must not contain '='"),
+    (TWO + "strict S=1 meets E1=1\n", 3, "name 'S=1' must not contain '='"),
+], ids=["duplicate_label", "duplicate_across_kinds", "self_meeting",
+        "unknown_in_meet", "unknown_in_strict", "negative_incidence",
+        "differing_repeat", "negative_genus", "zero_self", "zero_meeting",
+        "curve_name", "strict_name"])
+def test_every_graph_error_carries_its_line(tmp_path, capsys, text, lineno,
+                                            message):
+    """The model's refusals come out of parse_graph, and out of ``main``
+    with exit 2, with the line of the statement at fault."""
+    with pytest.raises(r.GraphSyntaxError) as info:
+        r.parse_graph(text + "divisor D E1=1\n")
+    assert info.value.lineno == lineno
+    assert re.match("line %d: %s" % (lineno, message), str(info.value))
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % info.value
+
+
 # tokens that are valid somewhere, or nearly so, for the mutations to use
 EXTRA_TOKENS = ["curve", "meet", "strict", "divisor", "meets", "genus=0",
                 "genus=-1", "self=-2", "self=0", "E1", "E1=1", "E1=1/2",
@@ -236,11 +279,13 @@ def mutated_corpus_texts(draw):
 @given(text=mutated_corpus_texts())
 @settings(deadline=None, max_examples=300)
 def test_parse_graph_raises_only_malformed_graph(text):
-    """GraphSyntaxError is a MalformedGraph; a text that parses
-    round-trips through serialize_model."""
+    """Every MalformedGraph is a GraphSyntaxError naming a line of the
+    text; a text that parses round-trips through serialize_model."""
     try:
         doc = r.parse_graph(text)
-    except r.MalformedGraph:
+    except r.MalformedGraph as exc:
+        assert isinstance(exc, r.GraphSyntaxError), exc
+        assert 1 <= exc.lineno <= len(text.splitlines()), exc
         return
     again = r.parse_graph(r.serialize_model(doc.model, doc.divisors))
     assert again.model == doc.model and again.divisors == doc.divisors

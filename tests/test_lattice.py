@@ -50,7 +50,7 @@ def test_dangling_reference_rejected():
 
 
 def test_zero_meeting_multiplicity_rejected():
-    # the graph-file parser and build_model apply the same rule
+    # ResolutionModel's rule; parse_graph gives its error the meet's line
     with pytest.raises(r.MalformedGraph):
         r.build_model([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 0)])
     with pytest.raises(r.GraphSyntaxError):

@@ -99,14 +99,42 @@ def test_form_build_memory_is_linear_in_curves():
 def test_constructor_rejects_meetings_it_cannot_store_once():
     curves = [r.ExcCurve("E1", 0, -2), r.ExcCurve("E2", 0, -2)]
     assert r.ResolutionModel(curves, [(1, 0, 1)]).meetings == ((0, 1, 1),)
+    # a pair given again at its multiplicity is stored once; at another,
+    # (0, 1, 1) beside (1, 0, 2), it is refused below
+    assert (r.ResolutionModel(curves, [(0, 1, 1), (1, 0, 1)])
+            == r.ResolutionModel(curves, [(0, 1, 1)]))
     # the last five used to end in a bare TypeError, from the sort or
     # from indexing the sparse rows
     for meetings in ([(0, 1, 1), (1, 0, 2)], [(0, 0, 1)], [(0, 2, 1)],
                      [(0, 1, 0)], [(-1, 1, 1)], [(0, 1, 1), (1, 0, "x")],
                      [("0", 1, 1)], [(None, 1, 1)], [(0.0, 1, 1)],
                      [(Fraction(0), 1, 1)]):
-        with pytest.raises(r.MalformedGraph, match="each pair once"):
+        with pytest.raises(r.MalformedGraph,
+                           match="one positive int multiplicity per pair"):
             r.ResolutionModel(curves, meetings)
+
+
+@pytest.mark.parametrize("args, entry", [
+    (([("E1", 0, -2), ("E1", 0, -2)],), ("curve", 1)),
+    (([("E1", 0, -2), ("E2", -1, -2)],), ("curve", 1)),
+    (([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 1), ("E2", "E9", 1)]),
+     ("meet", 1)),
+    (([("E1", 0, -2), ("E2", 0, -2)], [("E1", "E2", 1), ("E2", "E2", 1)]),
+     ("meet", 1)),
+    (([("E1", 0, -2)], [], [("C", {"E1": 1}), ("D", {"E9": 1})]),
+     ("strict", 1)),
+    (([("E1", 0, -2)], [], [("C", {"E1": 1}), ("D=1", {"E1": 1})]),
+     ("strict", 1)),
+    (([("E1", 0, -2)], [], [("C", {"E1": 1}), ("D", {"E1": -1})]),
+     ("strict", 1)),
+], ids=["duplicate", "genus", "unknown_in_meet", "self_meeting",
+        "unknown_in_strict", "strict_name", "negative_incidence"])
+def test_build_model_errors_name_the_entry_as_given(args, entry):
+    """MalformedGraph.entry is (kind, k) for the k-th entry of that kind
+    given to build_model, which parse_graph maps to its line."""
+    with pytest.raises(r.MalformedGraph) as info:
+        r.build_model(*args)
+    assert info.value.entry == entry
 
 
 @pytest.mark.parametrize("curves, meetings", [
