@@ -28,30 +28,30 @@ from .model import ResolutionModel
 from .rationals import as_rational
 
 
-class NonIntegralInput(Exception):
+class NonIntegralInput(ValueError):
     """Antinef closure is defined for integral divisors only; round first."""
 
 
-class NotAntinef(Exception):
+class NotAntinef(ValueError):
     """The given divisor has a positive product with some curve."""
 
 
-class NotEffective(Exception):
+class NotEffective(ValueError):
     """The given divisor has a negative coefficient."""
 
 
-class NonPositiveLambda(Exception):
+class NonPositiveLambda(ValueError):
     """Multiplier coefficients must be positive rationals."""
 
 
-class NotLogTerminal(Exception):
+class NotLogTerminal(ValueError):
     """Some discrepancy b_i <= -1."""
 
-    def __init__(self, offenders, b):
+    def __init__(self, offenders, b, labels):
         self.offenders = tuple(offenders)
         self.b = tuple(b)
-        super().__init__("not log terminal: b <= -1 along curve indices %s"
-                         % (list(self.offenders),))
+        super().__init__("not log terminal: b <= -1 along %s"
+                         % " ".join(labels[i] for i in self.offenders))
 
 
 class ClosureTrace(NamedTuple):

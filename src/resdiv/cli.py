@@ -1,9 +1,11 @@
 """Command-line interface: file ingestion, subcommands, report emission.
 
 Subcommands: check, dual-basis, closure, multiplier, blowup, realize,
-batch.  All output is a deterministic key-value report on stdout; timing
-information (which is inherently non-reproducible) goes to stderr so that
-reports stay byte-identical across runs.
+batch.  ``main`` opens one deterministic key-value report, which each
+``cmd_*(args, rep)`` fills before it returns the exit code, and writes it
+to stdout once; a refusal is one ``error:`` line on stderr instead, exit
+2 for input and file errors and 1 for any other ValueError.  Timing goes
+to stderr so that reports stay byte-identical across runs.
 
 Pseudo-random divisors for ``batch`` are generated reproducibly: the
 generator is seeded with "<seed>:<file stem>:<sample index>", exceptional
@@ -21,10 +23,9 @@ import time
 from pathlib import Path
 
 from .blowup import GenericConfiguration
-from .canonical import (NonIntegralInput, NonPositiveLambda, NotAntinef,
-                        NotEffective, NotLogTerminal, antinef_closure,
-                        discrepancies, multiplier_divisor, relative_canonical)
-from .divisor import Divisor, ModelMismatch
+from .canonical import (antinef_closure, discrepancies, multiplier_divisor,
+                        relative_canonical)
+from .divisor import Divisor
 from .graphfile import format_divisor, parse_graph_file, serialize_model
 from .lattice import check_negative_definite, dual_basis
 from .model import MalformedGraph
@@ -38,14 +39,6 @@ from .report import Report
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
-def _report(command, path) -> Report:
-    """A report that opens with the command and the input file's name."""
-    rep = Report()
-    rep.add("command", command)
-    rep.add("file", Path(path).name)
-    return rep
-
-
 def _named_divisor(doc, name, path):
     if name not in doc.divisors:
         raise MalformedGraph("no divisor named %r in %s" % (name, path))
@@ -56,16 +49,14 @@ def _named_divisor(doc, name, path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
+def cmd_check(args, rep) -> int:
     model = parse_graph_file(args.file).model
-    rep = _report("check", args.file)
     rep.add("curves", model.u)
     rep.add("strict_curves", len(model.strict_curves))
     result = check_negative_definite(model)
     rep.add("negative_definite", result.is_negative_definite)
     if not result:
         rep.add("witness", " ".join(format_rational(v) for v in result.witness))
-        print(rep.render(), end="")
         return 1
     disc = discrepancies(model)
     for label, value in zip(model.labels, disc.b):
@@ -73,24 +64,20 @@ def cmd_check(args) -> int:
     rep.add("log_terminal", disc.log_terminal)
     if disc.offenders:
         rep.add("offenders", " ".join(model.labels[i] for i in disc.offenders))
-    print(rep.render(), end="")
     return 0
 
 
-def cmd_dual_basis(args) -> int:
+def cmd_dual_basis(args, rep) -> int:
     model = parse_graph_file(args.file).model
-    rep = _report("dual-basis", args.file)
     for label, dual in zip(model.labels, dual_basis(model)):
         rep.add("dual.%s" % label, dual)
-    print(rep.render(), end="")
     return 0
 
 
-def cmd_closure(args) -> int:
+def cmd_closure(args, rep) -> int:
     doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     closed, trace = antinef_closure(divisor)
-    rep = _report("closure", args.file)
     rep.add("divisor", args.divisor)
     rep.add("input", divisor)
     rep.add("closure", closed)
@@ -100,35 +87,30 @@ def cmd_closure(args) -> int:
         adds = ["add %s (product " % label for label in doc.model.labels]
         rep.extend([f"trace.{idx} = {adds[i]}{value})\n"
                     for idx, (i, value) in enumerate(trace.steps)])
-    print(rep.render(), end="")
     return 0
 
 
-def cmd_multiplier(args) -> int:
+def cmd_multiplier(args, rep) -> int:
     doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     lam = parse_rational(args.lam)
     result = multiplier_divisor(doc.model, divisor, lam)
-    rep = _report("multiplier", args.file)
     rep.add("divisor", args.divisor)
     rep.add("lambda", lam)
     rep.add("relative_canonical", relative_canonical(doc.model))
     rep.add("multiplier_divisor", result)
-    print(rep.render(), end="")
     return 0
 
 
-def cmd_blowup(args) -> int:
+def cmd_blowup(args, rep) -> int:
     model = parse_graph_file(args.file).model
     i = model.index_of(args.curve)
     e = [int(k == i) for k in range(model.u)]
     config = GenericConfiguration.build(model, e, [args.length * v for v in e])
-    rep = _report("blowup", args.file)
     rep.add("curve", args.curve)
     rep.add("length", args.length)
     rep.add("relative_canonical_of_map", config.K_sigma)
-    print(rep.render(), end="")
-    print(serialize_model(config.model.resolution()), end="")
+    rep.extend(serialize_model(config.model.resolution()).splitlines(True))
     return 0
 
 
@@ -156,7 +138,7 @@ def _certificate_report(cert) -> Report:
     return rep
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args, rep) -> int:
     doc = parse_graph_file(args.file)
     divisor = _named_divisor(doc, args.divisor, args.file)
     cert = realize(doc.model, divisor)
@@ -167,10 +149,8 @@ def cmd_realize(args) -> int:
         full.add("divisor", format_divisor(divisor))
         full.extend(body)
         Path(args.emit_certificate).write_text(full.render(), encoding="utf-8")
-    rep = _report("realize", args.file)
     rep.add("divisor", args.divisor)
     rep.extend(body)
-    print(rep.render(), end="")
     return 0 if cert.passed else 1
 
 
@@ -186,15 +166,13 @@ def random_antinef_divisor(model, seed_key: str) -> Divisor:
     return closed
 
 
-def cmd_batch(args) -> int:
+def cmd_batch(args, rep) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be >= 0, got %d" % args.samples)
     corpus = Path(args.corpus or CORPUS_DIR)
     if not corpus.is_dir():
         raise NotADirectoryError("not a directory: %s" % corpus)
     files = sorted(corpus.glob("*.graph"))
-    rep = Report()
-    rep.add("command", "batch")
     rep.add("samples", args.samples)
     rep.add("seed", args.seed)
     tally = []  # passes per log terminal file
@@ -226,7 +204,6 @@ def cmd_batch(args) -> int:
     failures = total - sum(tally)
     rep.add("total_cases", total)
     rep.add("total_failures", failures)
-    print(rep.render(), end="")
     print("batch wall time: %.2fs" % (time.perf_counter() - started),
           file=sys.stderr)
     return 1 if failures else 0
@@ -283,14 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    rep = Report()
+    rep.add("command", args.command)
+    if "file" in args:
+        rep.add("file", Path(args.file).name)
     try:  # by name, so that a name patched after the first call is called
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args, rep)
     # before ValueError: a file that is not UTF-8 is an input error
     except (MalformedGraph, UnicodeDecodeError, OSError) as exc:
         error, code = exc, 2
-    except (NotLogTerminal, NonIntegralInput, NotAntinef, NotEffective,
-            NonPositiveLambda, ModelMismatch, ValueError) as exc:
+    except ValueError as exc:  # every other refusal
         error, code = exc, 1
+    else:
+        print(rep.render(), end="")
+        return code
     where = getattr(error, "where", "")  # batch's "<file>: "
     print("error: %s%s" % (where, digit_limit(error) or error), file=sys.stderr)
     return code

@@ -19,7 +19,7 @@ from .model import ResolutionModel
 from .rationals import as_rational
 
 
-class ModelMismatch(Exception):
+class ModelMismatch(ValueError):
     """Two divisors (or a divisor and a curve) live on different models."""
 
 

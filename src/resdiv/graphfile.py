@@ -115,6 +115,8 @@ def parse_graph(text: str) -> GraphDoc:
         raise GraphSyntaxError(linenos[kind][k], str(exc)) from None
 
     divisors = {}
+    strict = set(model.strict_labels)
+    known = strict.union(model.labels)
     for lineno, name, tokens in divisor_lines:
         if name in divisors:
             raise GraphSyntaxError(lineno, "duplicate divisor %r" % (name,))
@@ -131,13 +133,10 @@ def parse_graph(text: str) -> GraphDoc:
             except ValueError as err:
                 raise GraphSyntaxError(lineno, str(err)) from None
             coeff = coeff.numerator if coeff.denominator == 1 else coeff
-            if label in model._index:
-                exc_coeffs[label] = coeff
-            elif label in model._strict_index:
-                strict_coeffs[label] = coeff
-            else:
+            if label not in known:  # before a later token's number error
                 raise GraphSyntaxError(lineno, "unknown curve %r in divisor %r"
                                        % (label, name))
+            (strict_coeffs if label in strict else exc_coeffs)[label] = coeff
         divisors[name] = Divisor.from_coeffs(model, exc=exc_coeffs,
                                              strict=strict_coeffs)
     return GraphDoc(model=model, divisors=divisors)

@@ -93,13 +93,16 @@ class ResolutionModel:
         pairs = {}
         for k, t in enumerate(meetings):
             i, j, m = _entries(t, 3, "meeting")
-            if not (isinstance(i, int) and isinstance(j, int) and i != j
-                    and 0 <= i < u and 0 <= j < u and isinstance(m, int)
-                    and m > 0) or pairs.setdefault((min(i, j), max(i, j)),
-                                                   m) != m:
-                raise MalformedGraph("meeting %r must join two curves with "
+            known = (isinstance(i, int) and isinstance(j, int)
+                     and 0 <= i < u and 0 <= j < u)
+            if not (known and i != j and isinstance(m, int) and m > 0
+                    and pairs.setdefault((min(i, j), max(i, j)), m) == m):
+                given = ("%s %s %r" % (self.curves[i].label,
+                                       self.curves[j].label, m)
+                         if known else repr(t))  # as a graph file writes it
+                raise MalformedGraph("meeting %s must join two curves with "
                                      "one positive int multiplicity per pair"
-                                     % (t,), ("meet", k))
+                                     % given, ("meet", k))
         self.meetings = tuple((i, j, m) for (i, j), m in sorted(pairs.items()))
         self._index = {c.label: i for i, c in enumerate(self.curves)}
         self._strict_index = {s.label: i for i, s in enumerate(self.strict_curves)}

@@ -112,7 +112,7 @@ def choose_epsilon(model: ResolutionModel, f0: Divisor) -> Fraction:
     """
     report = discrepancies(model)
     if not report.log_terminal:
-        raise NotLogTerminal(report.offenders, report.b)
+        raise NotLogTerminal(report.offenders, report.b, model.labels)
     k_f, u, best = relative_canonical(model), model.u, (1, 2)
     d_a, d_b = f0.den, k_f.den  # a_i = alpha_i / d_a, b_i = beta_i / d_b
     for top, bot in [((d_b + beta) * d_a, d_b * (alpha + d_a)) for alpha, beta

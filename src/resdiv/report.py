@@ -38,7 +38,8 @@ class Report:
         self._lines.append("%s = %s\n" % (key, value))
 
     def extend(self, lines):
-        """Append another report's lines, or rendered "key = value\\n" lines."""
+        """Append another report's lines, or raw ones: "key = value\\n" lines,
+        or the graph-file lines of a blown-up model."""
         self._lines.extend(lines._lines[1:] if isinstance(lines, Report)
                            else lines)
 

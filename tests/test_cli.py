@@ -22,6 +22,13 @@ INDEFINITE = ("curve E1 genus=0 self=-1\ncurve E2 genus=0 self=-1\n"
 # E1.E2 = 1 on two (-1)-curves: singular, and D = E1 + E2 is antinef
 SINGULAR = ("curve E1 genus=0 self=-1\ncurve E2 genus=0 self=-1\n"
             "meet E1 E2 1\ndivisor D E1=1 E2=1\n")
+# a genus-1 curve with E.E = -1 meeting a (-2)-curve: b <= -1 on both
+NOT_LOG_TERMINAL = ("curve E genus=1 self=-1\ncurve P genus=0 self=-2\n"
+                    "meet E P 1\ndivisor F E=1 P=1\n")
+# input errors: a graph-text error, a missing file, a file not in UTF-8
+BROKEN = "curve E1 genus=0 self=+2\n"
+MISSING = "/nonexistent/x.graph"
+NOT_UTF8 = b"curve E1 genus=0 self=-2\xff\n"
 
 
 def run(capsys, *argv):
@@ -55,14 +62,14 @@ def test_check_not_log_terminal(capsys):
 
 def test_check_rejects_broken_file(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
-    bad.write_text("curve E1 genus=0 self=+2\n")
+    bad.write_text(BROKEN)
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "line 1" in err
 
 
 def test_missing_file_is_io_error(capsys):
-    code, _, err = run(capsys, "check", "/nonexistent/x.graph")
+    code, _, err = run(capsys, "check", MISSING)
     assert code == 2
     assert "error" in err
 
@@ -425,12 +432,17 @@ def test_realize_without_exceptional_curves(capsys, tmp_path, divisor):
 
 
 def test_realize_not_log_terminal(capsys, tmp_path):
+    """realize's refusal names, by label, the curves that check lists as
+    offenders."""
     src = (CORPUS_DIR / "elliptic_minus2.graph").read_text()
     target = tmp_path / "bad.graph"
-    target.write_text(src + "divisor F E1=2\n")
-    code, _, err = run(capsys, "realize", str(target), "F")
-    assert code == 1
-    assert "not log terminal" in err
+    for text, offenders in [(src + "divisor F E1=2\n", "E1"),
+                            (NOT_LOG_TERMINAL, "E P")]:
+        target.write_text(text)
+        _, out, _ = run(capsys, "check", str(target))
+        assert "offenders = " + offenders in out.splitlines()
+        assert run(capsys, "realize", str(target), "F") == (
+            1, "", "error: not log terminal: b <= -1 along %s\n" % offenders)
 
 
 # -- batch ----------------------------------------------------------------------------
@@ -648,11 +660,61 @@ def test_check_on_an_indefinite_form_eliminates_three_times(
 
 def test_non_utf8_graph_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.graph"
-    path.write_bytes(b"curve E1 genus=0 self=-2\xff\n")
+    path.write_bytes(NOT_UTF8)
     code, out, err = run(capsys, "check", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# a divisor that is not effective, and one that is not integral
+A1_REFUSED = "curve E1 genus=0 self=-2\ndivisor N E1=-1\ndivisor H E1=1/2\n"
+
+
+# (the error's class, the input file or its content, argv, exit code)
+EXITS = [
+    (r.NotNegativeDefinite, SINGULAR, ("closure", "D"), 1),
+    (r.NotLogTerminal, NOT_LOG_TERMINAL, ("realize", "F"), 1),
+    (r.NonPositiveLambda, graph("a1"), ("multiplier", "F", "--lambda", "0"),
+     1),
+    (r.NotAntinef, graph("a2"), ("realize", "D"), 1),
+    (r.NotEffective, A1_REFUSED, ("realize", "N"), 1),
+    (r.NonIntegralInput, A1_REFUSED, ("closure", "H"), 1),
+    (r.TooManyCurves, graph("a1"),
+     ("blowup", "--curve", "E1", "--length", "1000000000"), 1),
+    # every command's divisors live on the model of its file
+    (r.ModelMismatch, None, None, 1),
+    (ValueError, None, ("batch", "--samples", "-2"), 1),
+    (r.MalformedGraph, BROKEN, ("check",), 2),
+    (OSError, MISSING, ("check",), 2),
+    (UnicodeDecodeError, NOT_UTF8, ("check",), 2),
+]
+
+
+@pytest.mark.parametrize("cls, source, argv, code", EXITS,
+                         ids=[row[0].__name__ for row in EXITS])
+def test_the_exit_code_follows_the_type_of_the_error(tmp_path, capsys, cls,
+                                                     source, argv, code):
+    """Each refusal of the mathematics is a ValueError and exits 1; a
+    graph-text error, which is no ValueError, and a file that cannot be
+    read or is not UTF-8 exit 2.  The command raises the class named, and
+    main turns it into one error line with nothing on stdout."""
+    assert issubclass(cls, ValueError) is (
+        cls is not r.MalformedGraph and not issubclass(cls, OSError))
+    if argv is None:
+        return
+    if isinstance(source, bytes) or source and "\n" in source:
+        path = tmp_path / "input.graph"
+        path.write_bytes(source if isinstance(source, bytes)
+                         else source.encode())
+        source = str(path)
+    argv = argv[:1] + (source,) * bool(source) + argv[1:]
+    args = resdiv.cli.build_parser().parse_args(argv)
+    with pytest.raises(cls):
+        getattr(resdiv.cli, "cmd_" + args.command)(args, resdiv.cli.Report())
+    code_out, out, err = run(capsys, *argv)
+    assert (code_out, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- one parser per process --------------------------------------------------------
@@ -698,8 +760,9 @@ def test_usage_error_between_good_calls(capsys, bad):
 
 def test_a_command_patched_after_the_first_call_is_called(capsys, monkeypatch):
     assert run(capsys, "check", graph("a1"))[0] == 0
-    monkeypatch.setattr(resdiv.cli, "cmd_check", lambda args: 7)
-    assert run(capsys, "check", graph("a1")) == (7, "", "")
+    monkeypatch.setattr(resdiv.cli, "cmd_check", lambda args, rep: 7)
+    assert run(capsys, "check", graph("a1")) == (
+        7, "format_version = 1\ncommand = check\nfile = a1.graph\n", "")
 
 
 def test_parser_is_built_on_the_first_call_only():

@@ -212,20 +212,20 @@ TWO = "curve E1 genus=0 self=-2\ncurve E2 genus=0 self=-2\n"
     # found by build_model and ResolutionModel alone
     (TWO + "curve E1 genus=0 self=-3\n", 3, "duplicate label 'E1'"),
     (TWO + "strict E2 meets E1=1\n", 3, "duplicate label 'E2'"),
-    (TWO + "meet E1 E2 1\nmeet E1 E1 1\n", 4, r"meeting \(0, 0, 1\)"),
+    (TWO + "meet E1 E2 1\nmeet E1 E1 1\n", 4, "meeting E1 E1 1 must join"),
     (TWO + "meet E1 E9 1\nmeet E1 E2 1\n", 3,
      "meeting references unknown curve 'E9'"),
     (TWO + "strict S meets E1=1\nstrict T meets E9=1\n", 4,
      "strict curve 'T' meets unknown curve 'E9'"),
     (TWO + "strict S meets E1=-1\nmeet E1 E2 1\n", 3, "strict curve 'S'"),
     (TWO + "meet E1 E2 1\nstrict S meets E1=1\nmeet E2 E1 2\n", 5,
-     r"meeting \(1, 0, 2\)"),
+     "meeting E2 E1 2 must join"),
     # the rules the parser used to check itself
     ("curve E1 genus=0 self=-2\ncurve E2 genus=-1 self=-2\n", 2,
      "curve 'E2': genus -1"),
     ("curve E1 genus=0 self=-2\ncurve E2 genus=0 self=0\n", 2,
      "curve 'E2': genus 0 and self-intersection 0"),
-    (TWO + "meet E1 E2 0\n", 3, r"meeting \(0, 1, 0\)"),
+    (TWO + "meet E1 E2 0\n", 3, "meeting E1 E2 0 must join"),
     ("curve E1 genus=0 self=-2\ncurve E=2 genus=0 self=-2\n", 2,
      "name 'E=2' must not contain '='"),
     (TWO + "strict S=1 meets E1=1\n", 3, "name 'S=1' must not contain '='"),

@@ -18,6 +18,10 @@ And no class defines ``__getattr__`` or subclasses ``ResolutionModel``: a
 model is built and checked by its constructor, or is a value read off its
 chains, never something built on an attribute miss.
 
+And one call writes stdout: the ``print`` in ``cli.main``, which writes
+the report every command fills.  No other ``print`` goes without
+``file=``, and no module names ``sys.stdout``.
+
 And a fresh interpreter imports ``resdiv.cli`` without ``dataclasses`` or
 the modules it brings (``inspect``, ``ast``, ``dis``): every command pays
 for its imports before it reads its input.
@@ -197,6 +201,50 @@ def test_lazy_model_detector_flags_each_form():
               "    def __getattribute__(self, name): pass\n"
               "    resolution = ResolutionModel\n")
     assert lazy_model_classes([source]) == {"A", "B", "C", "D"}
+
+
+def stdout_writes(source):
+    """``(function, line)`` for each ``print`` call without ``file=`` and
+    each ``sys.stdout`` in ``source``; ``function`` names the innermost
+    enclosing ``def``, or is None outside every function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "print"
+                    and all(k.arg != "file" for k in child.keywords)) or (
+                    isinstance(child, ast.Attribute) and child.attr == "stdout"
+                    and getattr(child.value, "id", None) == "sys"):
+                found.append((where, child.lineno))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_main_writes_stdout():
+    writes = [(module, where) for module in MODULES
+              for where, _ in stdout_writes((SRC / module).read_text())]
+    assert writes == [("cli.py", "main")]
+
+
+def test_stdout_detector_flags_each_form():
+    source = ("import sys\n"
+              "print('a')\n"
+              "def main():\n"
+              "    print('b', end='')\n"
+              "    print('c', file=sys.stderr)\n"
+              "    def inner():\n"
+              "        print(*'d', **{})\n"
+              "class K:\n"
+              "    async def f(self):\n"
+              "        sys.stdout.write('e')\n"
+              "out = sys.stdout\n"
+              "sys.stderr.write('f')\n")
+    assert stdout_writes(source) == [(None, 2), ("main", 4), ("inner", 7),
+                                     ("f", 10), (None, 11)]
 
 
 def test_the_cli_imports_no_dataclasses():
